@@ -934,6 +934,21 @@ def validate_scenario(scn: dict):
     missing = [k for k in ref if k not in scn and k not in ("schema_version",)]
     if missing:
         raise ValueError(f"config is missing explicit settings: {', '.join(sorted(missing))}")
+    mc = scn["constraint_mc"] if isinstance(scn.get("constraint_mc"), dict) else {}
+    grids = [("grid", scn["grid"])] if "grid" in ref else []
+    grids += [(f"grids[{i}]", g) for i, g in enumerate(scn.get("grids", ()))]
+    grids += [("constraint_mc.grid", mc.get("grid"))] if mc else []
+    for where, g in grids:
+        if not (isinstance(g, dict) and isinstance(g.get("dt"), (int, float)) and isinstance(g.get("steps"), int)):
+            raise ValueError(f"{where} must set a number dt and an integer steps")
+        if g["dt"] <= 0 or g["steps"] < 1:
+            raise ValueError(f"{where} needs dt > 0 and steps >= 1")
+    if "pi2_window" in ref:
+        # the runner reads slot round(t / dt): every sample time must fall on the simulated grid
+        dt, steps, times, window = scn["grid"]["dt"], scn["grid"]["steps"], scn["pi1_times"], scn["pi2_window"]
+        ok = isinstance(times, list) and isinstance(window, list) and len(window) == 2 and window[0] <= window[1]
+        if not (ok and all(isinstance(t, (int, float)) and 0 <= round(t / dt) <= steps for t in times + window)):
+            raise ValueError(f"pi1_times and pi2_window = [start, end] must lie within [0, steps * dt] = [0, {steps * dt:g}]")
     return scn
 
 

@@ -12,7 +12,8 @@ n-point checks, and the loop-equation / moment-hierarchy residuals.
 
 Reproducibility: every batch of Gaussian increments comes from a
 counter-based generator keyed by (seed, step, retry), so results are bitwise
-identical regardless of how the replica loop is scheduled.
+identical regardless of how the replica loop is scheduled.  The Langevin
+state is particle-major, (n, m); public arrays stay replica-major, (m, ...).
 
 Reweighting conventions (fixed by the 2 dt noise variance):
 
@@ -148,24 +149,24 @@ class Ensemble:
 
 
 def _drift(pot: Potential, lam: np.ndarray) -> np.ndarray:
-    """beta sum_{j!=i} 1/(lam_i-lam_j) - V'(lam_i), vectorized over replicas."""
-    n = lam.shape[1]
+    """beta sum_{j!=i} 1/(lam_i-lam_j) - V'(lam_i) for particle-major lam (n, m)."""
     out = -pot.vprime(lam)
-    if pot.beta != 0.0 and n > 1:
-        if n <= 16:
-            # pairwise loop beats the (m, n, n) masked broadcast for small n
-            for i in range(n):
-                for jx in range(i + 1, n):
-                    inv = pot.beta / (lam[:, i] - lam[:, jx])
-                    out[:, i] += inv
-                    out[:, jx] -= inv
-        else:
-            d = lam[:, :, None] - lam[:, None, :]
-            mask = ~np.eye(n, dtype=bool)
-            inv = np.zeros_like(d)
-            inv[:, mask] = 1.0 / d[:, mask]
-            out = out + pot.beta * inv.sum(axis=2)
+    if pot.beta != 0.0:
+        # contiguous row updates per pair: faster than (n, n, m) broadcasts or gathers
+        for i in range(lam.shape[0]):
+            for jx in range(i + 1, lam.shape[0]):
+                inv = pot.beta / (lam[i] - lam[jx])
+                out[i] += inv
+                out[jx] -= inv
     return out
+
+
+# Noise keys are (step << 16) + counter: retries use counters 1.._MAX_RETRIES,
+# sub-step draws count up from _SUBSTEP_CTR0 and must stay below 16 << 16,
+# where the key of step j would equal a main-loop key of step j + 16.
+_MAX_RETRIES = 12
+_SUBSTEP_CTR0 = 1_000_000
+_SUBSTEP_CTR_END = 1 << 20
 
 
 def _gauss(seed: int, step: int, retry: int, shape) -> np.ndarray:
@@ -203,7 +204,6 @@ def simulate_dbm(
     track_moment_residual: tuple = (),
     functionals: dict | None = None,
     store_paths: str = "auto",
-    max_retries: int = 60,
 ) -> Ensemble:
     """Euler-Maruyama simulation of the interacting Langevin dynamics.
 
@@ -212,30 +212,39 @@ def simulate_dbm(
     a terminal rejection rate >= 1% raises RejectionRateError.
 
     ``functionals`` maps names to dicts {"pi": {k: weights}, "s": {l:
-    weights}} of per-slot weights; each accumulates the per-replica linear
-    path functional sum_j w_j X(t_j).  ``track_moment_residual`` lists modes
-    k for which the time-averaged evolution-identity residual (centered time
-    derivative telescoped over the interior window) and the time-averaged
-    martingale density S_k are accumulated per replica, giving exact
-    replica-scatter error bars.
+    weights}, "q": {l: weights}} of per-slot weights; each accumulates the
+    per-replica linear path functional sum_j w_j X(t_j).
+    ``track_moment_residual`` lists modes k for which the time-averaged
+    evolution-identity residual (centered time derivative telescoped over the
+    interior window) and the time-averaged martingale density S_k are
+    accumulated per replica, giving exact replica-scatter error bars.
+
+    The state is particle-major, (n, m): a sum over particles is n - 1
+    contiguous row adds, and one power stack lam^0..lam^k_track per slot
+    feeds every moment, pair and martingale accumulator.  Noise is drawn,
+    retried and summed as (m, n) blocks; ``paths`` (m, steps+1, n) and
+    ``incs`` (m, steps, n) stay replica-major.  For n <= 7 these row adds
+    equal numpy's replica-major sum over axis 1 bit for bit; for n >= 8 that
+    sum is pairwise and the last bits of the outputs may differ from it.
     """
     init = init or InitSpec()
     dt = grid.dt
     steps = grid.steps
-    lam = np.sort(init.positions(pot, n, m), axis=1)
+    lam = np.ascontiguousarray(np.sort(init.positions(pot, n, m), axis=1).T)
 
     keep_paths = store_paths == "all" or (store_paths == "auto" and m * (steps + 1) * n <= 2_000_000)
     ens = Ensemble(pot, n, grid, m, seed, init, k_track)
     if keep_paths:
         ens.paths = np.empty((m, steps + 1, n))
-        ens.paths[:, 0] = lam
+        ens.paths[:, 0] = lam.T
         ens.incs = np.empty((m, steps, n))
     ens.pi_sum = np.zeros((steps + 1, k_track + 1))
     ens.pi_sumsq = np.zeros((steps + 1, k_track + 1))
-    pair_keys = [(a, b) for a in range(k_track - 1) for b in range(a, k_track - 1) if a + b <= 2 * (k_track - 2)]
-    for key in pair_keys:
-        ens.pair_sum[key] = np.zeros(steps + 1)
-        ens.pair_sumsq[key] = np.zeros(steps + 1)
+    pair_keys = [(a, b) for a in range(k_track - 1) for b in range(a, k_track - 1)]
+    pair_a, pair_b = np.array(pair_keys, dtype=int).reshape(-1, 2).T
+    pair_sum, pair_sumsq = np.zeros((2, len(pair_keys), steps + 1))
+    ens.pair_sum = dict(zip(pair_keys, pair_sum))
+    ens.pair_sumsq = dict(zip(pair_keys, pair_sumsq))
     modes = tuple(track_slin)
     if modes:
         ens.slin_modes = modes
@@ -249,40 +258,33 @@ def simulate_dbm(
     pi_boundary = {}
     functionals = functionals or {}
     facc = {name: np.zeros(m) for name in functionals}
+    pows = np.empty((k_track + 1, n, m))  # lam^k of the current slot, k = 0..k_track
+    pows[0] = 1.0
 
     def record_pi(j, lam_now):
-        pis = {0: np.full(m, float(n))}
-        cur = lam_now
         for k in range(1, k_track + 1):
-            pis[k] = cur.sum(axis=1)
-            if k < k_track:
-                cur = cur * lam_now
-        for k in range(k_track + 1):
-            ens.pi_sum[j, k] += pis[k].sum()
-            ens.pi_sumsq[j, k] += (pis[k] ** 2).sum()
-        for a, b in pair_keys:
-            pab = pis[a] * pis[b]
-            ens.pair_sum[(a, b)][j] += pab.sum()
-            ens.pair_sumsq[(a, b)][j] += (pab**2).sum()
+            np.multiply(pows[k - 1], lam_now, out=pows[k])
+        pis = pows.sum(axis=1)  # (k_track+1, m): pi_k per replica
+        ens.pi_sum[j] += pis.sum(axis=1)
+        ens.pi_sumsq[j] += (pis**2).sum(axis=1)
+        pab = pis[pair_a] * pis[pair_b]
+        pair_sum[:, j] += pab.sum(axis=1)
+        pair_sumsq[:, j] += (pab**2).sum(axis=1)
         for name, spec in functionals.items():
             for k, w in spec.get("pi", {}).items():
                 if w[j] != 0.0:
-                    facc[name] += w[j] * (pis[k] if k <= k_track else np.sum(lam_now**k, axis=1))
-        if mres_ks:
-            for k in mres_ks:
-                if j in (0, 1, steps - 1, steps):
-                    pi_boundary[(k, j)] = pis[k].copy()
-                if 1 <= j <= steps - 1:
-                    term = np.zeros(m)
-                    if k >= 2:
-                        term += (pot.beta / 2.0 - 1.0) * k * (k - 1) * pis[k - 2]
-                    for l, bl in pot.b.items():
-                        term += k * bl * pis[l + k - 1]
-                    if k >= 2:
-                        for q in range(0, k - 1):
-                            term -= (pot.beta / 2.0) * k * pis[q] * pis[k - 2 - q]
-                    macc[k] += term
-        return pis
+                    facc[name] += w[j] * (pis[k] if k <= k_track else np.sum(lam_now**k, axis=0))
+        if mres_ks and j in (0, 1, steps - 1, steps):
+            pi_boundary[j] = pis
+        for k in mres_ks if 1 <= j <= steps - 1 else ():
+            term = np.zeros(m)
+            if k >= 2:
+                term += (pot.beta / 2.0 - 1.0) * k * (k - 1) * pis[k - 2]
+            for l, bl in pot.b.items():
+                term += k * bl * pis[l + k - 1]
+            for q in range(0, k - 1):
+                term -= (pot.beta / 2.0) * k * pis[q] * pis[k - 2 - q]
+            macc[k] += term
 
     record_pi(0, lam)
     order_guard = pot.beta >= 1.0 and n > 1
@@ -295,24 +297,27 @@ def simulate_dbm(
         noise (the pair force beta/d exceeds d for gaps below ~sqrt(beta dt)),
         so the stuck rows advance through sub-steps whose size shrinks with
         the current minimum gap; this preserves the weak order and keeps the
-        noise counter-keyed (seed, step, running counter)."""
+        noise counter-keyed (seed, step, running counter).  Works on
+        replica-major rows (m_bad, n), the layout the noise is drawn in."""
         lam_s = lam_bad.copy()
         db_tot = np.zeros_like(lam_bad)
         t_left = np.full(lam_bad.shape[0], dt)
-        ctr = 1_000_000
+        ctr = _SUBSTEP_CTR0
         guard = 0
         while np.any(t_left > 0):
             guard += 1
             if guard > 500_000:
                 raise RejectionRateError(f"step {j}: collision unresolved after {guard} sub-steps")
             act = t_left > 0
-            dr = _drift(pot, lam_s[act])
+            dr = _drift(pot, lam_s[act].T).T
             gap = np.min(np.diff(lam_s[act], axis=1), axis=1)
             h = np.minimum.reduce(
                 [t_left[act], np.full(gap.shape, dt / 8.0), np.maximum(gap**2 / (8.0 * max(pot.beta, 1e-12)), dt * 1e-9)]
             )
             for _ in range(40):
                 ctr += 1
+                if ctr >= _SUBSTEP_CTR_END:
+                    raise RejectionRateError(f"step {j}: sub-step noise keys exhausted (would alias step {j + 16})")
                 dbs = np.sqrt(2.0 * h)[:, None] * _gauss(seed, j, ctr, lam_s[act].shape)
                 prop_s = lam_s[act] + dbs + dr * h[:, None]
                 bad_s = np.any(np.diff(prop_s, axis=1) < GAP_MIN, axis=1)
@@ -331,65 +336,60 @@ def simulate_dbm(
     for j in range(steps):
         drift = _drift(pot, lam)
         db = sqrt2dt * _gauss(seed, j, 0, (m, n))
-        prop = lam + db + drift * dt
+        prop = lam + db.T + drift * dt
         if order_guard:
-            bad = np.any(np.diff(prop, axis=1) < GAP_MIN, axis=1)
+            bad = np.any(np.diff(prop, axis=0) < GAP_MIN, axis=0)
             retry = 0
-            while np.any(bad) and retry < 12:
+            while np.any(bad) and retry < _MAX_RETRIES:
                 retry += 1
                 ens.rejected += int(bad.sum())
                 fresh = sqrt2dt * _gauss(seed, j, retry, (m, n))
                 db[bad] = fresh[bad]
-                prop[bad] = lam[bad] + db[bad] + drift[bad] * dt
-                bad = np.any(np.diff(prop, axis=1) < GAP_MIN, axis=1)
+                prop[:, bad] = lam[:, bad] + db[bad].T + drift[:, bad] * dt
+                bad = np.any(np.diff(prop, axis=0) < GAP_MIN, axis=0)
             if np.any(bad):
                 ens.substepped += int(bad.sum())
-                prop[bad], db[bad] = substep(lam[bad], j)
+                lam_s, db[bad] = substep(lam[:, bad].T, j)
+                prop[:, bad] = lam_s.T
         if not np.all(np.isfinite(prop)):
             raise FloatingPointError(f"non-finite positions at step {j}")
 
-        dlam = prop - lam
         ens.noise_sum += db.sum()
         ens.noise_sumsq += (db**2).sum()
         ens.noise_count += db.size
-        if modes or functionals or mres_ks:
-            for idx, l in enumerate(modes):
-                ens.slin_samples[:, idx, j] = slin_increment(pot, lam, dlam, dt, l) / dt
-            for name, spec in functionals.items():
-                for l, w in spec.get("s", {}).items():
-                    if w[j] != 0.0:
-                        facc[name] += w[j] * slin_increment(pot, lam, dlam, dt, l) / dt
-                for l, w in spec.get("q", {}).items():
-                    # leading mean of the higher Ito remainder of the discrete
-                    # pi_l update, evaluated from the drift law (no increments)
-                    if w[j] != 0.0:
-                        q = 0.5 * l * (l - 1) * np.sum(lam ** (l - 2) * drift**2, axis=1)
-                        if l >= 3:
-                            q += l * (l - 1) * (l - 2) * np.sum(lam ** (l - 3) * drift, axis=1)
-                        if l >= 4:
-                            q += 0.5 * l * (l - 1) * (l - 2) * (l - 3) * np.sum(lam ** (l - 4), axis=1)
-                        facc[name] += w[j] * q * dt
-            if mres_ks:
-                pws = [np.ones_like(lam)]
-                for _ in range(max(mres_ks) - 1):
-                    pws.append(pws[-1] * lam)
-                for k in mres_ks:
-                    sfull[k] += np.sum(k * pws[k - 1] * db, axis=1)  # S_k dt = sum k lam^(k-1) dB
         if keep_paths:
             ens.incs[:, j] = db
-            ens.paths[:, j + 1] = prop
+            ens.paths[:, j + 1] = prop.T
+        db = np.ascontiguousarray(db.T)
+        dlam = prop - lam
+        for idx, l in enumerate(modes):
+            ens.slin_samples[:, idx, j] = slin_increment(pot, lam.T, dlam.T, dt, l) / dt
+        for name, spec in functionals.items():
+            for l, w in spec.get("s", {}).items():
+                if w[j] != 0.0:
+                    facc[name] += w[j] * slin_increment(pot, lam.T, dlam.T, dt, l) / dt
+            for l, w in spec.get("q", {}).items():
+                # leading mean of the higher Ito remainder of the discrete
+                # pi_l update, evaluated from the drift law (no increments)
+                if w[j] != 0.0:
+                    q = 0.5 * l * (l - 1) * np.sum(lam ** (l - 2) * drift**2, axis=0)
+                    if l >= 3:
+                        q += l * (l - 1) * (l - 2) * np.sum(lam ** (l - 3) * drift, axis=0)
+                    if l >= 4:
+                        q += 0.5 * l * (l - 1) * (l - 2) * (l - 3) * np.sum(lam ** (l - 4), axis=0)
+                    facc[name] += w[j] * q * dt
+        for k in mres_ks:
+            sfull[k] += np.sum(k * pows[k - 1] * db, axis=0)  # S_k dt = sum k lam^(k-1) dB
         lam = prop
         record_pi(j + 1, lam)
 
     ens.functional_samples = facc
     if mres_ks:
         width = max(steps - 1, 1)
-        horizon = width * dt
+        end, end1, start1, start = (pi_boundary[i] for i in (steps, steps - 1, 1, 0))
         for k in mres_ks:
-            tele = (
-                pi_boundary[(k, steps)] + pi_boundary[(k, steps - 1)] - pi_boundary[(k, 1)] - pi_boundary[(k, 0)]
-            ) / (2 * dt)
-            ens.moment_residual_samples[k] = (tele + macc[k] * 1.0) / width
+            tele = (end[k] + end1[k] - start1[k] - start[k]) / (2 * dt)
+            ens.moment_residual_samples[k] = (tele + macc[k]) / width
             ens.martingale_samples[k] = sfull[k] / (steps * dt)
     if ens.rejection_rate >= 0.01:
         raise RejectionRateError(f"rejection rate {ens.rejection_rate:.3%} >= 1%")

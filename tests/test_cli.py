@@ -60,6 +60,21 @@ def test_config_error_exit_2(tmp_path):
     assert main(["run", str(incomplete), "--out", str(tmp_path)]) == 2
 
 
+def test_langevin_config_errors_exit_2(tmp_path, capsys):
+    """A sample time past steps * dt and a missing grid key are config errors
+    (exit 2 with a message), caught before any simulation runs."""
+    short = default_scenario("dbm-moments")
+    short["grid"]["steps"] = 800  # default pi1_times / pi2_window reach t = 4.0
+    no_dt = default_scenario("dbm-moments")
+    del no_dt["grid"]["dt"]
+    for name, scn in (("short", short), ("no-dt", no_dt)):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(scn))
+        assert main(["run", str(cfg), "--out", str(tmp_path / name)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / name).exists()
+
+
 def test_negative_control_exit_1(tmp_path):
     scn = default_scenario("kernel-identities")
     scn["debug"]["flip_generator_sign"] = True
@@ -73,15 +88,26 @@ def test_negative_control_exit_1(tmp_path):
 
 
 def test_reports_bitwise_reproducible(tmp_path):
-    scn = default_scenario("boson-commutators")
-    rep1, tab1 = run_suite(json.loads(json.dumps(scn)))
-    rep2, tab2 = run_suite(json.loads(json.dumps(scn)))
-    d1, d2 = tmp_path / "a", tmp_path / "b"
-    write_report(rep1, tab1, d1)
-    write_report(rep2, tab2, d2)
-    for f1 in sorted(d1.iterdir()):
-        f2 = d2 / f1.name
-        assert f1.read_bytes() == f2.read_bytes()
+    """Two runs write identical report bytes; only the measured seconds of the
+    dbm-moments/runtime check are masked (its bound and verdict are kept)."""
+    dbm = default_scenario("dbm-moments")
+    dbm.update(replicas=200, grid={"dt": 1e-3, "steps": 1000}, pi1_times=[0.5, 1.0], pi2_window=[0.8, 1.0])
+    npoint = default_scenario("npoint")
+    npoint.update(replicas=200, grid={"dt": 1e-3, "steps": 400})
+    for scn in (default_scenario("boson-commutators"), dbm, npoint):
+        validate_scenario(scn)
+        dirs = []
+        for run in ("a", "b"):
+            rep, tab = run_suite(json.loads(json.dumps(scn)))
+            for c in rep["checks"]:
+                if c["name"] == "dbm-moments/runtime":
+                    c["value"] = None
+            dirs.append(tmp_path / scn["suite"] / run)
+            write_report(rep, tab, dirs[-1])
+        files = sorted(f.name for f in dirs[0].iterdir())
+        assert files and files == sorted(f.name for f in dirs[1].iterdir())
+        for name in files:
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
 
 
 def test_default_config_subcommand(capsys):

@@ -91,9 +91,37 @@ def test_ordering_preserved_and_reproducible():
         lam = e1.paths[:, j]
         from coulombgas.dyson import _drift
 
-        rhs = e1.incs[:, j] + _drift(HERMITE2, lam) * grid.dt
+        rhs = e1.incs[:, j] + _drift(HERMITE2, lam.T).T * grid.dt
         drift_ok.append(np.max(np.abs(e1.paths[:, j + 1] - lam - rhs)))
     assert max(drift_ok) < 1e-14
+
+
+def test_noise_keys_never_alias():
+    """Main draws, ordering retries and every sub-step draw below the cap get
+    distinct Philox keys across steps; the first counter past the cap would
+    reuse the main-draw key of step j + 16."""
+    from coulombgas import dyson
+
+    counters = np.concatenate(
+        [np.arange(dyson._MAX_RETRIES + 1), np.arange(dyson._SUBSTEP_CTR0 + 1, dyson._SUBSTEP_CTR_END)]
+    )
+    keys = ((np.arange(40, dtype=np.int64)[:, None] << 16) + counters).ravel()
+    assert np.unique(keys).size == keys.size
+    assert (3 << 16) + dyson._SUBSTEP_CTR_END == ((3 + 16) << 16) + 0
+
+
+def test_substep_counter_cap_raises(monkeypatch):
+    """A sub-step sequence that would reach the aliasing counter raises
+    instead of reusing another step's noise; the start counter is moved next
+    to the cap, so no 48k draws are needed."""
+    from coulombgas import dyson
+
+    grid = TimeGrid(5e-3, 200)
+    init = InitSpec("equispaced", halfwidth=1.0)
+    assert simulate_dbm(HERMITE2, 5, grid, 200, init, seed=3, k_track=4).substepped > 0
+    monkeypatch.setattr(dyson, "_SUBSTEP_CTR0", dyson._SUBSTEP_CTR_END - 3)
+    with pytest.raises(dyson.RejectionRateError, match="alias"):
+        simulate_dbm(HERMITE2, 5, grid, 200, init, seed=3, k_track=4)
 
 
 def test_exchange_symmetry_of_linear_statistics():
