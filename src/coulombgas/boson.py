@@ -502,7 +502,7 @@ def normal_ordered_quadratic(
     return op
 
 
-def time_derivation(f: TimePoly | np.ndarray, grid: TimeGrid, k_max: int) -> BosonOperator:
+def time_derivation(f: TimePoly, grid: TimeGrid, k_max: int) -> BosonOperator:
     """Grid realization of the time derivation f(t) d/dt on functionals.
 
     Acts as sum_{k,j} f(t_j) (D x)[k, j] d/dx[k, j] with D the centered
@@ -513,7 +513,7 @@ def time_derivation(f: TimePoly | np.ndarray, grid: TimeGrid, k_max: int) -> Bos
     """
     op = BosonOperator(grid, k_max)
     t = grid.times
-    fj = f(t) if isinstance(f, TimePoly) else np.asarray(f, dtype=float)
+    fj = f(t)
     ns = grid.nslots
     dmat = np.zeros((ns, ns))
     for jj in range(1, ns - 1):

@@ -3,8 +3,9 @@
 Parses a scenario configuration, runs one of the named verification suites
 across the library modules, and emits machine-readable reports: one JSON
 file with per-check (name, anchor, value, tolerance, pass) rows and CSV data
-tables alongside.  Exit status 0 iff every check passed, 1 on check failure,
-2 on configuration errors.
+tables alongside.  Exit status 0 iff every check passed, 1 on check failure
+or engine error (the report then carries the error), 2 on configuration
+errors.
 
 Every suite has a complete default scenario (printable with the
 ``default-config`` subcommand) that reproduces the package's acceptance
@@ -474,7 +475,6 @@ def run_sv_algebra(scn):
             seed=scn["seed"],
             k_track=4,
             track_slin=(1, 2),
-            store_paths="none",
         )
         for n in (-1, 0):
             cop = build_dynamical_constraint(n, a, pot, mc["n_particles"], grid, mc["k_max"], parts="affine")
@@ -549,7 +549,6 @@ def run_dbm_moments(scn):
         seed=scn["seed"],
         k_track=6,
         track_moment_residual=tuple(scn["moment_ks"]),
-        store_paths="none",
     )
     elapsed = time.perf_counter() - t0
 
@@ -643,7 +642,7 @@ def run_girsanov(scn):
     grid = TimeGrid(scn["grid"]["dt"], scn["grid"]["steps"])
     tau = {int(k): float(v) for k, v in scn["tau"].items()}
     init = InitSpec("explicit", values=tuple(scn["init_values"]))
-    base = simulate_dbm(pot, scn["n_particles"], grid, scn["replicas"], init, seed=scn["seed"], store_paths="all", k_track=4)
+    base = simulate_dbm(pot, scn["n_particles"], grid, scn["replicas"], init, seed=scn["seed"], keep_paths=True, k_track=4)
     lw = girsanov_logweight(base, tau)
     qc = girsanov_quadratic_correction(base, tau)
     w = np.exp(lw + qc)
@@ -655,7 +654,7 @@ def run_girsanov(scn):
     rew = float(np.sum(w * pi2) / np.sum(w))
     se_rew = float(np.std(w * (pi2 - rew), ddof=1) / (np.mean(w) * math.sqrt(base.m)))
     tilted = perturbed_potential(pot, tau)
-    direct = simulate_dbm(tilted, scn["n_particles"], grid, scn["replicas"], init, seed=scn["seed"] + 1, k_track=4, store_paths="none")
+    direct = simulate_dbm(tilted, scn["n_particles"], grid, scn["replicas"], init, seed=scn["seed"] + 1, k_track=4)
     d_mean = float(direct.pi_mean(2)[-1])
     d_se = float(direct.pi_se(2)[-1])
     checks.append(
@@ -700,7 +699,6 @@ def run_npoint(scn):
         seed=scn["seed"],
         k_track=6,
         functionals=funcs,
-        store_paths="none",
     )
     rows = []
     for k in scn["modes"]:
@@ -896,14 +894,17 @@ def run_suite(scn: dict):
     if suite not in RUNNERS:
         raise ValueError(f"unknown suite {suite!r}")
     checks, tables = RUNNERS[suite](scn)
-    report = {
+    return suite_report(scn, checks), tables
+
+
+def suite_report(scn: dict, checks: list) -> dict:
+    return {
         "schema_version": SCHEMA_VERSION,
-        "suite": suite,
+        "suite": scn["suite"],
         "scenario": scn,
         "checks": checks,
         "passed": all(c["pass"] for c in checks),
     }
-    return report, tables
 
 
 def write_report(report, tables, out_dir: Path):
@@ -981,7 +982,15 @@ def main(argv=None) -> int:
         scn["threads"] = args.threads
     out_dir = Path(args.out or os.environ.get("COULOMBGAS_OUT", "reports"))
 
-    report, tables = run_suite(scn)
+    from .dyson import RejectionRateError  # not at module level: keeps CLI start-up free of the engine import
+
+    try:
+        report, tables = run_suite(scn)
+    except (RejectionRateError, FloatingPointError) as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        row = check(f"{scn['suite']}/engine", "the suite's computation ran to completion", 1.0, 0.0, error=error)
+        report, tables = suite_report(scn, [row]), {}
+        print(f"engine error: {error}", file=sys.stderr)
     write_report(report, tables, out_dir)
     for c in report["checks"]:
         status = "pass" if c["pass"] else "FAIL"

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boson import TimeGrid
-from .kernel import Potential, propagator_table
+from .kernel import Potential, generator_matrix, step_powers
 from .timefunc import TimePoly
 
 __all__ = [
@@ -203,7 +203,7 @@ def simulate_dbm(
     track_slin: tuple = (),
     track_moment_residual: tuple = (),
     functionals: dict | None = None,
-    store_paths: str = "auto",
+    keep_paths: bool = False,
 ) -> Ensemble:
     """Euler-Maruyama simulation of the interacting Langevin dynamics.
 
@@ -218,6 +218,9 @@ def simulate_dbm(
     evolution-identity residual (centered time derivative telescoped over the
     interior window) and the time-averaged martingale density S_k are
     accumulated per replica, giving exact replica-scatter error bars.
+    ``keep_paths`` stores every trajectory and Brownian increment in
+    ``paths`` and ``incs`` for the path post-processors; without it both stay
+    None and only the online accumulators are kept.
 
     The state is particle-major, (n, m): a sum over particles is n - 1
     contiguous row adds, and one power stack lam^0..lam^k_track per slot
@@ -232,7 +235,6 @@ def simulate_dbm(
     steps = grid.steps
     lam = np.ascontiguousarray(np.sort(init.positions(pot, n, m), axis=1).T)
 
-    keep_paths = store_paths == "all" or (store_paths == "auto" and m * (steps + 1) * n <= 2_000_000)
     ens = Ensemble(pot, n, grid, m, seed, init, k_track)
     if keep_paths:
         ens.paths = np.empty((m, steps + 1, n))
@@ -439,7 +441,6 @@ def sample_equilibrium(
     seed: int = 0,
     chains: int = 100,
     tau: dict | None = None,
-    target_acceptance: float = 0.3,
 ) -> EqSamples:
     """Metropolis sampler for the Gibbs measure with single-site Gaussian
     proposals, adapted to ~30% acceptance during the 20% burn-in.
@@ -479,7 +480,7 @@ def sample_equilibrium(
                 prop_count += chains
             else:
                 # stochastic-approximation tuning toward the target rate
-                step *= np.exp(0.2 * (accept.astype(float) - target_acceptance))
+                step *= np.exp(0.2 * (accept.astype(float) - 0.3))
         lam.sort(axis=1)
         if sweep >= burn:
             kept.append(lam.copy())
@@ -502,17 +503,16 @@ def sample_equilibrium(
     return EqSamples(samples, acceptance, autocorr, chain_means, pair_chain_means, dict(tau or {}))
 
 
-def _integrated_autocorr(x: np.ndarray, max_lag: int | None = None) -> float:
+def _integrated_autocorr(x: np.ndarray) -> float:
     """Initial-positive-sequence estimate of the integrated autocorrelation
-    time of x[(sweep, chain)], averaged over chains."""
+    time of x[(sweep, chain)], averaged over chains, up to lag T/4."""
     t, c = x.shape
     if t < 4:
         return 1.0
-    max_lag = max_lag or t // 4
     var = np.mean(x**2, axis=0)
     var[var == 0.0] = 1.0
     tau = 1.0
-    for lag in range(1, max_lag):
+    for lag in range(1, t // 4):
         rho = np.mean(x[:-lag] * x[lag:], axis=0) / var
         r = float(np.mean(rho))
         if r <= 0:
@@ -525,11 +525,8 @@ def _integrated_autocorr(x: np.ndarray, max_lag: int | None = None) -> float:
 # linear statistics and reweighting
 
 
-def linear_statistics(e, k: int):
-    """pi_k per replica: (m, steps+1) for an Ensemble with stored paths, or
-    a sample vector for EqSamples."""
-    if isinstance(e, EqSamples):
-        return np.sum(e.samples**k, axis=1) if k else np.full(e.samples.shape[0], e.samples.shape[1])
+def linear_statistics(e: Ensemble, k: int):
+    """pi_k per replica and slot, (m, steps+1), from an Ensemble with stored paths."""
     if e.paths is None:
         raise ValueError("ensemble was simulated without stored paths")
     if k == 0:
@@ -538,14 +535,8 @@ def linear_statistics(e, k: int):
 
 
 def _tau_profile(tau, grid: TimeGrid):
-    """Constant or per-slot tau map -> {k: (steps+1,) array}."""
-    out = {}
-    for k, v in tau.items():
-        arr = v(grid.times) if isinstance(v, TimePoly) else np.asarray(v, dtype=float)
-        if arr.ndim == 0:
-            arr = np.full(grid.nslots, float(arr))
-        out[int(k)] = arr
-    return out
+    """Constant tau map {k: tau_k} -> {k: tau_k at every slot, (steps+1,)}."""
+    return {int(k): np.full(grid.nslots, float(v)) for k, v in tau.items()}
 
 
 def _nu(tau_prof, lam, j):
@@ -665,14 +656,14 @@ def moment_hierarchy_residual(e: Ensemble, k: int):
     return e.grid.times[sl], res, np.sqrt(se2)
 
 
-def loop_equation_residual(s: EqSamples, n: int, pot: Potential, tau: dict | None = None):
+def loop_equation_residual(s: EqSamples, n: int, pot: Potential):
     """Loop-equation residual at order n from equilibrium samples:
 
         (n+1) <pi_n> - sum_k b_k <pi_{k+n+1}> - sum_k k tau_k <pi_{k+n}>
         + (beta/2) sum_{q=0}^n ( <pi_q pi_{n-q}> - <pi_n> ),
 
-    with the standard error from the independent-chain scatter."""
-    tau = tau if tau is not None else s.tau
+    with tau the tilt the samples were drawn with (``s.tau``) and the
+    standard error from the independent-chain scatter."""
 
     def chain_pi(k):
         if k in s.chain_means:
@@ -686,7 +677,7 @@ def loop_equation_residual(s: EqSamples, n: int, pot: Potential, tau: dict | Non
     per_chain = (n + 1) * chain_pi(n)
     for k, bk in pot.b.items():
         per_chain = per_chain - bk * chain_pi(k + n + 1)
-    for k, tk in (tau or {}).items():
+    for k, tk in s.tau.items():
         per_chain = per_chain - k * tk * chain_pi(k + n)
     for q in range(0, n + 1):
         per_chain = per_chain + (pot.beta / 2.0) * (chain_pair(q, n - q) - chain_pi(n))
@@ -699,7 +690,7 @@ def loop_equation_residual(s: EqSamples, n: int, pot: Potential, tau: dict | Non
 # n-point vs kernel
 
 
-def npoint_functionals(pot: Potential, grid: TimeGrid, f: TimePoly, k: int, k_max: int, discrete: bool = True):
+def npoint_functionals(pot: Potential, grid: TimeGrid, f: TimePoly, k: int, k_max: int):
     """Per-slot weights for the two sides of the one-point kernel identity.
 
     lhs weight: f(t_j) dt on pi_k.
@@ -708,27 +699,15 @@ def npoint_functionals(pot: Potential, grid: TimeGrid, f: TimePoly, k: int, k_ma
     sum_t f(t) K_{kl}(t) dt on pi_l(0) (both sides start from the same
     initial law).
 
-    With ``discrete`` (default) the propagator powers are the step-dt
-    semigroup (I + dt A)^j of the kernel generator, for which the unrolled
-    per-replica mode recursion telescopes exactly: the two sides then agree
-    up to the mean of the higher Ito remainders (identically zero for
-    k = 1), so the comparison is a sharp 3-sigma test.  With
-    discrete=False the continuum exponential is used and the two routes
-    differ by an O(dt) mode-evolution mismatch.
+    The propagator powers are the step-dt semigroup (I + dt A)^j of the
+    kernel generator A, not the continuum exponential: for them the unrolled
+    per-replica mode recursion telescopes exactly, so the two sides agree up
+    to the mean of the higher Ito remainders (identically zero for k = 1)
+    and the comparison is a sharp 3-sigma test.
     """
-    from .kernel import generator_matrix
-
     t = grid.times
     dt = grid.dt
-    if discrete:
-        n = k_max + 1
-        d = np.eye(n) + dt * generator_matrix(pot, k_max)
-        ktab = np.empty((grid.nslots, n, n))
-        ktab[0] = np.eye(n)
-        for j in range(1, grid.nslots):
-            ktab[j] = ktab[j - 1] @ d
-    else:
-        ktab = propagator_table(pot, dt, grid.steps, k_max)
+    ktab = step_powers(np.eye(k_max + 1) + dt * generator_matrix(pot, k_max), grid.steps)
     fj = f(t)
     lhs = {"pi": {k: fj * dt}, "s": {}}
     rhs_s = {}
@@ -758,16 +737,15 @@ def npoint_functionals(pot: Potential, grid: TimeGrid, f: TimePoly, k: int, k_ma
     return {"lhs": lhs, "rhs": rhs}
 
 
-def npoint_vs_kernel(e: Ensemble, f: TimePoly, k: int, name: str = None):
+def npoint_vs_kernel(e: Ensemble, f: TimePoly, k: int):
     """One-point check of the kernel representation of moment evolution.
 
     Requires the ensemble to carry the per-replica functionals registered by
-    :func:`npoint_functionals` under names '<name>:lhs' / '<name>:rhs'.
+    :func:`npoint_functionals` under names 'npoint<k>:lhs' / 'npoint<k>:rhs'.
     Returns (lhs, rhs, discrepancy, se)."""
-    name = name or f"npoint{k}"
     try:
-        lhs_r = e.functional_samples[f"{name}:lhs"]
-        rhs_r = e.functional_samples[f"{name}:rhs"]
+        lhs_r = e.functional_samples[f"npoint{k}:lhs"]
+        rhs_r = e.functional_samples[f"npoint{k}:rhs"]
     except KeyError as exc:
         raise ValueError("ensemble lacks the n-point functionals; register npoint_functionals at simulate time") from exc
     diff = lhs_r - rhs_r

@@ -37,6 +37,7 @@ __all__ = [
     "generator_matrix",
     "propagator",
     "propagator_table",
+    "step_powers",
     "characteristics_flow",
     "kernel_beta2_closed",
     "hermite_kernel",
@@ -169,8 +170,9 @@ def generator_matrix(pot: Potential, k_max: int) -> np.ndarray:
     return a
 
 
-def expm_tol(a: np.ndarray, tol: float = 1e-13) -> np.ndarray:
-    """exp(a) by scaling-and-squaring with a Taylor series summed to tol."""
+def expm_tol(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling-and-squaring with a Taylor series summed until a
+    term's entries fall below 1e-13."""
     a = np.asarray(a, dtype=float)
     norm = np.max(np.abs(a)) * a.shape[0]
     s = 0
@@ -183,7 +185,7 @@ def expm_tol(a: np.ndarray, tol: float = 1e-13) -> np.ndarray:
     for j in range(1, 60):
         term = term @ m / j
         out = out + term
-        if np.max(np.abs(term)) < tol:
+        if np.max(np.abs(term)) < 1e-13:
             break
     for _ in range(s):
         out = out @ out
@@ -198,27 +200,30 @@ def propagator(pot: Potential, t: float, k_max: int) -> KernelMatrix:
     return KernelMatrix(t, k_max, expm_tol(t * a))
 
 
+def step_powers(step: np.ndarray, steps: int) -> np.ndarray:
+    """step^j for j = 0..steps, stacked; each power is the previous one times step."""
+    out = np.empty((steps + 1,) + step.shape)
+    out[0] = np.eye(step.shape[0])
+    for j in range(1, steps + 1):
+        out[j] = out[j - 1] @ step
+    return out
+
+
 def propagator_table(pot: Potential, dt: float, steps: int, k_max: int) -> np.ndarray:
     """K(j*dt) for j = 0..steps, stacked; built by repeated semigroup steps."""
-    n = k_max + 1
-    out = np.empty((steps + 1, n, n))
-    out[0] = np.eye(n)
-    k1 = propagator(pot, dt, k_max).entries
-    for j in range(1, steps + 1):
-        out[j] = out[j - 1] @ k1
-    return out
+    return step_powers(propagator(pot, dt, k_max).entries, steps)
 
 
 # ----------------------------------------------------------------------
 # beta = 2 characteristics route
 
 
-def characteristics_flow(b: dict, w_order: int, t: float, rk_step: float = 1e-3) -> TruncSeries:
+def characteristics_flow(b: dict, w_order: int, t: float) -> TruncSeries:
     """Truncated power-series solution of dw/dt = -b(w), w(0) = w.
 
     Returns w(t) as a series in the indeterminate w (degrees 1..w_order,
     truncated above), integrating the closed coefficient ODE system with
-    fixed-step 4th-order Runge-Kutta.
+    4th-order Runge-Kutta at steps of at most 1e-3.
     """
     if w_order < 1:
         raise ValueError("w_order must be >= 1")
@@ -240,7 +245,7 @@ def characteristics_flow(b: dict, w_order: int, t: float, rk_step: float = 1e-3)
     c = np.zeros(w_order + 1)  # c[m] = coefficient of w^m, m = 0..w_order
     c[1] = 1.0
     if t > 0:
-        nsteps = max(1, int(math.ceil(t / rk_step)))
+        nsteps = max(1, int(math.ceil(t / 1e-3)))
         h = t / nsteps
         rhs = lambda y: -compose_b(y)
         for _ in range(nsteps):
@@ -299,16 +304,16 @@ def hermite_kernel(sigma: float, beta: float, t: float, k_max: int) -> KernelMat
     return KernelMatrix(t, k_max, entries)
 
 
-def heat_action(pi0: TruncSeries, t: float, lo_floor: int | None = None) -> TruncSeries:
+def heat_action(pi0: TruncSeries, t: float) -> TruncSeries:
     """exp(t d^2/dz^2) applied to a series supported on degrees <= -1.
 
     Direct term-by-term application sum_m t^m/m! (d/dz)^2m, truncated when
-    increments fall below 1e-15 of the running scale or leave the window.
+    increments fall below 1e-15 of the running scale or leave the window,
+    which reaches 80 degrees below the input's lowest.
     """
     if pi0.hi > -1:
         raise ValueError("heat_action expects a series supported on degrees <= -1")
-    if lo_floor is None:
-        lo_floor = pi0.lo - 80
+    lo_floor = pi0.lo - 80
     out = pi0.restrict(lo_floor, -1)
     term = out
     scale = max(out.max_abs(), 1.0)
@@ -382,9 +387,7 @@ def _lemma_pair_sum(kmat_a: np.ndarray, kmat_b: np.ndarray, p: int, k_max: int, 
     return out
 
 
-def technical_lemma_residual(
-    pot: Potential, t: float, tp: float, s: float, k_max: int, p: int, fd_step: float = 1e-5, margin: int = 14
-):
+def technical_lemma_residual(pot: Potential, t: float, tp: float, s: float, k_max: int, p: int):
     """Residuals of the contour lemma d/dt' of sum_l l K(t-t') K(t'-s)-type.
 
     For the weight u(w) = w^p the lemma reads
@@ -398,12 +401,12 @@ def technical_lemma_residual(
     which vanishes identically for p = 0 or beta = 2.  Returns a dict with
     absolute and relative (by the scale of the derivative block) max-abs
     residuals over modes (k, n) up to k_max; internally everything is
-    assembled ``margin`` modes higher so the reported block is free of
-    window-edge truncation.  The derivative is a central difference with one
+    assembled 14 modes higher so the reported block is free of window-edge
+    truncation.  The derivative is a central difference of step 1e-5 with one
     Richardson step, so "small" means the FD floor relative to the block
     scale.
     """
-    kw = k_max + margin
+    kw = k_max + 14
     a = generator_matrix(pot, kw)
     sl = np.s_[: k_max + 1, : k_max + 1]
 
@@ -415,8 +418,8 @@ def technical_lemma_residual(
     def central(h):
         return (m_of(tp + h) - m_of(tp - h)) / (2 * h)
 
-    d1 = central(fd_step)
-    d2 = central(fd_step / 2.0)
+    d1 = central(1e-5)
+    d2 = central(1e-5 / 2.0)
     dmdt = (4.0 * d2 - d1) / 3.0
 
     ka = expm_tol((t - tp) * a)

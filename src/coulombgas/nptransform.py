@@ -185,11 +185,7 @@ class NPGenerator:
         """delta lam = lam^(n+1) Phi - lamdot Psi (centered lamdot)."""
         lam = path.values
         lamdot = np.gradient(lam, path.dt)
-        if self.n + 1 >= 0:
-            lead = lam ** (self.n + 1)
-        else:
-            lead = lam ** float(self.n + 1)
-        return lead * self.phi(path) - lamdot * self.psi(path)
+        return lam ** (self.n + 1) * self.phi(path) - lamdot * self.psi(path)
 
     def reduce(self):
         """Depth reduction: a k = 0 head letter folds into the prefactor.
@@ -296,22 +292,21 @@ def numeric_commutator_richardson(g1, g2, path: SampledPath, eps: float) -> np.n
 # force changes
 
 
-def force_change(n: int, a: TimePoly, pot, state, history: SampledPath | None = None, hist_matrix=None):
+def force_change(n: int, a: TimePoly, pot, state, hist_matrix=None):
     """Force-change formulas for the transformation with exponent n, label a.
 
     state: configuration (n_particles,) at the evaluation time.
-    history: per-particle trajectory matrix (times, (T+1, N)) needed for the
-    delayed part (the time shifts integrate the past).
+    hist_matrix: per-particle history (times (T+1,), paths (T+1, N)) ending
+    at the evaluation time, with state its last row; it sets that time and
+    feeds the delayed part (the time shifts integrate the past).  Without it
+    the evaluation time is t = 0 and there is no delayed part.
 
     Returns dict with 'simul' (per particle), 'delay' (per particle; zero for
     n in {-1, 0}), and 'n1' (the one-particle reduction evaluated on state).
     """
     lam = np.asarray(state, dtype=float)
     n_part = lam.size
-    if history is not None:
-        t_eval = history.times[-1]
-    else:
-        t_eval = 0.0
+    t_eval = hist_matrix[0][-1] if hist_matrix is not None else 0.0
     adot = a.deriv(1)(t_eval)
     addot = a.deriv(2)(t_eval)
 
@@ -430,11 +425,11 @@ def sv_bracket(kind1: str, f1: TimePoly, kind2: str, f2: TimePoly):
     return "XY", (f, g)
 
 
-def proper_time(phidot_abs: np.ndarray, times: np.ndarray, alpha: float = 2.0) -> np.ndarray:
-    """T(t) = int_0^t |J|^alpha ds, left-closed; alpha = 2 is the exponent
+def proper_time(phidot_abs: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """T(t) = int_0^t |J|^2 ds by the trapezoid rule; the exponent 2 is
     forced by the noise-invariance condition."""
     dt = times[1] - times[0]
-    return _cumtrapz(phidot_abs**alpha, dt)
+    return _cumtrapz(phidot_abs**2, dt)
 
 
 def finite_sv_transform(kind: str, path: SampledPath, phi: TimePoly | None = None, b: TimePoly | None = None):

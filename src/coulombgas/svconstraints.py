@@ -143,7 +143,7 @@ def _int_v(v_power: int) -> TruncSeries:
 # integrated operator builders
 
 
-def integrated_psi_weight(weight: TruncSeries, coeffs, pot, n_particles, grid, k_max, ktable, parts="full"):
+def integrated_psi_weight(weight: TruncSeries, coeffs, pot, n_particles, grid, k_max, ktable):
     """sum_j coeffs[j] dt * contour{ weight(z) psi(z, t_j) dz }.
 
     The residue picks psi-mode p per weight power z^p (p >= 0): mode 0 is the
@@ -182,15 +182,19 @@ def integrated_quadratic(field, weight, coeffs, pot, n_particles, grid, k_max, k
     return op
 
 
-def quadr_core(v_power, c_psi, c_mix, pot, n_particles, grid, k_max, ktable, parts="full"):
+def quadr_core(v_power, c_psi: TimePoly, c_mix: TimePoly, pot, n_particles, grid, k_max, ktable, parts="full"):
     """Non-differential quadratic family member with explicit coefficients:
 
         integral dt { -1/2 c_psi(t) [v :psi^2:] - 1/2 c_mix(t) [(vb)' :psi^2:
                                                                  + v :phi^2:] }.
+
+    The coefficients are polynomials, evaluated on the grid slots.  With
+    parts="affine" only the scalar, x- and d-linear pieces of the quadratics
+    are built (see :func:`accumulate_quadratic`).
     """
     t = grid.times
-    cp = c_psi(t) if isinstance(c_psi, TimePoly) else np.asarray(c_psi, float)
-    cm = c_mix(t) if isinstance(c_mix, TimePoly) else np.asarray(c_mix, float)
+    cp = c_psi(t)
+    cm = c_mix(t)
     op = integrated_quadratic("dynamic", _v_series(v_power), -0.5 * cp, pot, n_particles, grid, k_max, ktable, parts)
     op = op + integrated_quadratic(
         "dynamic", weight_quadr_mix(pot, v_power), -0.5 * cm, pot, n_particles, grid, k_max, ktable, parts
@@ -199,52 +203,46 @@ def quadr_core(v_power, c_psi, c_mix, pot, n_particles, grid, k_max, ktable, par
     return op
 
 
-def quadr_family_op(v_power, f: TimePoly, pot, n_particles, grid, k_max, ktable, parts="full"):
+def quadr_family_op(v_power, f: TimePoly, pot, n_particles, grid, k_max, ktable):
     """Complete quadratic family member A_v[f], differential part included.
 
     A_1[f] is the n = -1 quadratic integrand with label f'; A_z[f] is the
     doubled-normalization n = 0 quadratic part, carrying -2 f d/dt.
     """
-    op = quadr_core(v_power, f.deriv(2), f.deriv(1), pot, n_particles, grid, k_max, ktable, parts)
+    op = quadr_core(v_power, f.deriv(2), f.deriv(1), pot, n_particles, grid, k_max, ktable)
     if v_power == 1:
         op = op + (-2.0) * time_derivation(f, grid, k_max)
     return op
 
 
-def lin_core(v_power, c_top, c_w, pot, n_particles, grid, k_max, ktable, parts="full"):
+def lin_core(v_power, c_top: TimePoly, c_w: TimePoly, pot, n_particles, grid, k_max, ktable):
     """Linear family member with explicit coefficients:
 
         beta^(-1/2) integral dt { c_top(t) [(int v) psi] - c_w(t) [w_v psi] }
         + (v = z only) (beta/2 - 1) N integral c_w'(t) dt,
 
-    where w_v = (beta/2-1)(vb)'' + (vb)'b.  The constant term is the total
-    derivative that must integrate to zero for compactly supported labels;
-    it is kept and reported rather than dropped.
+    where w_v = (beta/2-1)(vb)'' + (vb)'b.  The coefficients are
+    polynomials, evaluated on the grid slots, and c_w' is exact.  The
+    constant term is the total derivative that must integrate to zero for
+    compactly supported labels; it is kept and reported rather than dropped.
     """
     t = grid.times
-    ct = c_top(t) if isinstance(c_top, TimePoly) else np.asarray(c_top, float)
     sb_inv = 1.0 / np.sqrt(pot.beta)
-    op = sb_inv * integrated_psi_weight(_int_v(v_power), ct, pot, n_particles, grid, k_max, ktable, parts)
-    cw_arr = c_w(t) if isinstance(c_w, TimePoly) else np.asarray(c_w, float)
-    op = op + (-sb_inv) * integrated_psi_weight(
-        weight_lin(pot, v_power), cw_arr, pot, n_particles, grid, k_max, ktable, parts
-    )
+    op = sb_inv * integrated_psi_weight(_int_v(v_power), c_top(t), pot, n_particles, grid, k_max, ktable)
+    op = op + (-sb_inv) * integrated_psi_weight(weight_lin(pot, v_power), c_w(t), pot, n_particles, grid, k_max, ktable)
     if v_power == 1:
-        if isinstance(c_w, TimePoly):
-            cdot = c_w.deriv(1)(t)
-        else:
-            cdot = np.gradient(cw_arr, grid.dt)
+        cdot = c_w.deriv(1)(t)
         op.add_const((pot.beta / 2.0 - 1.0) * n_particles * float(np.sum(cdot)) * grid.dt)
     return op
 
 
-def lin_family_op(v_power, f: TimePoly, pot, n_particles, grid, k_max, ktable, parts="full"):
+def lin_family_op(v_power, f: TimePoly, pot, n_particles, grid, k_max, ktable):
     """Linear family member A_v^lin[f] (= lin part of L_{-1}[.] or L_0[2f]).
 
     The 1/(v+1) of the antiderivative weight (z^2/2 for v = z) is carried by
     the weight series itself, so the top coefficient is f''' for both v.
     """
-    return lin_core(v_power, f.deriv(3), f.deriv(1), pot, n_particles, grid, k_max, ktable, parts)
+    return lin_core(v_power, f.deriv(3), f.deriv(1), pot, n_particles, grid, k_max, ktable)
 
 
 # ----------------------------------------------------------------------
@@ -268,31 +266,36 @@ class ConstraintOp:
         return out
 
 
-def _check_support(a: TimePoly, grid: TimeGrid, orders: int = 3, tol: float = 1e-9):
+def _check_support(a: TimePoly, grid: TimeGrid):
     tmax = grid.dt * grid.steps
     scale = max(1.0, float(np.max(np.abs(a(grid.times)))))
-    for r in range(orders + 1):
+    for r in range(4):
         d = a.deriv(r)
-        if abs(d(0.0)) > tol * scale or abs(d(tmax)) > tol * scale:
-            raise ValueError(f"test function must vanish with {orders} derivatives at both grid ends")
+        if abs(d(0.0)) > 1e-9 * scale or abs(d(tmax)) > 1e-9 * scale:
+            raise ValueError("test function must vanish with 3 derivatives at both grid ends")
 
 
 def build_dynamical_constraint(
-    n: int, a: TimePoly, pot: Potential, n_particles, grid: TimeGrid, k_max: int, ktable=None, parts="full"
+    n: int, a: TimePoly, pot: Potential, n_particles, grid: TimeGrid, k_max: int, parts="full"
 ) -> ConstraintOp:
-    """Grid realization of the dynamical constraint operators, n in {-1, 0}."""
+    """Grid realization of the dynamical constraint operators, n in {-1, 0}.
+
+    ``parts`` is "full" or "affine".  "affine" keeps only the pieces an
+    order-tau^0 residual reads (scalar, x- and d-linear): the quadratics drop
+    their x-d and d-d blocks and the n = 0 operator has no time derivation
+    (``diff`` is None), so no dense nvar x nvar block is built.
+    """
     if n not in (-1, 0):
         raise ValueError("dynamical constraints are built for n = -1 and n = 0")
     _check_support(a, grid)
-    if ktable is None:
-        ktable = kernel_table(pot, grid, k_max)
+    ktable = kernel_table(pot, grid, k_max)
     if n == -1:
-        lin = lin_core(0, a.deriv(2), a, pot, n_particles, grid, k_max, ktable, parts)
+        lin = lin_core(0, a.deriv(2), a, pot, n_particles, grid, k_max, ktable)
         quadr = quadr_core(0, a.deriv(1), a, pot, n_particles, grid, k_max, ktable, parts)
         return ConstraintOp(n, a, lin, quadr, None)
-    lin = 0.5 * lin_core(1, a.deriv(3), a.deriv(1), pot, n_particles, grid, k_max, ktable, parts)
+    lin = 0.5 * lin_core(1, a.deriv(3), a.deriv(1), pot, n_particles, grid, k_max, ktable)
     quadr = 0.5 * quadr_core(1, a.deriv(2), a.deriv(1), pot, n_particles, grid, k_max, ktable, parts)
-    diff = (-1.0) * time_derivation(a, grid, k_max)
+    diff = None if parts == "affine" else (-1.0) * time_derivation(a, grid, k_max)
     return ConstraintOp(n, a, lin, quadr, diff)
 
 
@@ -370,7 +373,7 @@ def _relation_report(name, lhs, rhs_displayed, probes):
     return {"relation": name, "residual": resid, "scale": scale, "relative": resid / scale}
 
 
-def verify_sv_algebra_quadratic(f, g, pot, n_particles, grid, k_max, mode_int=None, slot_margin=1, ktable=None):
+def verify_sv_algebra_quadratic(f, g, pot, n_particles, grid, k_max, mode_int, ktable=None):
     """Bracket relations among the quadratic family members.
 
     Checks, against smooth degree <= 2 probe functionals on interior modes:
@@ -382,7 +385,6 @@ def verify_sv_algebra_quadratic(f, g, pot, n_particles, grid, k_max, mode_int=No
     """
     if ktable is None:
         ktable = kernel_table(pot, grid, k_max)
-    mode_int = mode_int if mode_int is not None else k_max - 2
     probes = weak_probe_profiles(grid, mode_int)
     mk = lambda v, fn: quadr_family_op(v, fn, pot, n_particles, grid, k_max, ktable)
     a1f, a1g = mk(0, f), mk(0, g)
@@ -402,7 +404,7 @@ def verify_sv_algebra_quadratic(f, g, pot, n_particles, grid, k_max, mode_int=No
     return out
 
 
-def verify_sv_algebra_linear(f, g, pot, n_particles, grid, k_max, mode_int=None, slot_margin=1, ktable=None):
+def verify_sv_algebra_linear(f, g, pot, n_particles, grid, k_max, mode_int, ktable=None):
     """Cross-brackets of linear and quadratic family members.
 
     Checks (orientation as in the quadratic suite):
@@ -413,7 +415,6 @@ def verify_sv_algebra_linear(f, g, pot, n_particles, grid, k_max, mode_int=None,
     """
     if ktable is None:
         ktable = kernel_table(pot, grid, k_max)
-    mode_int = mode_int if mode_int is not None else k_max - 2
     probes = weak_probe_profiles(grid, mode_int)
     mkq = lambda v, fn: quadr_family_op(v, fn, pot, n_particles, grid, k_max, ktable)
     mkl = lambda v, fn: lin_family_op(v, fn, pot, n_particles, grid, k_max, ktable)
@@ -433,8 +434,7 @@ def verify_sv_algebra_linear(f, g, pot, n_particles, grid, k_max, mode_int=None,
     # subtracting  [(f'''g' - f'g''') against the z-mode of psi].  Both forms
     # are reported; "corrected" is the one that trends to zero at O(dt).
     corr_label = f.deriv(3) * g.deriv(1) - f.deriv(1) * g.deriv(3)
-    zero_cw = np.zeros(grid.nslots)
-    target2_corr = target2 - lin_core(0, corr_label, zero_cw, pot, n_particles, grid, k_max, ktable)
+    target2_corr = target2 - lin_core(0, corr_label, TimePoly([0.0]), pot, n_particles, grid, k_max, ktable)
     rep_stated = _relation_report("linear [-1,0] -> -1-type (as stated)", lhs2, target2, probes)
     rep_corr = _relation_report("linear [-1,0] -> -1-type", lhs2, target2_corr, probes)
     rep_corr["as_stated_residual"] = rep_stated["residual"]
@@ -586,7 +586,7 @@ def hermite_pieces_total_operator(f, g, sigma, n_particles, grid, k_max):
     return rep_op
 
 
-def hermite_lin_quadr_bracket(f, g, pot: Potential, n_particles, grid, k_max, ktable=None):
+def hermite_lin_quadr_bracket(f, g, pot: Potential, n_particles, grid, k_max):
     """[L_{-1,lin}(f), L_{-1,quadr}(g)] - (f <-> g) in the Gaussian case.
 
     The bracket's scalar part is N * integral (f'''g' - f'g''') dt, a total
@@ -594,8 +594,7 @@ def hermite_lin_quadr_bracket(f, g, pot: Potential, n_particles, grid, k_max, kt
     fields vanish at the same order.  Returns the residual fields, the scalar
     part, and the analytic quadrature it must match.
     """
-    if ktable is None:
-        ktable = kernel_table(pot, grid, k_max)
+    ktable = kernel_table(pot, grid, k_max)
     mk_l = lambda fn: lin_core(0, fn.deriv(2), fn, pot, n_particles, grid, k_max, ktable)
     mk_q = lambda fn: quadr_core(0, fn.deriv(1), fn, pot, n_particles, grid, k_max, ktable)
     br = commutator(mk_l(f), mk_q(g)) - commutator(mk_l(g), mk_q(f))
@@ -629,10 +628,11 @@ def constraint_residual_mc(cop: ConstraintOp, ensemble, tau_order: int = 0):
 
     with S the linearized per-replica action densities carried by the
     ensemble; the standard error comes from the replica scatter of the same
-    linear combination.  Order tau^1 returns the residual coefficient of
-    each tau_l(t_j) (needs second moments; only available when the operator
-    has no second-derivative part).
+    linear combination.  Returns (mean, se); only order tau^0 is estimated,
+    and any other ``tau_order`` raises ValueError.
     """
+    if tau_order != 0:
+        raise ValueError("only the order-tau^0 residual is estimated")
     op = cop.total()
     grid = op.grid
     dt = grid.dt
@@ -643,60 +643,29 @@ def constraint_residual_mc(cop: ConstraintOp, ensemble, tau_order: int = 0):
     m_rep = slin.shape[0]
 
     dvec = op.d
-    if tau_order == 0:
-        per_rep = np.full(m_rep, op.const)
-        if dvec is not None:
-            w = dvec.reshape(op.k_max, grid.nslots)
-            for i, l in enumerate(modes):
-                if l <= op.k_max:
-                    per_rep -= dt * slin[:, i, :] @ w[l - 1]
-            used = set(modes)
-            for l in range(1, op.k_max + 1):
-                if l not in used and np.any(w[l - 1]):
-                    raise ValueError(f"operator needs S_{l} but the ensemble does not track it")
-        if op.dd is not None and np.any(op.dd):
-            flat = {}
-            for i, l in enumerate(modes):
-                flat[l] = slin[:, i, :]
-            dd = op.dd.reshape(op.k_max, grid.nslots, op.k_max, grid.nslots)
-            for l1 in range(1, op.k_max + 1):
-                for l2 in range(1, op.k_max + 1):
-                    blk = dd[l1 - 1, :, l2 - 1, :]
-                    if not np.any(blk):
-                        continue
-                    if l1 not in flat or l2 not in flat:
-                        raise ValueError("second-derivative part needs untracked modes")
-                    per_rep += dt * dt * np.einsum("mj,js,ms->m", flat[l1], blk, flat[l2])
-        mean = float(np.mean(per_rep))
-        se = float(np.std(per_rep, ddof=1) / np.sqrt(m_rep)) if m_rep > 1 else 0.0
-        return mean, se
-
-    if tau_order != 1:
-        raise ValueError("tau_order must be 0 or 1")
-    if op.dd is not None and np.any(op.dd):
-        raise NotImplementedError("order-1 residuals with second-derivative parts")
-    # coefficient of x_w at first order: x[w] - sum_u xd[w,u] dt avg S_u
-    #                                   + dt^2 sum_u d[u] avg(S_u S_w)
-    nvar = op.nvar
-    coeff = np.zeros(nvar)
-    se = np.zeros(nvar)
-    sbar = {l: np.mean(slin[:, i, :], axis=0) for i, l in enumerate(modes)}
-    if op.x is not None:
-        coeff += op.x
-    if op.xd is not None:
-        msvec = np.zeros(nvar)
-        for i, l in enumerate(modes):
-            msvec[(l - 1) * grid.nslots : l * grid.nslots] = sbar[l]
-        coeff -= dt * (op.xd @ msvec)
+    per_rep = np.full(m_rep, op.const)
     if dvec is not None:
-        # dt^2 sum_u d[u] S_u S_w, replica-resolved for the error bar
-        proj = np.zeros((m_rep,))
         w = dvec.reshape(op.k_max, grid.nslots)
         for i, l in enumerate(modes):
-            proj += dt * slin[:, i, :] @ w[l - 1]
+            if l <= op.k_max:
+                per_rep -= dt * slin[:, i, :] @ w[l - 1]
+        used = set(modes)
+        for l in range(1, op.k_max + 1):
+            if l not in used and np.any(w[l - 1]):
+                raise ValueError(f"operator needs S_{l} but the ensemble does not track it")
+    if op.dd is not None and np.any(op.dd):
+        flat = {}
         for i, l in enumerate(modes):
-            block = dt * np.mean(proj[:, None] * slin[:, i, :], axis=0)
-            coeff[(l - 1) * grid.nslots : l * grid.nslots] += block
-            block_se = dt * np.std(proj[:, None] * slin[:, i, :], axis=0, ddof=1) / np.sqrt(m_rep)
-            se[(l - 1) * grid.nslots : l * grid.nslots] += block_se
-    return coeff, se
+            flat[l] = slin[:, i, :]
+        dd = op.dd.reshape(op.k_max, grid.nslots, op.k_max, grid.nslots)
+        for l1 in range(1, op.k_max + 1):
+            for l2 in range(1, op.k_max + 1):
+                blk = dd[l1 - 1, :, l2 - 1, :]
+                if not np.any(blk):
+                    continue
+                if l1 not in flat or l2 not in flat:
+                    raise ValueError("second-derivative part needs untracked modes")
+                per_rep += dt * dt * np.einsum("mj,js,ms->m", flat[l1], blk, flat[l2])
+    mean = float(np.mean(per_rep))
+    se = float(np.std(per_rep, ddof=1) / np.sqrt(m_rep)) if m_rep > 1 else 0.0
+    return mean, se

@@ -75,6 +75,27 @@ def test_langevin_config_errors_exit_2(tmp_path, capsys):
         assert not (tmp_path / name).exists()
 
 
+def test_engine_failure_writes_failed_report(tmp_path, capsys):
+    """An engine error (here the rejection-rate budget) ends in a failed
+    report and exit 1, with one line on stderr and no traceback."""
+    scn = default_scenario("dbm-moments")
+    scn.update(replicas=200, grid={"dt": 0.02, "steps": 200}, init={"kind": "equispaced", "halfwidth": 1.0})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(scn))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "RejectionRateError: rejection rate" in err[0]
+
+    def no_constants(name):
+        raise ValueError(f"non-finite number {name} in the report")
+
+    report = json.loads((tmp_path / "r" / "dbm-moments.json").read_text(), parse_constant=no_constants)
+    assert report["passed"] is False and report["scenario"] == scn
+    (row,) = report["checks"]
+    assert row["pass"] is False and row["error"].startswith("RejectionRateError: rejection rate")
+    assert isinstance(row["value"], float) and isinstance(row["tolerance"], float)
+
+
 def test_negative_control_exit_1(tmp_path):
     scn = default_scenario("kernel-identities")
     scn["debug"]["flip_generator_sign"] = True
@@ -87,22 +108,42 @@ def test_negative_control_exit_1(tmp_path):
     assert semis and not any(c["pass"] for c in semis)
 
 
+TIMED_CHECKS = {"route-equivalence/runtime", "sv-algebra/runtime", "dbm-moments/runtime"}
+
+
+def _small_scenario(suite):
+    """Default scenario of a suite, cut to a size that runs in about a second."""
+    scn = default_scenario(suite)
+    if suite == "sv-algebra":
+        scn.update(k_max=6, interior_modes=4, grids=[{"dt": 0.04, "steps": 25}, {"dt": 0.02, "steps": 50}])
+        scn["constraint_mc"].update(replicas=200, grid={"dt": 1e-3, "steps": 200})
+    elif suite == "equilibrium-loop":
+        scn.update(sweeps=4000, chains=40)
+    elif suite == "dbm-moments":
+        scn.update(replicas=200, grid={"dt": 1e-3, "steps": 1000}, pi1_times=[0.5, 1.0], pi2_window=[0.8, 1.0])
+    elif suite == "girsanov":
+        scn.update(replicas=300)
+    elif suite == "npoint":
+        scn.update(replicas=200, grid={"dt": 1e-3, "steps": 400})
+    elif suite == "hermite-example":
+        scn.update(dts=[0.02, 0.01])
+    return scn
+
+
 def test_reports_bitwise_reproducible(tmp_path):
-    """Two runs write identical report bytes; only the measured seconds of the
-    dbm-moments/runtime check are masked (its bound and verdict are kept)."""
-    dbm = default_scenario("dbm-moments")
-    dbm.update(replicas=200, grid={"dt": 1e-3, "steps": 1000}, pi1_times=[0.5, 1.0], pi2_window=[0.8, 1.0])
-    npoint = default_scenario("npoint")
-    npoint.update(replicas=200, grid={"dt": 1e-3, "steps": 400})
-    for scn in (default_scenario("boson-commutators"), dbm, npoint):
+    """Two runs of every suite write identical report bytes; only the measured
+    seconds of the three wall-clock runtime checks are masked (their bounds
+    and verdicts are kept)."""
+    for suite in SUITES:
+        scn = _small_scenario(suite)
         validate_scenario(scn)
         dirs = []
         for run in ("a", "b"):
             rep, tab = run_suite(json.loads(json.dumps(scn)))
             for c in rep["checks"]:
-                if c["name"] == "dbm-moments/runtime":
+                if c["name"] in TIMED_CHECKS:
                     c["value"] = None
-            dirs.append(tmp_path / scn["suite"] / run)
+            dirs.append(tmp_path / suite / run)
             write_report(rep, tab, dirs[-1])
         files = sorted(f.name for f in dirs[0].iterdir())
         assert files and files == sorted(f.name for f in dirs[1].iterdir())

@@ -81,8 +81,8 @@ def test_noise_variance_convention():
 
 def test_ordering_preserved_and_reproducible():
     grid = TimeGrid(1e-3, 100)
-    e1 = simulate_dbm(HERMITE2, 5, grid, 50, seed=5, store_paths="all")
-    e2 = simulate_dbm(HERMITE2, 5, grid, 50, seed=5, store_paths="all")
+    e1 = simulate_dbm(HERMITE2, 5, grid, 50, seed=5, keep_paths=True)
+    e2 = simulate_dbm(HERMITE2, 5, grid, 50, seed=5, keep_paths=True)
     assert np.array_equal(e1.paths, e2.paths)  # bitwise reproducible
     assert np.all(np.diff(e1.paths, axis=2) > 0)
     # stored increments reproduce the accepted steps
@@ -126,7 +126,7 @@ def test_substep_counter_cap_raises(monkeypatch):
 
 def test_exchange_symmetry_of_linear_statistics():
     grid = TimeGrid(1e-3, 60)
-    ens = simulate_dbm(HERMITE2, 4, grid, 30, seed=9, store_paths="all")
+    ens = simulate_dbm(HERMITE2, 4, grid, 30, seed=9, keep_paths=True)
     perm = ens.paths[:, :, ::-1]  # relabel particles
     pi3 = np.sum(ens.paths**3, axis=2)
     pi3_perm = np.sum(perm**3, axis=2)
@@ -136,7 +136,7 @@ def test_exchange_symmetry_of_linear_statistics():
 
 def test_linear_statistics_trivial_values():
     grid = TimeGrid(0.01, 4)
-    ens = simulate_dbm(HERMITE2, 3, grid, 8, InitSpec("explicit", values=(1.0, 2.0, 3.0)), seed=0, store_paths="all")
+    ens = simulate_dbm(HERMITE2, 3, grid, 8, InitSpec("explicit", values=(1.0, 2.0, 3.0)), seed=0, keep_paths=True)
     assert np.all(linear_statistics(ens, 0) == 3.0)
     assert linear_statistics(ens, 1)[0, 0] == pytest.approx(6.0)
     assert linear_statistics(ens, 2)[0, 0] == pytest.approx(14.0)
@@ -144,7 +144,7 @@ def test_linear_statistics_trivial_values():
 
 def test_paths_binary_roundtrip(tmp_path):
     grid = TimeGrid(0.01, 5)
-    ens = simulate_dbm(HERMITE2, 2, grid, 4, seed=2, store_paths="all")
+    ens = simulate_dbm(HERMITE2, 2, grid, 4, seed=2, keep_paths=True)
     f = tmp_path / "paths.bin"
     dump_paths(ens, f)
     n, steps, m, dt, paths = load_paths(f)
@@ -246,13 +246,13 @@ def test_loop_equation_with_tau_tilt():
 
 def test_girsanov_zero_tau():
     grid = TimeGrid(1e-3, 50)
-    ens = simulate_dbm(HERMITE2, 3, grid, 20, seed=1, store_paths="all")
+    ens = simulate_dbm(HERMITE2, 3, grid, 20, seed=1, keep_paths=True)
     assert np.all(girsanov_logweight(ens, {}) == 0.0)
 
 
 def test_girsanov_constant_tau1_telescopes():
     grid = TimeGrid(1e-3, 120)
-    ens = simulate_dbm(HERMITE2, 3, grid, 40, seed=6, store_paths="all")
+    ens = simulate_dbm(HERMITE2, 3, grid, 40, seed=6, keep_paths=True)
     tau1 = 0.07
     lw = girsanov_logweight(ens, {1: tau1})
     # nu_i = tau1; the weight telescopes over the stored increments
@@ -262,7 +262,7 @@ def test_girsanov_constant_tau1_telescopes():
 
 def test_girsanov_full_weight_mean_one():
     grid = TimeGrid(1e-3, 400)
-    ens = simulate_dbm(HERMITE2, 5, grid, 8000, seed=17, store_paths="all", k_track=4)
+    ens = simulate_dbm(HERMITE2, 5, grid, 8000, seed=17, keep_paths=True, k_track=4)
     tau = {2: 0.05}
     w = np.exp(girsanov_logweight(ens, tau) + girsanov_quadratic_correction(ens, tau))
     mean = w.mean()
@@ -283,7 +283,7 @@ def test_girsanov_reweighting_matches_perturbed_drift():
     # identical explicit start for both simulations (the default equispaced
     # halfwidth would differ between the two potentials)
     init = InitSpec("explicit", values=tuple(np.linspace(-4.0, 4.0, 5)))
-    base = simulate_dbm(HERMITE2, 5, grid, 12000, init, seed=23, store_paths="all", k_track=4)
+    base = simulate_dbm(HERMITE2, 5, grid, 12000, init, seed=23, keep_paths=True, k_track=4)
     w = np.exp(girsanov_logweight(base, tau) + girsanov_quadratic_correction(base, tau))
     pi2_T = linear_statistics(base, 2)[:, -1]
     rew = float(np.sum(w * pi2_T) / np.sum(w))
@@ -298,7 +298,7 @@ def test_girsanov_reweighting_matches_perturbed_drift():
 
 def test_action_terms_consistency():
     grid = TimeGrid(1e-3, 200)
-    ens = simulate_dbm(HERMITE2, 3, grid, 2000, seed=2, store_paths="all", k_track=4)
+    ens = simulate_dbm(HERMITE2, 3, grid, 2000, seed=2, keep_paths=True, k_track=4)
     tau = {1: 0.1}
     s_lin, s_quad = action_terms(ens, tau)
     assert np.all(s_quad == 0.0)  # k = 1 has an empty quadratic sum

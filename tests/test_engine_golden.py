@@ -37,30 +37,30 @@ def _run(name):
     if name == "moment-residual":
         return simulate_dbm(
             HERMITE2, 5, TimeGrid(1e-3, 400), 300, InitSpec("equispaced", shift=0.5), seed=11,
-            k_track=6, track_moment_residual=(1, 2, 3, 4), store_paths="none",
+            k_track=6, track_moment_residual=(1, 2, 3, 4), keep_paths=False,
         )
     if name == "slin":
         return simulate_dbm(
             HERMITE2, 5, TimeGrid(1e-3, 300), 200, InitSpec("equispaced", shift=0.4), seed=12,
-            k_track=4, track_slin=(1, 2), store_paths="none",
+            k_track=4, track_slin=(1, 2), keep_paths=False,
         )
     if name == "functionals":
         grid = TimeGrid(1e-3, 300)
         return simulate_dbm(
             HERMITE2, 5, grid, 200, InitSpec("equispaced", shift=0.4), seed=13,
-            k_track=6, functionals=_npoint_funcs(HERMITE2, grid), store_paths="none",
+            k_track=6, functionals=_npoint_funcs(HERMITE2, grid), keep_paths=False,
         )
     if name == "stored-paths":
         return simulate_dbm(
             GENERIC1, 4, TimeGrid(1e-3, 300), 150, InitSpec("explicit", values=(-2.0, -0.5, 0.5, 2.0)), seed=14,
-            k_track=4, track_slin=(1, 3), store_paths="all",
+            k_track=4, track_slin=(1, 3), keep_paths=True,
         )
     if name == "substeps":
         grid = TimeGrid(5e-3, 200)
         return simulate_dbm(
             HERMITE2, 5, grid, 200, InitSpec("equispaced", halfwidth=1.0), seed=3,
             k_track=6, track_slin=(1, 2), track_moment_residual=(1, 2), functionals=_npoint_funcs(HERMITE2, grid),
-            store_paths="all",
+            keep_paths=True,
         )
     raise KeyError(name)
 

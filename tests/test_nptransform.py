@@ -253,6 +253,22 @@ def test_force_change_beta_sum_matches_brute_force():
     assert np.allclose(out["simul"], want)
 
 
+def test_force_change_evaluates_at_the_end_of_the_history():
+    """With a history, the simultaneous part is taken at the history's last
+    time (here t = 1), where ``state`` lives, not at t = 0."""
+    pot = Potential(2.0, {1: 1.0})
+    t = np.linspace(0, 1, 101)
+    paths = np.sort(np.vstack([np.sin(t) - 1, 0.3 * t, 2 + 0.1 * np.cos(t)]).T, axis=1)
+    lam, n, a = paths[-1], 2, TimePoly([0.0, 0.5, 1.0, -0.4])
+    out = force_change(n, a, pot, lam, hist_matrix=(t, paths))
+    adot, addot = a.deriv(1)(1.0), a.deriv(2)(1.0)
+    brace = pot.b[1] * (n + 2) * lam ** (n + 1)
+    for q in range(0, n):
+        brace = brace + pot.beta * (q + 1) * lam**q * np.sum(lam ** (n - 1 - q))
+    brace = brace - (pot.beta / 2 - 1) * (n + 1) * n * lam ** (n - 1)
+    assert np.allclose(out["simul"], lam ** (n + 1) * addot + brace * adot)
+
+
 # ------------------------------------------------------------ closed family
 
 

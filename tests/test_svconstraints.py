@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from coulombgas.boson import TimeGrid, commutator, kernel_table
+from coulombgas.boson import TimeGrid, commutator, kernel_table, time_derivation
 from coulombgas.kernel import Potential
 from coulombgas.svconstraints import (
+    ConstraintOp,
     build_dynamical_constraint,
     constraint_residual_mc,
     equilibrium_virasoro_op,
@@ -261,6 +262,19 @@ def test_constraint_residual_mc_linear_combination():
     want = op.const - grid.dt * sum(sbar[i] @ w[l - 1] for i, l in enumerate(modes))
     assert mean == pytest.approx(want, rel=1e-12)
     assert se > 0.0
+
+
+def test_affine_constraint_has_no_time_derivation():
+    """parts="affine" builds the n = 0 operator without its time derivation
+    (no dense x-d block), and the order-0 residual is the same as with it."""
+    grid = TimeGrid(0.05, 16)
+    a = bump(0.0, grid.dt * grid.steps, 4)
+    cop = build_dynamical_constraint(0, a, HERMITE2, 5.0, grid, 4, parts="affine")
+    assert cop.diff is None and cop.total().xd is None
+    with_diff = ConstraintOp(0, a, cop.lin, cop.quadr, (-1.0) * time_derivation(a, grid, 4))
+    rng = np.random.default_rng(1)
+    ens = _StubEnsemble(rng.standard_normal((300, 4, grid.nslots)), [1, 2, 3, 4])
+    assert constraint_residual_mc(cop, ens, 0) == constraint_residual_mc(with_diff, ens, 0)
 
 
 def test_constraint_residual_mc_exact_moment_profile():
