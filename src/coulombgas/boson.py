@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fseries import TruncSeries
 from .kernel import Potential, propagator_table
@@ -160,6 +161,14 @@ class BosonOperator:
         ks = np.arange(self.k_max)[:, None] * ns
         return ks + np.arange(j_lo, j_hi + 1)[None, :]
 
+    def convolved_derivative(self, ktable, m: int, j: int):
+        """(vids, values) of the kernel-convolved derivative of mode m at slot j,
+        sum_{j' <= j} sum_l K_{ml}(t_j - t_j') d/dx[l, j'], without sqrt(beta)."""
+        vids = self.vid_block(0, j).ravel()
+        # ktable[j - j', m, l] for j' = 0..j -> (j+1, k_max) -> (k_max, j+1)
+        vals = ktable[j::-1, m, 1:].T.ravel()
+        return vids, vals
+
     def _ensure(self, name):
         if getattr(self, name) is None:
             n = self.nvar
@@ -188,6 +197,10 @@ class BosonOperator:
 
     def add_xd_row(self, a, u_vids, vals):
         np.add.at(self._ensure("xd")[a], u_vids, vals)
+
+    def add_xd_block(self, rows, cols, vals):
+        """xd[rows, cols] += vals for an index pair that names no entry twice."""
+        self._ensure("xd")[rows, cols] += vals
 
     def add_dd(self, u, v, c):
         dd = self._ensure("dd")
@@ -222,7 +235,10 @@ class BosonOperator:
             v = getattr(other, f)
             if v is not None:
                 cur = getattr(out, f)
-                setattr(out, f, v.copy() if cur is None else cur + v)
+                if cur is None:
+                    setattr(out, f, v.copy())
+                else:
+                    cur += v
         return out
 
     def __sub__(self, other):
@@ -401,10 +417,8 @@ def dynamic_boson(
         return static_boson(k, j, pot.beta, grid, k_max)
     if ktable is None:
         ktable = kernel_table(pot, grid, k_max)
-    vids = op.vid_block(0, j)  # (k_max, j+1)
-    # ktable[j - j', k, l] for j' = 0..j -> (j+1, k_max) -> (k_max, j+1)
-    vals = ktable[j::-1, k, 1:].T
-    op.add_d_vec(vids.ravel(), np.sqrt(pot.beta) * vals.ravel())
+    vids, vals = op.convolved_derivative(ktable, k, j)
+    op.add_d_vec(vids, np.sqrt(pot.beta) * vals)
     return op
 
 
@@ -412,14 +426,16 @@ def accumulate_quadratic(
     op: BosonOperator,
     field: str,
     weight: TruncSeries,
-    j: int,
-    scale: float,
+    slots,
+    scales,
     pot: Potential,
     n_particles: float,
     ktable=None,
     parts: str = "full",
 ) -> None:
-    """Add scale * contour{ weight(z) :field(z, t_j)**2: dz } onto op.
+    """Add sum_i scales[i] * contour{ weight(z) :field(z, t_j)**2: dz } with
+    j = slots[i] onto op, over all listed slots in one call; ``slots`` is
+    increasing.
 
     ``field`` is "static" or "dynamic".  The residue selects ordered mode
     pairs (m, n) with m + n = p - 1 per weight power z^p, each unordered pair
@@ -428,29 +444,46 @@ def accumulate_quadratic(
     scalar -sqrt(beta) N for the dynamic field and drops for the static one.
     With parts="affine" only the scalar / x-linear / d-linear pieces are
     accumulated (enough for order-tau^0 residuals on long grids).
+
+    The multiplier-derivative rows are written as one block per mode pair
+    over all slots: the multiplier at slot j owns its x-d row, so no sum
+    crosses slots there.  The scalar, d-linear and d-d pieces do sum across
+    slots and are added slot by slot, in slot order.  Every entry receives
+    the same additions in the same order as a slot-by-slot build.
     """
     if field not in ("static", "dynamic"):
         raise ValueError("field must be 'static' or 'dynamic'")
     if parts not in ("full", "affine"):
         raise ValueError("parts must be 'full' or 'affine'")
+    slots = np.asarray(slots, dtype=int)
+    scales = np.asarray(scales, dtype=float)
+    if slots.ndim != 1 or slots.shape != scales.shape:
+        raise ValueError("slots and scales must be 1-d arrays of one length")
+    if slots.size == 0:
+        return
     grid, k_max = op.grid, op.k_max
+    if slots[0] < 0 or slots[-1] > grid.steps or np.any(np.diff(slots) <= 0):
+        raise ValueError("slots must be increasing slots of the grid")
+    ns = grid.nslots
     beta = pot.beta
     sb = np.sqrt(beta)
+    s0 = -sb * n_particles
 
-    def deriv_vec(m):
-        """(vids, values) of the derivative part of mode m >= 1, without sqrt(beta)."""
+    def deriv_vec(m, j):
+        """(vids, values) of the derivative part of mode m >= 1 at slot j, without sqrt(beta)."""
         if field == "static":
             return np.array([op.vid(m, j)]), np.array([1.0 / grid.dt])
-        vids = op.vid_block(0, j).ravel()
-        vals = ktable[j::-1, m, 1:].T.ravel()
-        return vids, vals
+        return op.convolved_derivative(ktable, m, j)
 
+    # per weight power: the x-d pairs (multiplier mode, derivative mode) and
+    # the pairs whose sums cross slots, both in the order m = -k_max..k_max
+    powers = []
     for p, up in weight.items():
-        up = up * scale
         if p < 0:
             raise ValueError("quadratic weights must lie in the non-negative half")
         if p - 1 > 2 * k_max:
             raise ValueError("weight power shifts every mode pair outside the window")
+        xd_pairs, slot_pairs = [], []
         for m in range(-k_max, k_max + 1):
             n = p - 1 - m
             if not -k_max <= n <= k_max:
@@ -458,29 +491,54 @@ def accumulate_quadratic(
             if m <= -1 and n <= -1:
                 raise AssertionError("multiplier-multiplier pair cannot occur for p >= 0")
             if m == 0 or n == 0:
-                if field == "static":
-                    continue  # phi_0 = 0
-                other = n if m == 0 else m
-                s0 = -sb * n_particles
-                if other == 0:
-                    op.add_const(up * s0 * s0)
-                elif other >= 1:
-                    vids, vals = deriv_vec(other)
-                    op.add_d_vec(vids, up * s0 * sb * vals)
-                else:
-                    op.add_x(op.vid(-other, j), up * s0 * abs(other) / sb)
+                if field == "dynamic":  # phi_0 = 0
+                    slot_pairs.append((m, n))
+            elif parts == "affine":
+                continue
             elif m >= 1 and n >= 1:
-                if parts == "affine":
-                    continue
-                vu, au = deriv_vec(m)
-                vv, av = deriv_vec(n)
-                op.add_dd_block(vu, vv, up * beta * np.outer(au, av))
+                slot_pairs.append((m, n))
             else:
-                if parts == "affine":
-                    continue
-                mult, der = (m, n) if m <= -1 else (n, m)
-                vids, vals = deriv_vec(der)
-                op.add_xd_row(op.vid(-mult, j), vids, up * abs(mult) * vals)
+                xd_pairs.append((-min(m, n), max(m, n)))
+        powers.append((up, xd_pairs, slot_pairs))
+
+    # a run of consecutive slots is addressed by slices, so each x-d block is
+    # added in place rather than gathered and scattered
+    first, nlive = int(slots[0]), slots.size
+    run = slots[-1] - first + 1 == nlive
+    sel = slice(first, first + nlive) if run else slots
+    for up, xd_pairs, _ in powers:
+        ups = up * scales
+        for mult, der in xd_pairs:
+            base = (mult - 1) * ns
+            c = ups * mult
+            if field == "static":
+                op.add_xd_block(base + slots, (der - 1) * ns + slots, c * (1.0 / grid.dt))
+                continue
+            # toep[j, l-1, j'] = K_{der,l}(t_j - t_j') for j' <= j and 0 above: a
+            # lower-triangular Toeplitz view of each kernel column, taken per l
+            padded = np.concatenate((ktable[::-1, der, 1:].T, np.zeros((k_max, ns - 1))), axis=1)
+            toep = sliding_window_view(padded, ns, axis=1)[:, ::-1].transpose(1, 0, 2)
+            block = np.multiply(c[:, None, None], toep[sel], out=np.empty((nlive, k_max, ns)))
+            rows = slice(base + first, base + first + nlive) if run else base + slots
+            op.add_xd_block(rows, slice(None), block.reshape(nlive, op.nvar))
+
+    for j, scale in zip(slots.tolist(), scales):
+        for up, _, slot_pairs in powers:
+            up = up * scale
+            for m, n in slot_pairs:
+                if m == 0 or n == 0:
+                    other = n if m == 0 else m
+                    if other == 0:
+                        op.add_const(up * s0 * s0)
+                    elif other >= 1:
+                        vids, vals = deriv_vec(other, j)
+                        op.add_d_vec(vids, up * s0 * sb * vals)
+                    else:
+                        op.add_x(op.vid(-other, j), up * s0 * abs(other) / sb)
+                else:
+                    vu, au = deriv_vec(m, j)
+                    vv, av = deriv_vec(n, j)
+                    op.add_dd_block(vu, vv, up * beta * np.outer(au, av))
 
 
 def normal_ordered_quadratic(
@@ -498,7 +556,7 @@ def normal_ordered_quadratic(
     op = BosonOperator(grid, k_max)
     if field == "dynamic" and ktable is None:
         ktable = kernel_table(pot, grid, k_max)
-    accumulate_quadratic(op, field, weight, j, 1.0, pot, n_particles, ktable)
+    accumulate_quadratic(op, field, weight, [j], [1.0], pot, n_particles, ktable)
     return op
 
 

@@ -702,7 +702,7 @@ def run_npoint(scn):
     )
     rows = []
     for k in scn["modes"]:
-        lhs, rhs, disc, se = npoint_vs_kernel(ens, f, k)
+        lhs, rhs, disc, se = npoint_vs_kernel(ens, k)
         rows.append((k, lhs, rhs, disc, se))
         checks.append(
             check(
@@ -926,6 +926,35 @@ def write_report(report, tables, out_dir: Path):
             w.writerows(rows)
 
 
+def _covers_forces(scn) -> bool:
+    """k_max reaches the force support L_max of every potential the suite tabulates."""
+    mc = scn.get("constraint_mc") or {}
+    pairs = [(scn["k_max"], p["b"]) for p in scn.get("potentials", {}).values()]
+    pairs += [(scn["k_max"], scn["b"])] if "b" in scn else []
+    pairs += [(mc["k_max"], mc["b"])] if mc else []
+    return all(k >= max((int(l) for l, v in b.items() if v), default=0) for k, b in pairs)
+
+
+#: Value rules beyond the presence of keys: (suites, rule, message).
+VALUE_RULES = (
+    (("kernel-identities", "boson-commutators", "sv-algebra", "npoint"), _covers_forces, "k_max must reach the force support L_max of every potential"),
+    (("boson-commutators",), lambda s: s["grid"]["steps"] >= 3, "grid.steps must be >= 3: the checks pair slots steps - 1 and 2"),
+    (("sv-algebra",), lambda s: 1 <= s["interior_modes"] <= s["k_max"], "interior_modes must lie in 1..k_max"),
+    (("sv-algebra",), lambda s: len(s["grids"]) >= 2, "grids needs two entries for the dt-halving ratio"),
+    (("hermite-example",), lambda s: len(s["dts"]) >= 2, "dts needs two entries for the dt-halving trends"),
+    (("hermite-example",), lambda s: all(round(t / dt) >= 2 for dt in s["dts"] for t in (s["t_max"], s["linquadr_t_max"])), "every dt must leave 2 or more steps in t_max and linquadr_t_max"),
+    (("hermite-example",), lambda s: s["k_max"] >= 3, "k_max must be >= 3: the cancellation pairs start at mode 3"),
+)
+
+
+def _holds(rule, scn) -> bool:
+    """A rule that cannot be evaluated on the config does not hold."""
+    try:
+        return bool(rule(scn))
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError, ZeroDivisionError):
+        return False
+
+
 def validate_scenario(scn: dict):
     if "suite" not in scn:
         raise ValueError("config must name a suite")
@@ -942,8 +971,11 @@ def validate_scenario(scn: dict):
     for where, g in grids:
         if not (isinstance(g, dict) and isinstance(g.get("dt"), (int, float)) and isinstance(g.get("steps"), int)):
             raise ValueError(f"{where} must set a number dt and an integer steps")
-        if g["dt"] <= 0 or g["steps"] < 1:
-            raise ValueError(f"{where} needs dt > 0 and steps >= 1")
+        if g["dt"] <= 0 or g["steps"] < 2:
+            raise ValueError(f"{where} needs dt > 0 and steps >= 2")
+    for suites, rule, message in VALUE_RULES:
+        if scn["suite"] in suites and not _holds(rule, scn):
+            raise ValueError(message)
     if "pi2_window" in ref:
         # the runner reads slot round(t / dt): every sample time must fall on the simulated grid
         dt, steps, times, window = scn["grid"]["dt"], scn["grid"]["steps"], scn["pi1_times"], scn["pi2_window"]

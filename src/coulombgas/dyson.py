@@ -737,7 +737,7 @@ def npoint_functionals(pot: Potential, grid: TimeGrid, f: TimePoly, k: int, k_ma
     return {"lhs": lhs, "rhs": rhs}
 
 
-def npoint_vs_kernel(e: Ensemble, f: TimePoly, k: int):
+def npoint_vs_kernel(e: Ensemble, k: int):
     """One-point check of the kernel representation of moment evolution.
 
     Requires the ensemble to carry the per-replica functionals registered by

@@ -165,20 +165,21 @@ def integrated_psi_weight(weight: TruncSeries, coeffs, pot, n_particles, grid, k
             c = coeffs[j] * up * dt
             if c == 0.0:
                 continue
-            vids = op.vid_block(0, j).ravel()
-            vals = ktable[j::-1, p, 1:].T.ravel()
+            vids, vals = op.convolved_derivative(ktable, p, j)
             op.add_d_vec(vids, sb * c * vals)
     return op
 
 
 def integrated_quadratic(field, weight, coeffs, pot, n_particles, grid, k_max, ktable, parts="full"):
-    """sum_j coeffs[j] dt * contour{ weight(z) :field(z, t_j)^2: dz }."""
+    """sum_j coeffs[j] dt * contour{ weight(z) :field(z, t_j)^2: dz }.
+
+    One :func:`accumulate_quadratic` call assembles every slot with a
+    nonzero coefficient (scale coeffs[j] dt); zero slots add nothing.
+    """
     op = BosonOperator(grid, k_max)
     coeffs = np.asarray(coeffs, dtype=float)
-    for j in range(grid.nslots):
-        if coeffs[j] == 0.0:
-            continue
-        accumulate_quadratic(op, field, weight, j, coeffs[j] * grid.dt, pot, n_particles, ktable, parts)
+    slots = np.flatnonzero(coeffs != 0.0)
+    accumulate_quadratic(op, field, weight, slots, coeffs[slots] * grid.dt, pot, n_particles, ktable, parts)
     return op
 
 
@@ -343,6 +344,9 @@ def weak_field_score(op: BosonOperator, probes) -> float:
     operator's own multiplier output carries its time integral's dt weight,
     so x and x-d pairings are read against the bare dual profile (one 1/dt
     relative to the probe vector).
+
+    The products xd @ w and dd @ w are formed once per probe w and reused
+    for every left probe u.
     """
     ns = op.grid.nslots
     dt = op.grid.dt
@@ -352,16 +356,18 @@ def weak_field_score(op: BosonOperator, probes) -> float:
         v = np.zeros(op.nvar)
         v[(k - 1) * ns : k * ns] = prof * dt
         vecs.append(v)
+    xd_w = [op.xd @ w for w in vecs] if op.xd is not None else None
+    dd_w = [op.dd @ w for w in vecs] if op.dd is not None else None
     for u in vecs:
         if op.x is not None:
             vals.append(abs(float(op.x @ u)) / dt)
         if op.d is not None:
             vals.append(abs(float(op.d @ u)))
-        for w in vecs:
-            if op.xd is not None:
-                vals.append(abs(float(u @ (op.xd @ w))) / dt)
-            if op.dd is not None:
-                vals.append(abs(float(u @ (op.dd @ w))))
+        for i in range(len(vecs)):
+            if xd_w is not None:
+                vals.append(abs(float(u @ xd_w[i])) / dt)
+            if dd_w is not None:
+                vals.append(abs(float(u @ dd_w[i])))
     return float(max(vals))
 
 
@@ -478,9 +484,10 @@ def hermite_cancellation_pairs(f, g, sigma, n_particles, grid: TimeGrid, k_max: 
     fd, gd = f.deriv(1)(t), g.deriv(1)(t)
     fdd, gdd = f.deriv(2)(t), g.deriv(2)(t)
 
-    ns = grid.nslots
     # tau_k d_{k-2} needs mode k-2 >= 1; the formal k = 2 terms carry the
     # absent zero-mode derivative and annihilate identically
+    if k_max < 3:
+        raise ValueError("the cancellation pairs need k_max >= 3")
     ks = list(range(3, k_max + 1))
 
     def pieces(Fc, gdc, gddc, Gc):
@@ -520,10 +527,9 @@ def hermite_cancellation_pairs(f, g, sigma, n_particles, grid: TimeGrid, k_max: 
     fg = pieces(F, gd, gdd, G)
     gf = pieces(G, fd, fdd, F)
 
-    def anti(name):
-        if name.endswith("x"):
-            return fg[name] - gf[name]
-        return {k: fg[name][k] - gf[name][k] for k in ks}
+    def anti(name, k):
+        """Antisymmetrized piece (f, g) - (g, f) of mode k."""
+        return fg[name][k] - gf[name][k]
 
     def mag(*dicts):
         vals = []
@@ -534,16 +540,22 @@ def hermite_cancellation_pairs(f, g, sigma, n_particles, grid: TimeGrid, k_max: 
                 vals.extend(np.max(np.abs(v)) for v in d.values())
         return max(max(vals), 1e-30)
 
-    c11 = {k: anti("C1")[k] - anti("C12")[k] - anti("C13")[k] for k in ks}
-    pair1 = {k: c11[k] + anti("C4")[k] for k in ks}
-    pair2 = {k: anti("C12")[k] + anti("C3")[k] for k in ks}
-    pair3 = {k: anti("C13")[k] + anti("C2")[k] for k in ks}
-    pair4 = anti("C5x") + anti("C6x")
+    # each antisymmetrized piece is formed once per mode and reduced to its
+    # max-abs at once, so no dict of them is held
+    c11_max, res1, res2, res3 = [], [], [], []
+    for k in ks:
+        a12, a13 = anti("C12", k), anti("C13", k)
+        c11 = anti("C1", k) - a12 - a13
+        c11_max.append(mag(c11))
+        res1.append(mag(c11 + anti("C4", k)))
+        res2.append(mag(a12 + anti("C3", k)))
+        res3.append(mag(a13 + anti("C2", k)))
+    pair4 = (fg["C5x"] - gf["C5x"]) + (fg["C6x"] - gf["C6x"])
 
     report = {
-        "C11+C4": {"residual": mag(pair1) if pair1 else 0.0, "magnitude": mag(c11, fg["C4"], gf["C4"])},
-        "C12+C3": {"residual": mag(pair2), "magnitude": mag(fg["C12"], gf["C12"])},
-        "C13+C2": {"residual": mag(pair3), "magnitude": mag(fg["C13"], gf["C13"])},
+        "C11+C4": {"residual": max(res1), "magnitude": max(max(c11_max), mag(fg["C4"], gf["C4"]))},
+        "C12+C3": {"residual": max(res2), "magnitude": mag(fg["C12"], gf["C12"])},
+        "C13+C2": {"residual": max(res3), "magnitude": mag(fg["C13"], gf["C13"])},
         "C5+C6": {"residual": float(np.max(np.abs(pair4))), "magnitude": mag(fg["C5x"], fg["C6x"], gf["C5x"], gf["C6x"])},
     }
     for v in report.values():

@@ -5,6 +5,7 @@ import pytest
 
 from coulombgas.boson import (
     BosonOperator,
+    accumulate_quadratic,
     PolyFunctional,
     TimeGrid,
     apply,
@@ -399,3 +400,14 @@ def test_normal_ordering_enumeration_order_independent():
     a = normal_ordered_quadratic("dynamic", w, 4, pot, 2.0, GRID, 5)
     b = normal_ordered_quadratic("dynamic", w_rev, 4, pot, 2.0, GRID, 5)
     assert (a - b).field_max_abs() < 1e-14
+
+
+def test_accumulate_quadratic_slot_guards():
+    """Slots are increasing grid slots with one scale each; no slot adds nothing."""
+    op = BosonOperator(GRID, 4)
+    w = TruncSeries.monomial(0)
+    for slots, scales in (([2, 2], [1.0, 1.0]), ([3, 1], [1.0, 1.0]), ([GRID.steps + 1], [1.0]), ([1, 2], [1.0])):
+        with pytest.raises(ValueError):
+            accumulate_quadratic(op, "static", w, slots, scales, HERMITE2, 1.0)
+    accumulate_quadratic(op, "dynamic", w, [], [], HERMITE2, 1.0)
+    assert op.const == 0.0 and all(getattr(op, f) is None for f in ("x", "d", "xd", "dd"))

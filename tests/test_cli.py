@@ -75,6 +75,51 @@ def test_langevin_config_errors_exit_2(tmp_path, capsys):
         assert not (tmp_path / name).exists()
 
 
+def _mutated(suite, **changes):
+    scn = default_scenario(suite)
+    for path, value in changes.items():
+        *keys, leaf = path.split("__")
+        target = scn
+        for key in keys:
+            target = target[int(key)] if isinstance(target, list) else target[key]
+        target[leaf] = value
+    return scn
+
+
+OPERATOR_CONFIG_ERRORS = {
+    "sv-algebra interior_modes > k_max": _mutated("sv-algebra", interior_modes=10),
+    "sv-algebra one grid": _mutated("sv-algebra", grids=[{"dt": 0.02, "steps": 50}]),
+    "sv-algebra grid steps 1": _mutated("sv-algebra", grids__0__steps=1),
+    "boson-commutators grid steps 1": _mutated("boson-commutators", grid__steps=1),
+    "boson-commutators grid steps 2": _mutated("boson-commutators", grid__steps=2),
+    "boson-commutators k_max < force support": _mutated("boson-commutators", k_max=1),
+    "kernel-identities k_max < force support": _mutated("kernel-identities", k_max=0),
+    "sv-algebra constraint_mc k_max < force support": _mutated("sv-algebra", constraint_mc__k_max=0),
+    "npoint k_max < force support": _mutated("npoint", k_max=0),
+    "hermite-example one dt": _mutated("hermite-example", dts=[0.01]),
+    "hermite-example dt leaves one step": _mutated("hermite-example", dts=[1.0, 0.5]),
+    "hermite-example dt 0": _mutated("hermite-example", dts=[0.01, 0.0]),
+    "hermite-example k_max 2": _mutated("hermite-example", k_max=2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OPERATOR_CONFIG_ERRORS))
+def test_operator_config_errors_exit_2(tmp_path, case):
+    """Configs that the operator suites cannot run are config errors: exit 2
+    with a message, no traceback, no report."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(OPERATOR_CONFIG_ERRORS[case]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coulombgas.cli", "run", str(cfg), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "config error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_engine_failure_writes_failed_report(tmp_path, capsys):
     """An engine error (here the rejection-rate budget) ends in a failed
     report and exit 1, with one line on stderr and no traceback."""

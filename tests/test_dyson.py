@@ -386,9 +386,9 @@ def test_npoint_vs_kernel_hermite():
     )
     # k = 1: the discrete identity telescopes exactly (rounding floor);
     # k = 2: strict 3-sigma once the remainder counterterm is included
-    lhs, rhs, disc, se = npoint_vs_kernel(ens, f, 1)
+    lhs, rhs, disc, se = npoint_vs_kernel(ens, 1)
     assert abs(disc) < 1e-12 * abs(lhs)
-    lhs, rhs, disc, se = npoint_vs_kernel(ens, f, 2)
+    lhs, rhs, disc, se = npoint_vs_kernel(ens, 2)
     assert abs(disc) < 3 * se, (lhs, rhs, disc, se)
 
 
@@ -401,7 +401,7 @@ def test_npoint_zero_test_function():
     ens = simulate_dbm(
         HERMITE2, 3, grid, 50, seed=3, functionals={"npoint1:lhs": fl["lhs"], "npoint1:rhs": fl["rhs"]}
     )
-    lhs, rhs, disc, se = npoint_vs_kernel(ens, f, 1)
+    lhs, rhs, disc, se = npoint_vs_kernel(ens, 1)
     assert lhs == rhs == disc == 0.0
 
 

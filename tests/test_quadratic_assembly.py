@@ -1,0 +1,193 @@
+"""Whole-grid quadratic assembly and the weak score against slot-by-slot
+references.
+
+The references below are the slot-by-slot builds that the whole-grid
+assembly replaced, kept here as test-only oracles.  Both sides must agree
+bit for bit: every canonical field compares with ``np.array_equal``.
+"""
+
+import numpy as np
+import pytest
+
+from coulombgas.boson import BosonOperator, TimeGrid, commutator, kernel_table, normal_ordered_quadratic, time_derivation
+from coulombgas.fseries import TruncSeries
+from coulombgas.kernel import Potential
+from coulombgas.svconstraints import integrated_quadratic, weak_field_score, weak_probe_profiles, weight_quadr_mix
+from coulombgas.timefunc import bump
+
+GRID = TimeGrid(0.05, 12)
+K_MAX = 5
+N_PART = 3.0
+POTENTIALS = {
+    "hermite": Potential(2.0, {1: 1.0}),
+    "generic": Potential(1.0, {1: 0.5, 2: 0.3}),
+}
+FIELDS = ("const", "x", "d", "xd", "dd")
+
+
+# ------------------------------------------------------ slot-by-slot oracle
+
+
+def _reference_accumulate(op, field, weight, j, scale, pot, n_particles, ktable, parts):
+    """Add scale * contour{ weight(z) :field(z, t_j)**2: dz } onto op, one slot."""
+    grid, k_max = op.grid, op.k_max
+    beta = pot.beta
+    sb = np.sqrt(beta)
+
+    def deriv_vec(m):
+        if field == "static":
+            return np.array([op.vid(m, j)]), np.array([1.0 / grid.dt])
+        vids = op.vid_block(0, j).ravel()
+        vals = ktable[j::-1, m, 1:].T.ravel()
+        return vids, vals
+
+    for p, up in weight.items():
+        up = up * scale
+        for m in range(-k_max, k_max + 1):
+            n = p - 1 - m
+            if not -k_max <= n <= k_max:
+                continue
+            if m == 0 or n == 0:
+                if field == "static":
+                    continue
+                other = n if m == 0 else m
+                s0 = -sb * n_particles
+                if other == 0:
+                    op.add_const(up * s0 * s0)
+                elif other >= 1:
+                    vids, vals = deriv_vec(other)
+                    op.add_d_vec(vids, up * s0 * sb * vals)
+                else:
+                    op.add_x(op.vid(-other, j), up * s0 * abs(other) / sb)
+            elif m >= 1 and n >= 1:
+                if parts == "affine":
+                    continue
+                vu, au = deriv_vec(m)
+                vv, av = deriv_vec(n)
+                op.add_dd_block(vu, vv, up * beta * np.outer(au, av))
+            else:
+                if parts == "affine":
+                    continue
+                mult, der = (m, n) if m <= -1 else (n, m)
+                vids, vals = deriv_vec(der)
+                op.add_xd_row(op.vid(-mult, j), vids, up * abs(mult) * vals)
+
+
+def _reference_integrated(field, weight, coeffs, pot, n_particles, grid, k_max, ktable, parts):
+    op = BosonOperator(grid, k_max)
+    coeffs = np.asarray(coeffs, dtype=float)
+    for j in range(grid.nslots):
+        if coeffs[j] == 0.0:
+            continue
+        _reference_accumulate(op, field, weight, j, coeffs[j] * grid.dt, pot, n_particles, ktable, parts)
+    return op
+
+
+def _reference_weak_score(op, probes):
+    ns = op.grid.nslots
+    dt = op.grid.dt
+    vals = [abs(op.const)]
+    vecs = []
+    for k, prof in probes:
+        v = np.zeros(op.nvar)
+        v[(k - 1) * ns : k * ns] = prof * dt
+        vecs.append(v)
+    for u in vecs:
+        if op.x is not None:
+            vals.append(abs(float(op.x @ u)) / dt)
+        if op.d is not None:
+            vals.append(abs(float(op.d @ u)))
+        for w in vecs:
+            if op.xd is not None:
+                vals.append(abs(float(u @ (op.xd @ w))) / dt)
+            if op.dd is not None:
+                vals.append(abs(float(u @ (op.dd @ w))))
+    return float(max(vals))
+
+
+def _assert_same_fields(got, want):
+    for f in FIELDS:
+        a, b = getattr(got, f), getattr(want, f)
+        if f == "const":
+            assert a == b
+        elif b is None:
+            assert a is None, f
+        else:
+            assert a is not None and np.array_equal(a, b), f
+
+
+# ------------------------------------------------------------------ cases
+
+
+def _weights(pot):
+    return {
+        "z^0": TruncSeries.monomial(0, 1.0),
+        "z^1": TruncSeries.monomial(1, -0.5),
+        "(zb)'": weight_quadr_mix(pot, 1),
+        "up to z^3": TruncSeries.from_dict({0: 0.7, 1: -1.3, 2: 0.4, 3: 0.25}),
+    }
+
+
+def _coefficients():
+    t = GRID.times
+    tmax = GRID.dt * GRID.steps
+    smooth = bump(0.0, tmax, 2)(t)  # zero at both ends
+    holes = np.linspace(-1.0, 2.0, GRID.nslots)
+    holes[[0, 3, 4, 9]] = 0.0  # interior zero slots: the live slots are not contiguous
+    single = np.zeros(GRID.nslots)
+    single[GRID.steps] = -0.8
+    return {"smooth": smooth, "holes": holes, "last-slot": single, "all-zero": np.zeros(GRID.nslots)}
+
+
+@pytest.mark.parametrize("parts", ["full", "affine"])
+@pytest.mark.parametrize("field", ["static", "dynamic"])
+@pytest.mark.parametrize("pot_name", sorted(POTENTIALS))
+def test_integrated_quadratic_matches_slot_by_slot_reference(pot_name, field, parts):
+    pot = POTENTIALS[pot_name]
+    tab = kernel_table(pot, GRID, K_MAX)
+    for wname, weight in _weights(pot).items():
+        for cname, coeffs in _coefficients().items():
+            got = integrated_quadratic(field, weight, coeffs, pot, N_PART, GRID, K_MAX, tab, parts)
+            want = _reference_integrated(field, weight, coeffs, pot, N_PART, GRID, K_MAX, tab, parts)
+            try:
+                _assert_same_fields(got, want)
+            except AssertionError as exc:
+                raise AssertionError(f"weight {wname}, coefficients {cname}: field {exc}") from None
+
+
+@pytest.mark.parametrize("field", ["static", "dynamic"])
+def test_normal_ordered_quadratic_matches_one_slot_reference(field):
+    pot = POTENTIALS["generic"]
+    tab = kernel_table(pot, GRID, K_MAX)
+    for weight in _weights(pot).values():
+        for j in (0, 5, GRID.steps):
+            got = normal_ordered_quadratic(field, weight, j, pot, N_PART, GRID, K_MAX, tab)
+            want = BosonOperator(GRID, K_MAX)
+            _reference_accumulate(want, field, weight, j, 1.0, pot, N_PART, tab, "full")
+            _assert_same_fields(got, want)
+
+
+def test_cubic_weight_reaches_every_field():
+    """The z^3 weight on the dynamic field exercises the scalar, x, d, x-d and
+    d-d paths at once, so the comparison above covers all five."""
+    pot = POTENTIALS["generic"]
+    tab = kernel_table(pot, GRID, K_MAX)
+    op = integrated_quadratic("dynamic", _weights(pot)["up to z^3"], _coefficients()["holes"], pot, N_PART, GRID, K_MAX, tab)
+    assert op.const != 0.0
+    for f in ("x", "d", "xd", "dd"):
+        assert np.any(getattr(op, f)), f
+
+
+def test_weak_field_score_matches_pair_loop_reference():
+    pot = POTENTIALS["generic"]
+    tab = kernel_table(pot, GRID, K_MAX)
+    probes = weak_probe_profiles(GRID, K_MAX - 2)
+    weights = _weights(pot)
+    coeffs = _coefficients()
+    a = integrated_quadratic("dynamic", weights["up to z^3"], coeffs["holes"], pot, N_PART, GRID, K_MAX, tab)
+    b = integrated_quadratic("static", weights["(zb)'"], coeffs["smooth"], pot, N_PART, GRID, K_MAX, tab)
+    c = integrated_quadratic("dynamic", weights["z^0"], coeffs["smooth"], pot, N_PART, GRID, K_MAX, tab, "affine")
+    deriv = time_derivation(bump(0.0, GRID.dt * GRID.steps, 3), GRID, K_MAX)
+    ops = [a, b, c, deriv, a - b, commutator(a, deriv), commutator(b, c), BosonOperator(GRID, K_MAX)]
+    for op in ops:
+        assert weak_field_score(op, probes) == _reference_weak_score(op, probes)
