@@ -501,11 +501,6 @@ def accumulate_quadratic(
                 xd_pairs.append((-min(m, n), max(m, n)))
         powers.append((up, xd_pairs, slot_pairs))
 
-    # a run of consecutive slots is addressed by slices, so each x-d block is
-    # added in place rather than gathered and scattered
-    first, nlive = int(slots[0]), slots.size
-    run = slots[-1] - first + 1 == nlive
-    sel = slice(first, first + nlive) if run else slots
     for up, xd_pairs, _ in powers:
         ups = up * scales
         for mult, der in xd_pairs:
@@ -518,9 +513,9 @@ def accumulate_quadratic(
             # lower-triangular Toeplitz view of each kernel column, taken per l
             padded = np.concatenate((ktable[::-1, der, 1:].T, np.zeros((k_max, ns - 1))), axis=1)
             toep = sliding_window_view(padded, ns, axis=1)[:, ::-1].transpose(1, 0, 2)
-            block = np.multiply(c[:, None, None], toep[sel], out=np.empty((nlive, k_max, ns)))
-            rows = slice(base + first, base + first + nlive) if run else base + slots
-            op.add_xd_block(rows, slice(None), block.reshape(nlive, op.nvar))
+            block = toep[slots]
+            block *= c[:, None, None]
+            op.add_xd_block(base + slots, slice(None), block.reshape(slots.size, op.nvar))
 
     for j, scale in zip(slots.tolist(), scales):
         for up, _, slot_pairs in powers:

@@ -219,10 +219,15 @@ def default_scenario(suite: str) -> dict:
 # suite implementations
 
 
+def _forces(spec) -> dict:
+    """The force coefficients {l: b_l} of a potential config."""
+    return {int(k): float(v) for k, v in spec["b"].items()}
+
+
 def _pot(spec):
     from .kernel import Potential
 
-    return Potential(float(spec["beta"]), {int(k): float(v) for k, v in spec["b"].items()})
+    return Potential(float(spec["beta"]), _forces(spec))
 
 
 def run_kernel_identities(scn):
@@ -500,7 +505,7 @@ def run_equilibrium_loop(scn):
     rows = []
     for case in scn["cases"]:
         n_part, beta = case["n_particles"], case["beta"]
-        pot = Potential(beta, {int(k): float(v) for k, v in scn["b"].items()})
+        pot = Potential(beta, _forces(scn))
         eq = sample_equilibrium(pot, n_part, scn["sweeps"], seed=scn["seed"], chains=scn["chains"])
         for order in scn["orders"]:
             res, se = loop_equation_residual(eq, order, pot)
@@ -927,12 +932,15 @@ def write_report(report, tables, out_dir: Path):
 
 
 def _covers_forces(scn) -> bool:
-    """k_max reaches the force support L_max of every potential the suite tabulates."""
+    """k_max reaches the force support L_max of every potential the suite
+    tabulates: the highest l with b_l != 0, as in kernel.Potential.l_max.
+    No Potential is built here, because importing kernel would add about
+    10 ms to every validation."""
     mc = scn.get("constraint_mc") or {}
-    pairs = [(scn["k_max"], p["b"]) for p in scn.get("potentials", {}).values()]
-    pairs += [(scn["k_max"], scn["b"])] if "b" in scn else []
-    pairs += [(mc["k_max"], mc["b"])] if mc else []
-    return all(k >= max((int(l) for l, v in b.items() if v), default=0) for k, b in pairs)
+    specs = [(scn["k_max"], p) for p in scn.get("potentials", {}).values()]
+    specs += [(scn["k_max"], scn)] if "b" in scn else []
+    specs += [(mc["k_max"], mc)] if mc else []
+    return all(k >= max((l for l, v in _forces(spec).items() if v), default=0) for k, spec in specs)
 
 
 #: Value rules beyond the presence of keys: (suites, rule, message).
@@ -947,12 +955,13 @@ VALUE_RULES = (
 )
 
 
-def _holds(rule, scn) -> bool:
-    """A rule that cannot be evaluated on the config does not hold."""
+def _holds(rule, message, scn) -> bool:
+    """Whether the rule holds; a rule that cannot be evaluated on the config
+    is a config error that names the cause."""
     try:
         return bool(rule(scn))
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError, ZeroDivisionError):
-        return False
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError, ZeroDivisionError) as exc:
+        raise ValueError(f"{message} (could not evaluate: {exc!r})") from None
 
 
 def validate_scenario(scn: dict):
@@ -974,7 +983,7 @@ def validate_scenario(scn: dict):
         if g["dt"] <= 0 or g["steps"] < 2:
             raise ValueError(f"{where} needs dt > 0 and steps >= 2")
     for suites, rule, message in VALUE_RULES:
-        if scn["suite"] in suites and not _holds(rule, scn):
+        if scn["suite"] in suites and not _holds(rule, message, scn):
             raise ValueError(message)
     if "pi2_window" in ref:
         # the runner reads slot round(t / dt): every sample time must fall on the simulated grid

@@ -100,6 +100,8 @@ OPERATOR_CONFIG_ERRORS = {
     "hermite-example dt leaves one step": _mutated("hermite-example", dts=[1.0, 0.5]),
     "hermite-example dt 0": _mutated("hermite-example", dts=[0.01, 0.0]),
     "hermite-example k_max 2": _mutated("hermite-example", k_max=2),
+    "malformed: boson-commutators potential without b": _mutated("boson-commutators", potentials__hermite={"beta": 2.0}),
+    "malformed: npoint b as a list": _mutated("npoint", b=[1.0]),
 }
 
 
@@ -118,6 +120,9 @@ def test_operator_config_errors_exit_2(tmp_path, case):
     assert "config error:" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+    if case.startswith("malformed:"):
+        # a value the rule cannot read is reported with its cause
+        assert "could not evaluate:" in proc.stderr
 
 
 def test_engine_failure_writes_failed_report(tmp_path, capsys):
