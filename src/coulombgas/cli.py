@@ -529,6 +529,8 @@ def run_equilibrium_loop(scn):
                 sig * mse,
                 mean=mean,
                 expected=want,
+                acceptance=eq.acceptance,
+                tau_int=eq.autocorr_pi1,
             )
         )
     tables["loop_residuals"] = (("n_particles", "beta", "order", "residual", "se"), rows)
@@ -943,8 +945,18 @@ def _covers_forces(scn) -> bool:
     return all(k >= max((l for l, v in _forces(spec).items() if v), default=0) for k, spec in specs)
 
 
+#: The potentials run_kernel_identities reads by name.
+KERNEL_IDENTITY_POTENTIALS = ("quadratic-force", "mixed-force", "hermite", "hermite-beta1", "hermite-beta4", "generic-beta1", "generic-beta4")
+
+
+def _eq_case(case) -> bool:
+    n, beta = case.get("n_particles"), case.get("beta")
+    return isinstance(n, int) and n >= 1 and isinstance(beta, (int, float)) and beta >= 0
+
+
 #: Value rules beyond the presence of keys: (suites, rule, message).
 VALUE_RULES = (
+    (("kernel-identities",), lambda s: set(KERNEL_IDENTITY_POTENTIALS) <= set(s["potentials"]), f"potentials must name {', '.join(KERNEL_IDENTITY_POTENTIALS)}"),
     (("kernel-identities", "boson-commutators", "sv-algebra", "npoint"), _covers_forces, "k_max must reach the force support L_max of every potential"),
     (("boson-commutators",), lambda s: s["grid"]["steps"] >= 3, "grid.steps must be >= 3: the checks pair slots steps - 1 and 2"),
     (("sv-algebra",), lambda s: 1 <= s["interior_modes"] <= s["k_max"], "interior_modes must lie in 1..k_max"),
@@ -952,6 +964,10 @@ VALUE_RULES = (
     (("hermite-example",), lambda s: len(s["dts"]) >= 2, "dts needs two entries for the dt-halving trends"),
     (("hermite-example",), lambda s: all(round(t / dt) >= 2 for dt in s["dts"] for t in (s["t_max"], s["linquadr_t_max"])), "every dt must leave 2 or more steps in t_max and linquadr_t_max"),
     (("hermite-example",), lambda s: s["k_max"] >= 3, "k_max must be >= 3: the cancellation pairs start at mode 3"),
+    (("equilibrium-loop",), lambda s: [(l, v > 0) for l, v in _forces(s).items() if v] == [(1, True)], "b must be Gaussian, {1: b_1 > 0}: the pi2-stationary check needs sigma"),
+    (("equilibrium-loop",), lambda s: all(isinstance(o, int) and 0 <= o <= 6 for o in s["orders"]), "orders must be integers in 0..6: order n reads pi_(n+2), and the sampler tracks pi_k up to k = 8"),
+    (("equilibrium-loop",), lambda s: isinstance(s["chains"], int) and s["chains"] >= 2 and isinstance(s["sweeps"], int), "chains must be an integer >= 2 (the standard errors are the scatter across chains) and sweeps an integer"),
+    (("equilibrium-loop",), lambda s: len(s["cases"]) >= 1 and all(_eq_case(c) for c in s["cases"]), "cases must be a non-empty list; every case needs an integer n_particles >= 1 and a number beta >= 0"),
 )
 
 

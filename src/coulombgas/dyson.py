@@ -418,19 +418,18 @@ class EqSamples:
         return float(np.mean(cm)), float(np.std(cm, ddof=1) / np.sqrt(cm.size))
 
 
-def _log_gibbs_delta(pot, tau, lam, i, new_x):
-    """Log target ratio for a single-site move lam[:, i] -> new_x."""
-    old_x = lam[:, i]
-    dv = pot.v(new_x) - pot.v(old_x)
+def _log_gibbs_delta(pot, tau, pair, others):
+    """Log target ratio of the single-site moves pair[1] -> pair[0], each
+    (chains,), with others (chains, n - 1) the other particles."""
+    v = pot.v(pair)
+    dv = v[0] - v[1]
     for k, tk in (tau or {}).items():
-        dv += tk * (new_x**k - old_x**k)
+        pk = pair**k
+        dv += tk * (pk[0] - pk[1])
     out = -dv
-    if pot.beta != 0.0 and lam.shape[1] > 1:
-        others = np.delete(lam, i, axis=1)
-        out += pot.beta * np.sum(
-            np.log(np.abs(new_x[:, None] - others) + 1e-300) - np.log(np.abs(old_x[:, None] - others) + 1e-300),
-            axis=1,
-        )
+    if pot.beta != 0.0 and others.shape[1] > 0:
+        logs = np.log(np.abs(pair[:, :, None] - others) + 1e-300)
+        out += pot.beta * (logs[0] - logs[1]).sum(axis=1)
     return out
 
 
@@ -445,62 +444,63 @@ def sample_equilibrium(
     """Metropolis sampler for the Gibbs measure with single-site Gaussian
     proposals, adapted to ~30% acceptance during the 20% burn-in.
 
-    ``sweeps`` is the total sweep budget across all chains.
+    Each chain runs max(10, sweeps // chains) sweeps, so ``sweeps`` is not a
+    hard budget.  ``samples`` is sweep-major: row s * chains + c is chain c,
+    sorted, after kept sweep s.  The per-chain means of pi_k (k <= 8) and of
+    pi_a pi_b (a <= b <= 6) use powers built by repeated products, which for
+    k >= 3 differ from libm ``pow`` (``x**k``) by rounding.
     """
     if not pot.is_confining() and not (tau and max(tau) % 2 == 0 and tau[max(tau)] > 0):
         raise ValueError("potential is not confining; the Gibbs measure does not exist")
     rng = np.random.default_rng(seed)
     per_chain = max(10, sweeps // chains)
     burn = max(1, per_chain // 5)
+    kept = per_chain - burn
     sig = pot.sigma if pot.is_hermite else 1.0
     lam = np.sort(rng.normal(0.0, sig * max(1.0, math.sqrt(n)), size=(chains, n)), axis=1)
     step = np.full(chains, 0.5 * sig)
-
-    kept = []
-    acc_count = 0
-    prop_count = 0
+    partners = [np.delete(np.arange(n), i) for i in range(n)]
     k_track = 8
-    chain_acc = {k: np.zeros(chains) for k in range(k_track + 1)}
     pair_keys = [(a, b) for a in range(k_track - 1) for b in range(a, k_track - 1)]
-    pair_acc = {key: np.zeros(chains) for key in pair_keys}
-    kept_sweeps = 0
-    pi1_series = []
+    pair_a, pair_b = np.array(pair_keys, dtype=int).reshape(-1, 2).T
+    samples, pi1 = np.empty((kept, chains, n)), np.empty((kept, chains))
+    chain_acc, pair_acc = np.zeros((k_track + 1, chains)), np.zeros((len(pair_keys), chains))
+    pows = np.empty((k_track + 1, chains, n))  # lam^k of the current sweep, k = 0..k_track
+    pows[0] = 1.0
+    pair = np.empty((2, chains))  # proposal and current value of one site
+    acc_count = 0
 
     for sweep in range(per_chain):
         # random-scan site order: a fixed order breaks the reflection
         # equivariance of the finite-time kernel and leaves a transient
         # asymmetry in the odd moments
         for i in rng.permutation(n):
-            prop = lam[:, i] + step * rng.standard_normal(chains)
-            logr = _log_gibbs_delta(pot, tau, lam, i, prop)
+            pair[1] = lam[:, i]
+            pair[0] = pair[1] + step * rng.standard_normal(chains)
+            logr = _log_gibbs_delta(pot, tau, pair, lam[:, partners[i]])
             accept = np.log(rng.random(chains)) < logr
-            lam[accept, i] = prop[accept]
+            np.copyto(lam[:, i], pair[0], where=accept)
             if sweep >= burn:
-                acc_count += int(accept.sum())
-                prop_count += chains
+                acc_count += int(np.count_nonzero(accept))
             else:
                 # stochastic-approximation tuning toward the target rate
                 step *= np.exp(0.2 * (accept.astype(float) - 0.3))
         lam.sort(axis=1)
-        if sweep >= burn:
-            kept.append(lam.copy())
-            kept_sweeps += 1
-            pis = {0: np.full(chains, float(n))}
+        s = sweep - burn
+        if s >= 0:
+            samples[s] = lam
             for k in range(1, k_track + 1):
-                pis[k] = np.sum(lam**k, axis=1)
-            for k in range(k_track + 1):
-                chain_acc[k] += pis[k]
-            for a, b in pair_keys:
-                pair_acc[(a, b)] += pis[a] * pis[b]
-            pi1_series.append(pis[1].copy())
+                np.multiply(pows[k - 1], lam, out=pows[k])
+            pis = pows.sum(axis=2)  # (k_track+1, chains): pi_k per chain, summed as np.sum(lam**k, axis=1)
+            chain_acc += pis
+            pair_acc += pis[pair_a] * pis[pair_b]
+            pi1[s] = pis[1]
 
-    samples = np.concatenate(kept, axis=0)
-    acceptance = acc_count / max(prop_count, 1)
-    chain_means = {k: v / kept_sweeps for k, v in chain_acc.items()}
-    pair_chain_means = {key: v / kept_sweeps for key, v in pair_acc.items()}
-    series = np.asarray(pi1_series)  # (kept_sweeps, chains)
-    autocorr = _integrated_autocorr(series - series.mean(axis=0, keepdims=True))
-    return EqSamples(samples, acceptance, autocorr, chain_means, pair_chain_means, dict(tau or {}))
+    acceptance = acc_count / max(kept * n * chains, 1)
+    autocorr = _integrated_autocorr(pi1 - pi1.mean(axis=0, keepdims=True))
+    chain_means = dict(enumerate(chain_acc / kept))
+    pair_chain_means = dict(zip(pair_keys, pair_acc / kept))
+    return EqSamples(samples.reshape(kept * chains, n), acceptance, autocorr, chain_means, pair_chain_means, dict(tau or {}))
 
 
 def _integrated_autocorr(x: np.ndarray) -> float:

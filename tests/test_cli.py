@@ -102,15 +102,36 @@ OPERATOR_CONFIG_ERRORS = {
     "hermite-example k_max 2": _mutated("hermite-example", k_max=2),
     "malformed: boson-commutators potential without b": _mutated("boson-commutators", potentials__hermite={"beta": 2.0}),
     "malformed: npoint b as a list": _mutated("npoint", b=[1.0]),
+    "kernel-identities potential renamed": _mutated(
+        "kernel-identities",
+        potentials={("quadratic" if k == "quadratic-force" else k): v for k, v in default_scenario("kernel-identities")["potentials"].items()},
+    ),
+}
+
+EQUILIBRIUM_CONFIG_ERRORS = {
+    "orders 7": _mutated("equilibrium-loop", orders=[0, 7]),
+    "orders -1": _mutated("equilibrium-loop", orders=[-1]),
+    "orders 1.5": _mutated("equilibrium-loop", orders=[1.5]),
+    "chains 0": _mutated("equilibrium-loop", chains=0),
+    "chains 1": _mutated("equilibrium-loop", chains=1),
+    "sweeps 1e5": _mutated("equilibrium-loop", sweeps=1e5),
+    "case without beta": _mutated("equilibrium-loop", cases=[{"n_particles": 2}]),
+    "beta -1": _mutated("equilibrium-loop", cases__0__beta=-1.0),
+    "n_particles 0": _mutated("equilibrium-loop", cases__3__n_particles=0),
+    "n_particles 2.5": _mutated("equilibrium-loop", cases__0__n_particles=2.5),
+    "no cases": _mutated("equilibrium-loop", cases=[]),
+    "b not confining": _mutated("equilibrium-loop", b={"2": 1.0}),
+    "b not Gaussian": _mutated("equilibrium-loop", b={"1": 1, "3": 0.2}),
+    "b_1 negative": _mutated("equilibrium-loop", b={"1": -1.0}),
+    "malformed: case not an object": _mutated("equilibrium-loop", cases=[[2, 1.0]]),
+    "malformed: b as a list": _mutated("equilibrium-loop", b=[1.0]),
 }
 
 
-@pytest.mark.parametrize("case", sorted(OPERATOR_CONFIG_ERRORS))
-def test_operator_config_errors_exit_2(tmp_path, case):
-    """Configs that the operator suites cannot run are config errors: exit 2
-    with a message, no traceback, no report."""
+def _assert_config_error(tmp_path, scn, malformed):
+    """Running scn exits 2 with a message, no traceback and no report."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(OPERATOR_CONFIG_ERRORS[case]))
+    cfg.write_text(json.dumps(scn))
     proc = subprocess.run(
         [sys.executable, "-m", "coulombgas.cli", "run", str(cfg), "--out", str(tmp_path / "out")],
         capture_output=True,
@@ -120,9 +141,33 @@ def test_operator_config_errors_exit_2(tmp_path, case):
     assert "config error:" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
-    if case.startswith("malformed:"):
+    if malformed:
         # a value the rule cannot read is reported with its cause
         assert "could not evaluate:" in proc.stderr
+
+
+@pytest.mark.parametrize("case", sorted(OPERATOR_CONFIG_ERRORS))
+def test_operator_config_errors_exit_2(tmp_path, case):
+    """Configs that the operator suites cannot run are config errors."""
+    _assert_config_error(tmp_path, OPERATOR_CONFIG_ERRORS[case], case.startswith("malformed:"))
+
+
+@pytest.mark.parametrize("case", sorted(EQUILIBRIUM_CONFIG_ERRORS))
+def test_equilibrium_config_errors_exit_2(tmp_path, case):
+    """equilibrium-loop configs that would end in a traceback, a nan standard
+    error or an empty run are config errors."""
+    _assert_config_error(tmp_path, EQUILIBRIUM_CONFIG_ERRORS[case], case.startswith("malformed:"))
+
+
+def test_equilibrium_reports_sampler_diagnostics():
+    """Each pi2-stationary row carries the sampler's acceptance rate and
+    integrated autocorrelation time of pi_1."""
+    rep, _ = run_suite(_small_scenario("equilibrium-loop"))
+    rows = [c for c in rep["checks"] if c["name"].startswith("pi2-stationary/")]
+    assert len(rows) == 4
+    for c in rows:
+        assert 0.0 < c["acceptance"] < 1.0 and isinstance(c["acceptance"], float)
+        assert c["tau_int"] >= 1.0 and isinstance(c["tau_int"], float)
 
 
 def test_engine_failure_writes_failed_report(tmp_path, capsys):
