@@ -404,6 +404,7 @@ def run_sv_algebra(scn):
     from .dyson import InitSpec, simulate_dbm
     from .svconstraints import (
         build_dynamical_constraint,
+        constraint_functional,
         constraint_residual_mc,
         verify_sv_algebra_linear,
         verify_sv_algebra_quadratic,
@@ -471,6 +472,10 @@ def run_sv_algebra(scn):
         grid = TimeGrid(mc["grid"]["dt"], mc["grid"]["steps"])
         tmax = grid.dt * grid.steps
         a = bump(0.0, tmax, 4)
+        cops = {
+            f"n={n}": build_dynamical_constraint(n, a, pot, mc["n_particles"], grid, mc["k_max"], parts="affine")
+            for n in (-1, 0)
+        }
         ens = simulate_dbm(
             pot,
             mc["n_particles"],
@@ -479,14 +484,13 @@ def run_sv_algebra(scn):
             InitSpec("equispaced", shift=mc["init_shift"]),
             seed=scn["seed"],
             k_track=4,
-            track_slin=(1, 2),
+            functionals={name: constraint_functional(cop) for name, cop in cops.items()},
         )
-        for n in (-1, 0):
-            cop = build_dynamical_constraint(n, a, pot, mc["n_particles"], grid, mc["k_max"], parts="affine")
-            mean, se = constraint_residual_mc(cop, ens, 0)
+        for name, cop in cops.items():
+            mean, se = constraint_residual_mc(cop, ens, name)
             checks.append(
                 check(
-                    f"constraint-order0/n={n}",
+                    f"constraint-order0/{name}",
                     "dynamical constraint annihilates the generating functional at order tau^0",
                     mean,
                     tol["mc_sigmas"] * se if se else 1e-12,
@@ -634,14 +638,7 @@ def run_dbm_moments(scn):
 
 def run_girsanov(scn):
     from .boson import TimeGrid
-    from .dyson import (
-        InitSpec,
-        girsanov_logweight,
-        girsanov_quadratic_correction,
-        linear_statistics,
-        perturbed_potential,
-        simulate_dbm,
-    )
+    from .dyson import InitSpec, girsanov_functionals, perturbed_potential, simulate_dbm
 
     checks, tables = [], {}
     sig = scn["tolerances"]["sigmas"]
@@ -649,15 +646,15 @@ def run_girsanov(scn):
     grid = TimeGrid(scn["grid"]["dt"], scn["grid"]["steps"])
     tau = {int(k): float(v) for k, v in scn["tau"].items()}
     init = InitSpec("explicit", values=tuple(scn["init_values"]))
-    base = simulate_dbm(pot, scn["n_particles"], grid, scn["replicas"], init, seed=scn["seed"], keep_paths=True, k_track=4)
-    lw = girsanov_logweight(base, tau)
-    qc = girsanov_quadratic_correction(base, tau)
-    w = np.exp(lw + qc)
+    funcs = girsanov_functionals(tau, grid)
+    base = simulate_dbm(pot, scn["n_particles"], grid, scn["replicas"], init, seed=scn["seed"], k_track=4, functionals=funcs)
+    per_rep = base.functional_samples
+    w = np.exp(per_rep["logweight"] + per_rep["quadratic"])
     mean_w = float(w.mean())
     se_w = float(w.std(ddof=1) / math.sqrt(w.size))
     checks.append(check("full-weight-mean", "E[exp(logweight + quadratic correction)] = 1", mean_w - 1.0, sig * se_w, mean=mean_w))
 
-    pi2 = linear_statistics(base, 2)[:, -1]
+    pi2 = per_rep["pi2_end"]
     rew = float(np.sum(w * pi2) / np.sum(w))
     se_rew = float(np.std(w * (pi2 - rew), ddof=1) / (np.mean(w) * math.sqrt(base.m)))
     tilted = perturbed_potential(pot, tau)
@@ -933,16 +930,40 @@ def write_report(report, tables, out_dir: Path):
             w.writerows(rows)
 
 
+def _l_max(spec) -> int:
+    """The force support L_max of a potential config: the highest l with
+    b_l != 0, as in kernel.Potential.l_max.  No Potential is built here,
+    because importing kernel would add about 10 ms to every validation."""
+    return max((l for l, v in _forces(spec).items() if v), default=0)
+
+
 def _covers_forces(scn) -> bool:
-    """k_max reaches the force support L_max of every potential the suite
-    tabulates: the highest l with b_l != 0, as in kernel.Potential.l_max.
-    No Potential is built here, because importing kernel would add about
-    10 ms to every validation."""
+    """k_max reaches the force support L_max of every potential the suite tabulates."""
     mc = scn.get("constraint_mc") or {}
     specs = [(scn["k_max"], p) for p in scn.get("potentials", {}).values()]
     specs += [(scn["k_max"], scn)] if "b" in scn else []
     specs += [(mc["k_max"], mc)] if mc else []
-    return all(k >= max((l for l, v in _forces(spec).items() if v), default=0) for k, spec in specs)
+    return all(k >= _l_max(spec) for k, spec in specs)
+
+
+def _langevin_runs(scn) -> list:
+    """The config blocks that set up a Langevin simulation: sv-algebra's
+    constraint_mc (when set) or the scenario itself."""
+    if scn["suite"] == "sv-algebra":
+        return [scn["constraint_mc"]] if scn["constraint_mc"] else []
+    return [scn]
+
+
+#: The fields and kinds of dyson.InitSpec, named here so that validation
+#: does not import the engine.
+INIT_KEYS = ("kind", "shift", "halfwidth", "values", "sweeps", "seed")
+INIT_KINDS = ("equispaced", "explicit", "equilibrium")
+
+
+def _init_ok(scn) -> bool:
+    init = scn["init"]
+    kind = init.get("kind", "equispaced")
+    return set(init) <= set(INIT_KEYS) and kind in INIT_KINDS and (kind != "explicit" or len(init["values"]) == scn["n_particles"])
 
 
 #: The potentials run_kernel_identities reads by name.
@@ -953,6 +974,8 @@ def _eq_case(case) -> bool:
     n, beta = case.get("n_particles"), case.get("beta")
     return isinstance(n, int) and n >= 1 and isinstance(beta, (int, float)) and beta >= 0
 
+
+LANGEVIN_SUITES = ("sv-algebra", "dbm-moments", "girsanov", "npoint")
 
 #: Value rules beyond the presence of keys: (suites, rule, message).
 VALUE_RULES = (
@@ -968,6 +991,14 @@ VALUE_RULES = (
     (("equilibrium-loop",), lambda s: all(isinstance(o, int) and 0 <= o <= 6 for o in s["orders"]), "orders must be integers in 0..6: order n reads pi_(n+2), and the sampler tracks pi_k up to k = 8"),
     (("equilibrium-loop",), lambda s: isinstance(s["chains"], int) and s["chains"] >= 2 and isinstance(s["sweeps"], int), "chains must be an integer >= 2 (the standard errors are the scatter across chains) and sweeps an integer"),
     (("equilibrium-loop",), lambda s: len(s["cases"]) >= 1 and all(_eq_case(c) for c in s["cases"]), "cases must be a non-empty list; every case needs an integer n_particles >= 1 and a number beta >= 0"),
+    (LANGEVIN_SUITES, lambda s: all(isinstance(r["replicas"], int) and r["replicas"] >= 2 for r in _langevin_runs(s)), "replicas must be an integer >= 2: the standard errors are the scatter across replicas"),
+    (LANGEVIN_SUITES, lambda s: all(isinstance(r["n_particles"], int) and r["n_particles"] >= 1 for r in _langevin_runs(s)), "n_particles must be an integer >= 1"),
+    (("sv-algebra",), lambda s: all(r["k_max"] >= max(2, 2 * _l_max(r)) for r in _langevin_runs(s)), "constraint_mc.k_max must be >= max(2, 2 L_max): the constraint weights reach mode 2 L_max"),
+    (("girsanov",), lambda s: all(int(k) >= 2 and math.isfinite(float(v)) for k, v in s["tau"].items()), "tau must map integers k >= 2 to numbers: a tau_1 tilt is a constant force, not a potential"),
+    (("girsanov",), lambda s: len(s["init_values"]) == s["n_particles"], "init_values must hold n_particles values"),
+    (("dbm-moments",), lambda s: all(isinstance(k, int) and 0 <= k and k + max(_l_max(s), 1) - 1 <= 6 for k in s["moment_ks"]), "moment_ks must be integers k >= 0 with k + L_max - 1 <= 6: the run tracks pi_k up to k = 6"),
+    (("dbm-moments", "npoint"), _init_ok, f"init must set kind in {', '.join(INIT_KINDS)} and no keys beyond {', '.join(INIT_KEYS)}; an explicit init needs n_particles values"),
+    (("npoint",), lambda s: all(isinstance(k, int) and 0 <= k <= s["k_max"] for k in s["modes"]), "modes must be integers in 0..k_max"),
 )
 
 

@@ -6,9 +6,12 @@ Simulates the coupled eigenvalue-type dynamics
 
 with the noise convention Var(dB) = 2 dt, by Euler-Maruyama with step
 rejection on ordering violations (beta >= 1).  Provides Metropolis sampling
-of the stationary Gibbs measure, linear statistics, path reweighting with
-stored increments, the linearized action samples feeding the constraint and
-n-point checks, and the loop-equation / moment-hierarchy residuals.
+of the stationary Gibbs measure, the per-replica path functionals (reweighting
+log weights, linearized action densities, pi_k at chosen slots) that the
+reweighting, constraint and n-point checks average, and the loop-equation
+residual.  The stored-path post-processors (linear statistics, reweighting
+weights, action terms) are the reference the online functionals are tested
+against.
 
 Reproducibility: every batch of Gaussian increments comes from a
 counter-based generator keyed by (seed, step, retry), so results are bitwise
@@ -17,12 +20,12 @@ state is particle-major, (n, m); public arrays stay replica-major, (m, ...).
 
 Reweighting conventions (fixed by the 2 dt noise variance):
 
-* the stored log weight is  -sum_i int nu_i (d lam_i + dW/dlam_i dt)  with
+* the log weight is  -sum_i int nu_i (d lam_i + dW/dlam_i dt)  with
   nu_i = d/dlam_i sum_k tau_k lam_i^k  (left-point Ito sums);
 * exp(logweight) * exp(-int sum_i nu_i^2 dt) is an exact martingale
   (mean 1), and tilting by it moves the drift by -2 nu_i, i.e. onto the
   potential W + 2 sum_k tau_k pi_k.  A perturbation written as
-  W + (1/2) sum tau_k pi_k corresponds to one quarter of the stored
+  W + (1/2) sum tau_k pi_k corresponds to one quarter of this
   exponent; the factor is pinned here by the mean-one and two-simulation
   consistency tests.
 """
@@ -51,7 +54,7 @@ __all__ = [
     "perturbed_potential",
     "action_terms",
     "slin_increment",
-    "moment_hierarchy_residual",
+    "girsanov_functionals",
     "loop_equation_residual",
     "npoint_vs_kernel",
     "npoint_functionals",
@@ -113,15 +116,14 @@ class Ensemble:
     incs: np.ndarray | None = None        # stored Brownian increments (m, steps, n)
     pi_sum: np.ndarray | None = None      # (steps+1, k_track+1)
     pi_sumsq: np.ndarray | None = None
-    pair_sum: dict = field(default_factory=dict)     # (a, b) -> (steps+1,) sums of pi_a pi_b
-    pair_sumsq: dict = field(default_factory=dict)
     noise_sum: float = 0.0
     noise_sumsq: float = 0.0
     noise_count: int = 0
     rejected: int = 0
     substepped: int = 0
-    slin_samples: np.ndarray | None = None  # (m, len(modes), steps+1)
-    slin_modes: tuple = ()
+    # always None; kept because the benchmark tracer sums the stored bytes
+    # of paths, incs and slin_samples
+    slin_samples: np.ndarray | None = None
     functional_samples: dict = field(default_factory=dict)  # name -> (m,) per-replica values
     moment_residual_samples: dict = field(default_factory=dict)  # k -> (m,) time-averaged residual
     martingale_samples: dict = field(default_factory=dict)       # k -> (m,) time-averaged S_k
@@ -136,15 +138,6 @@ class Ensemble:
 
     def pi_se(self, k: int) -> np.ndarray:
         var = self.pi_sumsq[:, k] / self.m - (self.pi_sum[:, k] / self.m) ** 2
-        return np.sqrt(np.maximum(var, 0.0) / max(self.m - 1, 1))
-
-    def pair_mean(self, a: int, b: int) -> np.ndarray:
-        key = (min(a, b), max(a, b))
-        return self.pair_sum[key] / self.m
-
-    def pair_se(self, a: int, b: int) -> np.ndarray:
-        key = (min(a, b), max(a, b))
-        var = self.pair_sumsq[key] / self.m - (self.pair_sum[key] / self.m) ** 2
         return np.sqrt(np.maximum(var, 0.0) / max(self.m - 1, 1))
 
 
@@ -200,7 +193,6 @@ def simulate_dbm(
     init: InitSpec | None = None,
     seed: int = 0,
     k_track: int = 6,
-    track_slin: tuple = (),
     track_moment_residual: tuple = (),
     functionals: dict | None = None,
     keep_paths: bool = False,
@@ -211,20 +203,29 @@ def simulate_dbm(
     below GAP_MIN) are rejected and redrawn with fresh counter-keyed noise;
     a terminal rejection rate >= 1% raises RejectionRateError.
 
-    ``functionals`` maps names to dicts {"pi": {k: weights}, "s": {l:
-    weights}, "q": {l: weights}} of per-slot weights; each accumulates the
-    per-replica linear path functional sum_j w_j X(t_j).
+    ``functionals`` maps names to dicts of per-slot weights, {kind: {k:
+    weights}} with weights of length steps+1; each name accumulates the
+    per-replica path functional sum_j w_j X_k(j) summed over its entries.
+    The four kinds of X_k(j) are
+      "pi": pi_k(t_j), on every slot j = 0..steps;
+      "s":  the linearized action density S_k(t_j) of step j (see
+            :func:`slin_increment`), j < steps;
+      "q":  the leading mean of the higher Ito remainder of the pi_k
+            update of step j, times dt, j < steps;
+      "db": sum_i k lam_i(t_j)^(k-1) dB_i(j), the Ito integrand of the
+            reweighting log weight (see :func:`girsanov_functionals`), j < steps.
     ``track_moment_residual`` lists modes k for which the time-averaged
     evolution-identity residual (centered time derivative telescoped over the
     interior window) and the time-averaged martingale density S_k are
     accumulated per replica, giving exact replica-scatter error bars.
     ``keep_paths`` stores every trajectory and Brownian increment in
-    ``paths`` and ``incs`` for the path post-processors; without it both stay
-    None and only the online accumulators are kept.
+    ``paths`` and ``incs``.  It serves the stored-path post-processors, the
+    reference the online functionals are tested against; without it both
+    stay None and only the online accumulators are kept.
 
     The state is particle-major, (n, m): a sum over particles is n - 1
     contiguous row adds, and one power stack lam^0..lam^k_track per slot
-    feeds every moment, pair and martingale accumulator.  Noise is drawn,
+    feeds every moment, functional and martingale accumulator.  Noise is drawn,
     retried and summed as (m, n) blocks; ``paths`` (m, steps+1, n) and
     ``incs`` (m, steps, n) stay replica-major.  For n <= 7 these row adds
     equal numpy's replica-major sum over axis 1 bit for bit; for n >= 8 that
@@ -242,15 +243,6 @@ def simulate_dbm(
         ens.incs = np.empty((m, steps, n))
     ens.pi_sum = np.zeros((steps + 1, k_track + 1))
     ens.pi_sumsq = np.zeros((steps + 1, k_track + 1))
-    pair_keys = [(a, b) for a in range(k_track - 1) for b in range(a, k_track - 1)]
-    pair_a, pair_b = np.array(pair_keys, dtype=int).reshape(-1, 2).T
-    pair_sum, pair_sumsq = np.zeros((2, len(pair_keys), steps + 1))
-    ens.pair_sum = dict(zip(pair_keys, pair_sum))
-    ens.pair_sumsq = dict(zip(pair_keys, pair_sumsq))
-    modes = tuple(track_slin)
-    if modes:
-        ens.slin_modes = modes
-        ens.slin_samples = np.zeros((m, len(modes), steps + 1))
     mres_ks = tuple(track_moment_residual)
     for k in mres_ks:
         if k + pot.l_max - 1 > k_track or k > k_track:
@@ -269,9 +261,6 @@ def simulate_dbm(
         pis = pows.sum(axis=1)  # (k_track+1, m): pi_k per replica
         ens.pi_sum[j] += pis.sum(axis=1)
         ens.pi_sumsq[j] += (pis**2).sum(axis=1)
-        pab = pis[pair_a] * pis[pair_b]
-        pair_sum[:, j] += pab.sum(axis=1)
-        pair_sumsq[:, j] += (pab**2).sum(axis=1)
         for name, spec in functionals.items():
             for k, w in spec.get("pi", {}).items():
                 if w[j] != 0.0:
@@ -364,8 +353,6 @@ def simulate_dbm(
             ens.paths[:, j + 1] = prop.T
         db = np.ascontiguousarray(db.T)
         dlam = prop - lam
-        for idx, l in enumerate(modes):
-            ens.slin_samples[:, idx, j] = slin_increment(pot, lam.T, dlam.T, dt, l) / dt
         for name, spec in functionals.items():
             for l, w in spec.get("s", {}).items():
                 if w[j] != 0.0:
@@ -380,6 +367,10 @@ def simulate_dbm(
                     if l >= 4:
                         q += 0.5 * l * (l - 1) * (l - 2) * (l - 3) * np.sum(lam ** (l - 4), axis=0)
                     facc[name] += w[j] * q * dt
+            for k, w in spec.get("db", {}).items():
+                if w[j] != 0.0:
+                    lam_k = pows[k - 1] if k <= k_track + 1 else lam ** (k - 1)
+                    facc[name] += np.sum((k * w[j]) * lam_k * db, axis=0)
         for k in mres_ks:
             sfull[k] += np.sum(k * pows[k - 1] * db, axis=0)  # S_k dt = sum k lam^(k-1) dB
         lam = prop
@@ -549,7 +540,7 @@ def _nu(tau_prof, lam, j):
 
 
 def girsanov_logweight(e: Ensemble, tau) -> np.ndarray:
-    """Stored-measure log weight, left-point Ito sums, per replica.
+    """Log weight from stored paths, left-point Ito sums, per replica.
 
     Equals -sum_{i,j} nu_i(t_j) [dlam_i + dW/dlam_i dt]; on accepted steps
     the bracket is exactly the stored Brownian increment.
@@ -576,8 +567,29 @@ def girsanov_quadratic_correction(e: Ensemble, tau) -> np.ndarray:
     return out
 
 
+def girsanov_functionals(tau, grid: TimeGrid) -> dict:
+    """The reweighting quantities as :func:`simulate_dbm` functionals.
+
+    "logweight" is :func:`girsanov_logweight` (weights -tau_k on the Ito
+    integrand "db"), "quadratic" is :func:`girsanov_quadratic_correction`
+    expanded as -sum_{k,k'} k k' tau_k tau_k' pi_{k+k'-2} dt, and "pi2_end"
+    is pi_2 at the last slot.  The Ito sums run over slots 0..steps-1.
+    """
+    live = np.ones(grid.nslots)
+    live[-1] = 0.0
+    quad = {}
+    for k, tk in tau.items():
+        for k2, tk2 in tau.items():
+            quad[k + k2 - 2] = quad.get(k + k2 - 2, 0.0) - (k * k2 * tk * tk2 * grid.dt) * live
+    return {
+        "logweight": {"db": {k: -tk * live for k, tk in tau.items()}},
+        "quadratic": {"pi": quad},
+        "pi2_end": {"pi": {2: 1.0 - live}},
+    }
+
+
 def perturbed_potential(pot: Potential, tau: dict) -> Potential:
-    """Potential whose dynamics the stored weight exp(logweight + quadr)
+    """Potential whose dynamics the weight exp(logweight + quadr)
     reweights onto: V' -> V' + 2 sum_k k tau_k x^(k-1)."""
     b = dict(pot.b)
     for k, tk in tau.items():
@@ -620,40 +632,6 @@ def action_terms(e: Ensemble, tau) -> tuple[np.ndarray, np.ndarray]:
 
 # ----------------------------------------------------------------------
 # residual diagnostics
-
-
-def moment_hierarchy_residual(e: Ensemble, k: int):
-    """Time-resolved and time-averaged residual of the averaged evolution
-    identity for pi_k.
-
-    residual(t) = d/dt E pi_k + (beta/2-1) k(k-1) E pi_{k-2}
-                  + k sum_l b_l E pi_{l+k-1} - (beta/2) k sum_q E pi_q pi_{k-2-q}
-
-    with the derivative by centered differences.  Returns (times, residual,
-    se) on interior slots; the SE combines the moment standard errors in
-    quadrature (conservative).
-    """
-    if k == 0:
-        t = e.grid.times[1:-1]
-        z = np.zeros_like(t)
-        return t, z, z
-    dt = e.grid.dt
-    mean_k = e.pi_mean(k)
-    dpi = (mean_k[2:] - mean_k[:-2]) / (2 * dt)
-    se2 = ((e.pi_se(k)[2:] ** 2 + e.pi_se(k)[:-2] ** 2) / (2 * dt) ** 2)
-    res = dpi.copy()
-    sl = np.s_[1:-1]
-    if k >= 2:
-        res += (e.pot.beta / 2.0 - 1.0) * k * (k - 1) * e.pi_mean(k - 2)[sl]
-        se2 += ((e.pot.beta / 2.0 - 1.0) * k * (k - 1) * e.pi_se(k - 2)[sl]) ** 2
-    for l, bl in e.pot.b.items():
-        res += k * bl * e.pi_mean(l + k - 1)[sl]
-        se2 += (k * bl * e.pi_se(l + k - 1)[sl]) ** 2
-    if k >= 2:
-        for q in range(0, k - 1):
-            res -= (e.pot.beta / 2.0) * k * e.pair_mean(q, k - 2 - q)[sl]
-            se2 += ((e.pot.beta / 2.0) * k * e.pair_se(q, k - 2 - q)[sl]) ** 2
-    return e.grid.times[sl], res, np.sqrt(se2)
 
 
 def loop_equation_residual(s: EqSamples, n: int, pot: Potential):

@@ -58,6 +58,7 @@ __all__ = [
     "verify_sv_algebra_linear",
     "hermite_cancellation_pairs",
     "hermite_lin_quadr_bracket",
+    "constraint_functional",
     "constraint_residual_mc",
     "EQ_GRID",
 ]
@@ -630,54 +631,28 @@ def hermite_lin_quadr_bracket(f, g, pot: Potential, n_particles, grid, k_max):
 # Monte Carlo constraint residuals
 
 
-def constraint_residual_mc(cop: ConstraintOp, ensemble, tau_order: int = 0):
+def constraint_functional(cop: ConstraintOp) -> dict:
+    """The order-tau^0 constraint residual as a :func:`simulate_dbm`
+    functional: weights -dt d[l, j] on the action densities S_l(t_j), where
+    d is the derivative part of ``cop.total()``."""
+    op = cop.total()
+    if op.dd is not None and np.any(op.dd):
+        raise ValueError("the constraint has a second-derivative block, which the order-tau^0 functional does not carry")
+    w = op.d.reshape(op.k_max, op.grid.nslots)
+    return {"s": {l: -op.grid.dt * wl for l, wl in enumerate(w, start=1) if np.any(wl)}}
+
+
+def constraint_residual_mc(cop: ConstraintOp, ensemble, name: str):
     """Constraint residual on the Monte Carlo generating functional.
 
-    At order tau^0 the residual is
-
-        const - dt * sum_{l,j} d[l,j] * avg S_l(t_j)
-              + dt^2 * sum DD[u,v] * avg (S_u S_v)
-
-    with S the linearized per-replica action densities carried by the
-    ensemble; the standard error comes from the replica scatter of the same
-    linear combination.  Returns (mean, se); only order tau^0 is estimated,
-    and any other ``tau_order`` raises ValueError.
+    At order tau^0 the residual is  const - dt * sum_{l,j} d[l,j] * avg S_l(t_j),
+    with S the linearized per-replica action densities; the sum is the
+    functional :func:`constraint_functional` that the ensemble accumulated
+    under ``name``.  The standard error is the replica scatter of the same
+    combination.  Returns (mean, se).
     """
-    if tau_order != 0:
-        raise ValueError("only the order-tau^0 residual is estimated")
-    op = cop.total()
-    grid = op.grid
-    dt = grid.dt
-    slin = ensemble.slin_samples  # (M, n_modes, nslots), modes ensemble.slin_modes
-    if slin is None:
-        raise ValueError("ensemble was simulated without linearized-action tracking")
-    modes = list(ensemble.slin_modes)
-    m_rep = slin.shape[0]
-
-    dvec = op.d
-    per_rep = np.full(m_rep, op.const)
-    if dvec is not None:
-        w = dvec.reshape(op.k_max, grid.nslots)
-        for i, l in enumerate(modes):
-            if l <= op.k_max:
-                per_rep -= dt * slin[:, i, :] @ w[l - 1]
-        used = set(modes)
-        for l in range(1, op.k_max + 1):
-            if l not in used and np.any(w[l - 1]):
-                raise ValueError(f"operator needs S_{l} but the ensemble does not track it")
-    if op.dd is not None and np.any(op.dd):
-        flat = {}
-        for i, l in enumerate(modes):
-            flat[l] = slin[:, i, :]
-        dd = op.dd.reshape(op.k_max, grid.nslots, op.k_max, grid.nslots)
-        for l1 in range(1, op.k_max + 1):
-            for l2 in range(1, op.k_max + 1):
-                blk = dd[l1 - 1, :, l2 - 1, :]
-                if not np.any(blk):
-                    continue
-                if l1 not in flat or l2 not in flat:
-                    raise ValueError("second-derivative part needs untracked modes")
-                per_rep += dt * dt * np.einsum("mj,js,ms->m", flat[l1], blk, flat[l2])
+    per_rep = cop.total().const + ensemble.functional_samples[name]
+    m_rep = per_rep.size
     mean = float(np.mean(per_rep))
     se = float(np.std(per_rep, ddof=1) / np.sqrt(m_rep)) if m_rep > 1 else 0.0
     return mean, se

@@ -3,9 +3,11 @@
 The harness is loaded by path, as ``run.py`` starts it, and is not changed
 here.  Its tracer binds parameters by name (``e`` of the path
 post-processors, ``n``/``sweeps``/``chains`` of ``sample_equilibrium``,
-``a``/``b`` of ``commutator``) and its set-up validates the scenarios it
-derives from the default ones; an API change that breaks either fails here
-rather than in a benchmark run.
+``a``/``b`` of ``commutator``), reads ``paths``, ``incs`` and
+``slin_samples`` of every ``Ensemble``, wraps every name it lists by
+``getattr``, and its set-up validates the scenarios it derives from the
+default ones; an API change that breaks any of these fails here rather than
+in a benchmark run.
 """
 
 import importlib.util
@@ -13,8 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from coulombgas import boson, cli, dyson
+from coulombgas import boson, cli, dyson, svconstraints
 from coulombgas.kernel import Potential
+from coulombgas.timefunc import bump
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 HERMITE2 = Potential(2.0, {1: 1.0})
@@ -54,6 +57,28 @@ def test_tracer_counters_bind_and_restore():
     assert values["dyson.sample_equilibrium.site_updates"] == 10 * 20 * 2
     assert values["boson.commutator.operand_mb"] > 0.0
     assert set(tracer.per_layer_units()) - set(values) == {"trace.overhead_s"}
+
+
+def test_tracer_counts_online_run_as_unstored():
+    """A run with functionals and no stored paths stores nothing, and the
+    constraint residual reads its functional, both under the tracer."""
+    tracer = _load("tracer")
+    t = tracer.Tracer("contract-online")
+    t.install()
+    try:
+        grid = boson.TimeGrid(0.01, 20)
+        a = bump(0.0, grid.dt * grid.steps, 4)
+        cop = svconstraints.build_dynamical_constraint(-1, a, HERMITE2, 3, grid, 2, parts="affine")
+        funcs = {"constraint": svconstraints.constraint_functional(cop), **dyson.girsanov_functionals({2: 0.05}, grid)}
+        ens = dyson.simulate_dbm(HERMITE2, 3, grid, 10, seed=0, functionals=funcs)
+        svconstraints.constraint_residual_mc(cop, ens, "constraint")
+        values = t.layer_metrics({}, 0)
+    finally:
+        restored = t.uninstall()
+    assert restored
+    assert values["dyson.simulate_dbm.calls"] == 1 and values["svconstraints.constraint_residual_mc.calls"] == 1
+    assert values["dyson.simulate_dbm.stored_mb"] == 0.0
+    assert values["dyson.postproc.bytes_read"] == 0
 
 
 @pytest.mark.parametrize("workload", ["langevin-online", "langevin-stored", "operator-algebra", "gibbs-loop"])

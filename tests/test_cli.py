@@ -128,6 +128,33 @@ EQUILIBRIUM_CONFIG_ERRORS = {
 }
 
 
+LANGEVIN_CONFIG_ERRORS = {
+    "girsanov tau_1": _mutated("girsanov", tau={"1": 0.1}),
+    "girsanov init_values of the wrong length": _mutated("girsanov", init_values=[-1.0, 0.0, 1.0]),
+    "girsanov n_particles 0": _mutated("girsanov", n_particles=0, init_values=[]),
+    "girsanov replicas 1": _mutated("girsanov", replicas=1),
+    "dbm-moments moment_ks 7": _mutated("dbm-moments", moment_ks=[1, 7]),
+    "dbm-moments init kind bogus": _mutated("dbm-moments", init={"kind": "bogus"}),
+    "dbm-moments unknown init key": _mutated("dbm-moments", init={"kind": "equispaced", "offset": 0.5}),
+    "dbm-moments replicas 1": _mutated("dbm-moments", replicas=1),
+    "npoint mode above k_max": _mutated("npoint", modes=[1, 5]),
+    "npoint explicit init of the wrong length": _mutated("npoint", init={"kind": "explicit", "values": [0.0, 1.0]}),
+    "sv-algebra constraint_mc k_max 1": _mutated("sv-algebra", constraint_mc__k_max=1),
+    "sv-algebra constraint_mc replicas 1": _mutated("sv-algebra", constraint_mc__replicas=1),
+    "malformed: girsanov tau key not an integer": _mutated("girsanov", tau={"two": 0.05}),
+}
+
+
+def test_init_keys_name_the_engine_fields():
+    """The init keys validation accepts are the fields of dyson.InitSpec."""
+    import dataclasses
+
+    from coulombgas.cli import INIT_KEYS
+    from coulombgas.dyson import InitSpec
+
+    assert INIT_KEYS == tuple(f.name for f in dataclasses.fields(InitSpec))
+
+
 def _assert_config_error(tmp_path, scn, malformed):
     """Running scn exits 2 with a message, no traceback and no report."""
     cfg = tmp_path / "cfg.json"
@@ -150,6 +177,13 @@ def _assert_config_error(tmp_path, scn, malformed):
 def test_operator_config_errors_exit_2(tmp_path, case):
     """Configs that the operator suites cannot run are config errors."""
     _assert_config_error(tmp_path, OPERATOR_CONFIG_ERRORS[case], case.startswith("malformed:"))
+
+
+@pytest.mark.parametrize("case", sorted(LANGEVIN_CONFIG_ERRORS))
+def test_langevin_value_errors_exit_2(tmp_path, case):
+    """Langevin-suite configs that would end in a traceback, a nan standard
+    error or a vacuous pass are config errors."""
+    _assert_config_error(tmp_path, LANGEVIN_CONFIG_ERRORS[case], case.startswith("malformed:"))
 
 
 @pytest.mark.parametrize("case", sorted(EQUILIBRIUM_CONFIG_ERRORS))

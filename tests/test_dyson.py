@@ -8,19 +8,22 @@ from coulombgas.dyson import (
     InitSpec,
     action_terms,
     dump_paths,
+    girsanov_functionals,
     girsanov_logweight,
     girsanov_quadratic_correction,
     linear_statistics,
     load_paths,
     loop_equation_residual,
-    moment_hierarchy_residual,
     npoint_functionals,
     npoint_vs_kernel,
     perturbed_potential,
     sample_equilibrium,
     simulate_dbm,
+    slin_increment,
 )
 from coulombgas.kernel import Potential
+from coulombgas.svconstraints import build_dynamical_constraint, constraint_functional
+from coulombgas.timefunc import bump
 
 HERMITE2 = Potential(2.0, {1: 1.0})
 
@@ -313,6 +316,50 @@ def test_action_terms_consistency():
     assert abs(np.mean(s_lin2 + s_quad2 + girsanov_logweight(ens, tau2))) < 5e-3
 
 
+def test_online_reweighting_functionals_match_stored_path_oracles():
+    """The functionals of girsanov_functionals equal the stored-path
+    post-processors: bit for bit where both sum in the same order (a single
+    tau_k, pi_2 at the last slot), to rounding otherwise.  tau_6 reads
+    lam^5 beyond the power stack of k_track = 4."""
+    grid = TimeGrid(1e-3, 200)
+    taus = {"single": {2: 0.05}, "beyond-stack": {6: 1e-5}, "mixed": {1: 0.02, 3: 0.01}}
+    funcs = {f"{label}:{name}": spec for label, tau in taus.items() for name, spec in girsanov_functionals(tau, grid).items()}
+    ens = simulate_dbm(
+        HERMITE2, 5, grid, 300, InitSpec("equispaced", shift=0.4), seed=19, k_track=4, functionals=funcs, keep_paths=True
+    )
+    got = ens.functional_samples
+
+    def rel(a, b):
+        return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+    for label in ("single", "beyond-stack"):
+        assert np.array_equal(got[f"{label}:logweight"], girsanov_logweight(ens, taus[label]))
+    assert rel(got["mixed:logweight"], girsanov_logweight(ens, taus["mixed"])) < 1e-13
+    for label, tau in taus.items():
+        assert np.array_equal(got[f"{label}:pi2_end"], linear_statistics(ens, 2)[:, -1])
+        assert rel(got[f"{label}:quadratic"], girsanov_quadratic_correction(ens, tau)) < 1e-13
+
+
+def test_constraint_functional_matches_stored_path_contraction():
+    """The online constraint functional equals the contraction of the
+    action densities computed from the stored paths with its weights; the
+    generic potential's constraints weight modes 1..4."""
+    pot = Potential(2.0, {1: 0.5, 2: 0.3})
+    grid = TimeGrid(1e-3, 200)
+    a = bump(0.0, grid.dt * grid.steps, 4)
+    specs = {n: constraint_functional(build_dynamical_constraint(n, a, pot, 4, grid, 4, parts="affine")) for n in (-1, 0)}
+    assert sorted(specs[0]["s"]) == [1, 2, 3, 4]
+    ens = simulate_dbm(pot, 4, grid, 200, seed=7, k_track=4, functionals=specs, keep_paths=True)
+    for n, spec in specs.items():
+        want = np.zeros(ens.m)
+        for l, w in spec["s"].items():
+            for j in range(grid.steps):
+                lam = ens.paths[:, j]
+                want += w[j] * slin_increment(pot, lam, ens.paths[:, j + 1] - lam, grid.dt, l) / grid.dt
+        got = ens.functional_samples[n]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), n
+
+
 def test_action_lin_mean_zero():
     """E S_k(t) = 0: the per-replica time-averaged martingale density."""
     grid = TimeGrid(1e-3, 300)
@@ -323,21 +370,6 @@ def test_action_lin_mean_zero():
 
 
 # --------------------------------------------------------- moment hierarchy
-
-
-def test_moment_hierarchy_k0_trivial():
-    grid = TimeGrid(1e-3, 50)
-    ens = simulate_dbm(HERMITE2, 3, grid, 100, seed=0)
-    _, res, _ = moment_hierarchy_residual(ens, 0)
-    assert np.all(res == 0.0)
-
-
-def test_moment_hierarchy_k1_exact_ode():
-    grid = TimeGrid(1e-3, 400)
-    ens = simulate_dbm(HERMITE2, 5, grid, 8000, InitSpec("equispaced", shift=0.4), seed=41, k_track=4)
-    _, res, se = moment_hierarchy_residual(ens, 1)
-    frac = np.mean(np.abs(res) < 3 * se + 1e-2)
-    assert frac > 0.9
 
 
 def test_moment_hierarchy_time_averaged():

@@ -8,6 +8,7 @@ from coulombgas.kernel import Potential
 from coulombgas.svconstraints import (
     ConstraintOp,
     build_dynamical_constraint,
+    constraint_functional,
     constraint_residual_mc,
     equilibrium_virasoro_op,
     hermite_cancellation_pairs,
@@ -238,9 +239,12 @@ def test_hermite_lin_quadr_total_derivative():
 
 
 class _StubEnsemble:
-    def __init__(self, slin_samples, modes):
-        self.slin_samples = slin_samples
-        self.slin_modes = modes
+    """Carries the constraint functional of cop under the name "c", formed
+    from given action densities s[replica, mode - 1, slot]."""
+
+    def __init__(self, cop, s):
+        spec = constraint_functional(cop)
+        self.functional_samples = {"c": sum(s[:, l - 1] @ w for l, w in spec["s"].items())}
 
 
 def test_constraint_residual_mc_linear_combination():
@@ -254,8 +258,8 @@ def test_constraint_residual_mc_linear_combination():
     modes = [1, 2, 3, 4]
     base = rng.standard_normal((len(modes), grid.nslots))
     samples = base[None] + 0.1 * rng.standard_normal((m_rep, len(modes), grid.nslots))
-    ens = _StubEnsemble(samples, modes)
-    mean, se = constraint_residual_mc(cop, ens, 0)
+    ens = _StubEnsemble(cop, samples)
+    mean, se = constraint_residual_mc(cop, ens, "c")
     op = cop.total()
     w = op.d.reshape(op.k_max, grid.nslots)
     sbar = samples.mean(axis=0)
@@ -273,8 +277,8 @@ def test_affine_constraint_has_no_time_derivation():
     assert cop.diff is None and cop.total().xd is None
     with_diff = ConstraintOp(0, a, cop.lin, cop.quadr, (-1.0) * time_derivation(a, grid, 4))
     rng = np.random.default_rng(1)
-    ens = _StubEnsemble(rng.standard_normal((300, 4, grid.nslots)), [1, 2, 3, 4])
-    assert constraint_residual_mc(cop, ens, 0) == constraint_residual_mc(with_diff, ens, 0)
+    s = rng.standard_normal((300, 4, grid.nslots))
+    assert constraint_residual_mc(cop, _StubEnsemble(cop, s), "c") == constraint_residual_mc(with_diff, _StubEnsemble(with_diff, s), "c")
 
 
 def test_constraint_residual_mc_exact_moment_profile():
@@ -290,12 +294,22 @@ def test_constraint_residual_mc_exact_moment_profile():
         # exact expectations: E S_1 = 0; E S_2 = 2 N^2 (beta = 2, sigma = 1);
         # higher modes: stationary-start closed forms are not needed since
         # the operator only touches modes 1, 2
-        s = np.zeros((1, 2, grid.nslots))
+        s = np.zeros((1, 4, grid.nslots))
         s[0, 1, :] = 2.0 * n_part**2
-        ens = _StubEnsemble(s, [1, 2])
-        mean, _ = constraint_residual_mc(cop, ens, 0)
+        mean, _ = constraint_residual_mc(cop, _StubEnsemble(cop, s), "c")
         vals.append(abs(mean))
     # the n=0 constraint with exact moments: residual pure discretization
     scale = 2.0 * n_part**2
     assert vals[0] / scale < 0.05
     assert vals[1] <= vals[0]
+
+
+def test_constraint_functional_rejects_second_derivative_block():
+    """A quartic force gives the full n = 0 operator a d-d block, which the
+    order-tau^0 functional cannot carry; the affine operator has none."""
+    pot = Potential(2.0, {1: 1.0, 3: 0.2})
+    grid = TimeGrid(0.05, 16)
+    a = bump(0.0, grid.dt * grid.steps, 4)
+    with pytest.raises(ValueError, match="second-derivative"):
+        constraint_functional(build_dynamical_constraint(0, a, pot, 5.0, grid, 6))
+    assert constraint_functional(build_dynamical_constraint(0, a, pot, 5.0, grid, 6, parts="affine"))["s"]
