@@ -269,10 +269,13 @@ class ConstraintOp:
 
 
 def _check_support(a: TimePoly, grid: TimeGrid):
+    """a and its first three derivatives vanish at both grid ends, each
+    measured against its own max on the grid (on a short window the r-th
+    derivative grows like 1/t_max^r)."""
     tmax = grid.dt * grid.steps
-    scale = max(1.0, float(np.max(np.abs(a(grid.times)))))
     for r in range(4):
         d = a.deriv(r)
+        scale = float(np.max(np.abs(d(grid.times))))
         if abs(d(0.0)) > 1e-9 * scale or abs(d(tmax)) > 1e-9 * scale:
             raise ValueError("test function must vanish with 3 derivatives at both grid ends")
 
@@ -465,138 +468,100 @@ def _gauss_exp(k: float, grid: TimeGrid, sigma: float) -> np.ndarray:
     return np.tril(mat)
 
 
+def _hermite_F(f, sigma, t):
+    """Slot values of F = f'/sigma^2 + f''."""
+    return (1.0 / sigma**2) * f.deriv(1)(t) + f.deriv(2)(t)
+
+
+def _hermite_mode_pieces(f, g, k, sigma, grid):
+    """Mode-k pieces (C1, C12, C13, C4) of the (f, g) direction, as
+    coefficient arrays [j, s] of tau_k(t_j) d_{k-2}(t_s).  C1 is the raw
+    double integral; the other two raw pieces are C2 = -C13 and C3 = -C12."""
+    t, dt = grid.times, grid.dt
+    F, gd, gdd = _hermite_F(f, sigma, t), g.deriv(1)(t), g.deriv(2)(t)
+    e1 = _gauss_exp(k - 1, grid, sigma)
+    e2 = _gauss_exp(k - 2, grid, sigma)
+    w = float(k * (k - 1))
+    c1 = dt * dt * w * (((F[:, None] * gdd[None, :]) * e1) @ e2)
+    c13 = -dt * dt * w * (((F[:, None] * gd[None, :] / sigma**2) * e1) @ e2)
+    c12 = -dt * w * (F[:, None] * gd[None, :]) * e1
+    c4 = -dt * w * (F * gd)[:, None] * e2
+    return c1, c12, c13, c4
+
+
+def _hermite_zero_mode_pieces(f, g, n_particles, sigma, grid):
+    """Zero-momentum pieces (C5, C6) of the (f, g) direction, as coefficient
+    arrays of tau_2(t_j)."""
+    t, dt = grid.times, grid.dt
+    F = _hermite_F(f, sigma, t)
+    e1 = _gauss_exp(1.0, grid, sigma)
+    strict = e1 - np.diag(np.diag(e1))
+    return -2.0 * n_particles * dt * dt * F * (strict @ _hermite_F(g, sigma, t)), 2.0 * n_particles * dt * F * g.deriv(1)(t)
+
+
 def hermite_cancellation_pairs(f, g, sigma, n_particles, grid: TimeGrid, k_max: int):
     """Grid residuals of the four Gaussian-case cancellation pairs.
 
     The bracket of two n = -1 quadratic parts decomposes into contributions
     C_1..C_6 (by which elementary commutator produced them); after the
     explicit integrations by parts the pairs C_11 + C_4, C_12 + C_3,
-    C_13 + C_2, C_5 + C_6 each vanish.  Here every piece is assembled as a
-    coefficient array of the canonical form tau_k(t_j) d_{k-2}(t_s) (plus
-    tau_2 terms), C_11 is obtained from the raw double integral minus the
-    displayed C_12, C_13 (so pair 1 measures the discrete integration by
-    parts), and pairs 2, 3 cancel identically by construction (reported for
-    completeness).  All residuals are O(dt).
+    C_13 + C_2, C_5 + C_6 each vanish.  Every piece is a coefficient array of
+    the canonical form tau_k(t_j) d_{k-2}(t_s) (plus tau_2 terms), from the
+    builders that :func:`hermite_pieces_total_operator` also uses.  C_11 is
+    the raw double integral C_1 minus the displayed C_12, C_13 (so pair 1
+    measures the discrete integration by parts), and pairs 2, 3 cancel
+    identically by construction (reported for completeness).  One mode's
+    pieces are held at a time; each pair's max-abs residual and magnitude
+    are running maxima, floored at 1e-30.  All residuals are O(dt).
     """
-    t = grid.times
-    dt = grid.dt
-    F = (1.0 / sigma**2) * f.deriv(1)(t) + f.deriv(2)(t)
-    G = (1.0 / sigma**2) * g.deriv(1)(t) + g.deriv(2)(t)
-    fd, gd = f.deriv(1)(t), g.deriv(1)(t)
-    fdd, gdd = f.deriv(2)(t), g.deriv(2)(t)
-
     # tau_k d_{k-2} needs mode k-2 >= 1; the formal k = 2 terms carry the
     # absent zero-mode derivative and annihilate identically
     if k_max < 3:
         raise ValueError("the cancellation pairs need k_max >= 3")
-    ks = list(range(3, k_max + 1))
+    resid = dict.fromkeys(("C11+C4", "C12+C3", "C13+C2"), 1e-30)
+    mag = dict.fromkeys(("C11+C4", "C12+C3", "C13+C2", "C5+C6"), 1e-30)
 
-    def pieces(Fc, gdc, gddc, Gc):
-        """C pieces in the (f, g) direction as {name: {k: array or 'x': array}}."""
-        out = {}
-        c1 = {}
-        c12 = {}
-        c13 = {}
-        c4 = {}
-        c3 = {}
-        c2 = {}
-        for k in ks:
-            e1 = _gauss_exp(k - 1, grid, sigma)
-            e2 = _gauss_exp(k - 2, grid, sigma)
-            w = float(k * (k - 1))
-            a_rw = (Fc[:, None] * gddc[None, :]) * e1  # [j, j2], j2 <= j
-            c1[k] = dt * dt * w * (a_rw @ e2)
-            a13 = (Fc[:, None] * gdc[None, :] / sigma**2) * e1
-            c13[k] = -dt * dt * w * (a13 @ e2)
-            c2[k] = -c13[k].copy()
-            c12[k] = -dt * w * (Fc[:, None] * gdc[None, :]) * e1
-            c3[k] = -c12[k].copy()
-            c4[k] = -dt * w * (Fc * gdc)[:, None] * e2
-        out["C1"] = c1
-        out["C12"] = c12
-        out["C13"] = c13
-        out["C2"] = c2
-        out["C3"] = c3
-        out["C4"] = c4
-        # zero-momentum pieces: coefficient arrays of tau_2(t_j)
-        e1 = _gauss_exp(1.0, grid, sigma)
-        strict = e1 - np.diag(np.diag(e1))
-        out["C5x"] = -2.0 * n_particles * dt * dt * Fc * (strict @ Gc)
-        out["C6x"] = 2.0 * n_particles * dt * Fc * gdc
-        return out
+    def fold(acc, name, *arrays):
+        acc[name] = max(acc[name], *(np.max(np.abs(a)) for a in arrays))
 
-    fg = pieces(F, gd, gdd, G)
-    gf = pieces(G, fd, fdd, F)
-
-    def anti(name, k):
-        """Antisymmetrized piece (f, g) - (g, f) of mode k."""
-        return fg[name][k] - gf[name][k]
-
-    def mag(*dicts):
-        vals = []
-        for d in dicts:
-            if isinstance(d, np.ndarray):
-                vals.append(np.max(np.abs(d)))
-            else:
-                vals.extend(np.max(np.abs(v)) for v in d.values())
-        return max(max(vals), 1e-30)
-
-    # each antisymmetrized piece is formed once per mode and reduced to its
-    # max-abs at once, so no dict of them is held
-    c11_max, res1, res2, res3 = [], [], [], []
-    for k in ks:
-        a12, a13 = anti("C12", k), anti("C13", k)
-        c11 = anti("C1", k) - a12 - a13
-        c11_max.append(mag(c11))
-        res1.append(mag(c11 + anti("C4", k)))
-        res2.append(mag(a12 + anti("C3", k)))
-        res3.append(mag(a13 + anti("C2", k)))
-    pair4 = (fg["C5x"] - gf["C5x"]) + (fg["C6x"] - gf["C6x"])
-
-    report = {
-        "C11+C4": {"residual": max(res1), "magnitude": max(max(c11_max), mag(fg["C4"], gf["C4"]))},
-        "C12+C3": {"residual": max(res2), "magnitude": mag(fg["C12"], gf["C12"])},
-        "C13+C2": {"residual": max(res3), "magnitude": mag(fg["C13"], gf["C13"])},
-        "C5+C6": {"residual": float(np.max(np.abs(pair4))), "magnitude": mag(fg["C5x"], fg["C6x"], gf["C5x"], gf["C6x"])},
-    }
-    for v in report.values():
-        v["relative"] = v["residual"] / v["magnitude"]
-    return report
+    for k in range(3, k_max + 1):
+        # c* of the (f, g) direction, d* of (g, f); the a* are antisymmetrized
+        c1, c12, c13, c4 = _hermite_mode_pieces(f, g, k, sigma, grid)
+        d1, d12, d13, d4 = _hermite_mode_pieces(g, f, k, sigma, grid)
+        a12, a13 = c12 - d12, c13 - d13
+        c11 = (c1 - d1) - a12 - a13
+        fold(resid, "C11+C4", c11 + (c4 - d4))
+        fold(resid, "C12+C3", a12 + ((-c12) - (-d12)))
+        fold(resid, "C13+C2", a13 + ((-c13) - (-d13)))
+        fold(mag, "C11+C4", c11, c4, d4)
+        fold(mag, "C12+C3", c12, d12)
+        fold(mag, "C13+C2", c13, d13)
+    c5, c6 = _hermite_zero_mode_pieces(f, g, n_particles, sigma, grid)
+    d5, d6 = _hermite_zero_mode_pieces(g, f, n_particles, sigma, grid)
+    resid["C5+C6"] = float(np.max(np.abs((c5 - d5) + (c6 - d6))))
+    fold(mag, "C5+C6", c5, c6, d5, d6)
+    return {name: {"residual": r, "magnitude": mag[name], "relative": r / mag[name]} for name, r in resid.items()}
 
 
 def hermite_pieces_total_operator(f, g, sigma, n_particles, grid, k_max):
-    """Sum of all Gaussian-case C pieces as a BosonOperator (for the
-    machinery cross-check against the direct bracket)."""
-    rep_op = BosonOperator(grid, k_max)
-    t = grid.times
-    dt = grid.dt
+    """Sum C_1 + ... + C_6 of the Gaussian-case pieces, antisymmetrized in
+    (f, g), as a BosonOperator.
 
-    def build_dir(fc, gc):
-        F = (1.0 / sigma**2) * fc.deriv(1)(t) + fc.deriv(2)(t)
-        G = (1.0 / sigma**2) * gc.deriv(1)(t) + gc.deriv(2)(t)
-        gd = gc.deriv(1)(t)
-        op = BosonOperator(grid, k_max)
-        for k in range(3, k_max + 1):
-            e1 = _gauss_exp(k - 1, grid, sigma)
-            e2 = _gauss_exp(k - 2, grid, sigma)
-            w = float(k * (k - 1))
-            a_rw = (F[:, None] * G[None, :]) * e1
-            cpp = dt * dt * w * (a_rw @ e2)  # [P,P]-sum part
-            cpphi = dt * w * (F[:, None] * gd[None, :]) * e1  # [P,Phi] retarded+local
-            cdelta = -dt * w * (F * gd)[:, None] * e2  # [P,Phi] delta-convolution part
-            cols = np.array([op.vid(k - 2, s) for s in range(grid.nslots)])
-            for j in range(grid.nslots):
-                op.add_xd_row(op.vid(k, j), cols, cpp[j] + cpphi[j] + cdelta[j])
-        e1 = _gauss_exp(1.0, grid, sigma)
-        strict = e1 - np.diag(np.diag(e1))
-        c5 = -2.0 * n_particles * dt * dt * F * (strict @ G)
-        c6 = 2.0 * n_particles * dt * F * gd
-        for j in range(grid.nslots):
-            op.add_x(op.vid(2, j), c5[j] + c6[j])
-        return op
-
-    rep_op = build_dir(f, g) + (-1.0) * build_dir(g, f)
-    return rep_op
+    Built from the same per-mode builders as :func:`hermite_cancellation_pairs`,
+    so the machinery cross-check against the direct bracket tests the
+    formulas the report uses."""
+    op = BosonOperator(grid, k_max)
+    slots = np.arange(grid.nslots)
+    for k in range(3, k_max + 1):
+        # C1 + C2 + C3 + C4 with C2 = -C13 and C3 = -C12
+        c1, c12, c13, c4 = _hermite_mode_pieces(f, g, k, sigma, grid)
+        d1, d12, d13, d4 = _hermite_mode_pieces(g, f, k, sigma, grid)
+        block = (c1 - c13 - c12 + c4) - (d1 - d13 - d12 + d4)
+        op.add_xd_block(op.vid(k, 0) + slots[:, None], op.vid(k - 2, 0) + slots[None, :], block)
+    c5, c6 = _hermite_zero_mode_pieces(f, g, n_particles, sigma, grid)
+    d5, d6 = _hermite_zero_mode_pieces(g, f, n_particles, sigma, grid)
+    op.add_x_vec(op.vid(2, 0) + slots, (c5 + c6) - (d5 + d6))
+    return op
 
 
 def hermite_lin_quadr_bracket(f, g, pot: Potential, n_particles, grid, k_max):

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from coulombgas.cli import (
@@ -137,10 +138,12 @@ LANGEVIN_CONFIG_ERRORS = {
     "dbm-moments init kind bogus": _mutated("dbm-moments", init={"kind": "bogus"}),
     "dbm-moments unknown init key": _mutated("dbm-moments", init={"kind": "equispaced", "offset": 0.5}),
     "dbm-moments replicas 1": _mutated("dbm-moments", replicas=1),
+    "dbm-moments equilibrium init, force not confining": _mutated("dbm-moments", b={"2": 1.0}, init={"kind": "equilibrium"}),
     "npoint mode above k_max": _mutated("npoint", modes=[1, 5]),
     "npoint explicit init of the wrong length": _mutated("npoint", init={"kind": "explicit", "values": [0.0, 1.0]}),
     "sv-algebra constraint_mc k_max 1": _mutated("sv-algebra", constraint_mc__k_max=1),
     "sv-algebra constraint_mc replicas 1": _mutated("sv-algebra", constraint_mc__replicas=1),
+    "sv-algebra constraint_mc beta 0": _mutated("sv-algebra", constraint_mc__beta=0.0),
     "malformed: girsanov tau key not an integer": _mutated("girsanov", tau={"two": 0.05}),
 }
 
@@ -225,11 +228,12 @@ def test_engine_failure_writes_failed_report(tmp_path, capsys):
     assert isinstance(row["value"], float) and isinstance(row["tolerance"], float)
 
 
-def test_negative_control_exit_1(tmp_path):
-    scn = default_scenario("kernel-identities")
-    scn["debug"]["flip_generator_sign"] = True
+def test_negative_control_exit_1(tmp_path, monkeypatch):
+    """A wrong matrix exponential, the first-order step I + a, fails every
+    semigroup row and the run exits 1."""
+    monkeypatch.setattr("coulombgas.kernel.expm_tol", lambda a: np.eye(a.shape[0]) + a)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(scn))
+    cfg.write_text(json.dumps(default_scenario("kernel-identities")))
     rc = main(["run", str(cfg), "--out", str(tmp_path / "r")])
     assert rc == 1
     report = json.loads((tmp_path / "r" / "kernel-identities.json").read_text())

@@ -222,6 +222,51 @@ def test_hermite_cancellation_pairs_trend():
     assert 1.5 <= rel["C5+C6"][0] / rel["C5+C6"][1] <= 4.5
 
 
+def test_hermite_cancellation_pairs_pinned():
+    """Exact report values on a small grid, as the all-modes-held build
+    computed them: the per-mode fold keeps every operation's order."""
+    grid = TimeGrid(0.05, 20)
+    f = bump(0.0, 1.0, 3)
+    g = bump(0.0, 1.0, 3) * poly_t(1)
+    rep = hermite_cancellation_pairs(f, g, 0.8, 5.0, grid, 5)
+    assert rep == {
+        "C11+C4": {"residual": 2.0551995892582777, "magnitude": 46.56692936463744, "relative": 0.04413431629054288},
+        "C12+C3": {"residual": 1e-30, "magnitude": 46.56692936463744, "relative": 2.1474467259148768e-32},
+        "C13+C2": {"residual": 1e-30, "magnitude": 4.939742208915038, "relative": 2.024397139986865e-31},
+        "C5+C6": {"residual": 0.4428051570526117, "magnitude": 23.28346468231872, "relative": 0.019018009694617075},
+    }
+
+
+def test_hermite_cancellation_pairs_peak_memory():
+    """One mode's pieces are held at a time: at 601 slots and k_max 6 the
+    call peaks far below the ~157 MB of holding every mode's arrays."""
+    import tracemalloc
+
+    grid = TimeGrid(0.005, 600)
+    f = bump(0.0, 3.0, 3)
+    g = bump(0.0, 3.0, 3) * poly_t(1)
+    tracemalloc.start()
+    try:
+        hermite_cancellation_pairs(f, g, 1.0, 5.0, grid, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80e6, peak
+
+
+@pytest.mark.parametrize("steps", [100, 150])
+def test_short_constraint_grids_build(steps):
+    """Each derivative's end values are measured against its own grid max,
+    so short windows, whose derivatives grow like 1/t_max^r, are accepted;
+    a bump of order 3 (third derivative nonzero at the ends) is not."""
+    grid = TimeGrid(1e-3, steps)
+    tmax = grid.dt * grid.steps
+    for n in (-1, 0):
+        build_dynamical_constraint(n, bump(0.0, tmax, 4), HERMITE2, 5, grid, 4, parts="affine")
+    with pytest.raises(ValueError, match="3 derivatives"):
+        build_dynamical_constraint(-1, bump(0.0, tmax, 3), HERMITE2, 5, grid, 4, parts="affine")
+
+
 def test_hermite_lin_quadr_total_derivative():
     vals = []
     for dt in (0.01, 0.005):
