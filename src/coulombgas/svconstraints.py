@@ -493,10 +493,10 @@ def _hermite_zero_mode_pieces(f, g, n_particles, sigma, grid):
     """Zero-momentum pieces (C5, C6) of the (f, g) direction, as coefficient
     arrays of tau_2(t_j)."""
     t, dt = grid.times, grid.dt
-    F = _hermite_F(f, sigma, t)
+    F, G = _hermite_F(f, sigma, t), _hermite_F(g, sigma, t)
     e1 = _gauss_exp(1.0, grid, sigma)
     strict = e1 - np.diag(np.diag(e1))
-    return -2.0 * n_particles * dt * dt * F * (strict @ _hermite_F(g, sigma, t)), 2.0 * n_particles * dt * F * g.deriv(1)(t)
+    return -2.0 * n_particles * dt * dt * F * (strict @ G), 2.0 * n_particles * dt * F * g.deriv(1)(t)
 
 
 def hermite_cancellation_pairs(f, g, sigma, n_particles, grid: TimeGrid, k_max: int):
