@@ -21,6 +21,7 @@ import csv
 import json
 import math
 import os
+import pickle
 import sys
 import time
 from pathlib import Path
@@ -28,18 +29,6 @@ from pathlib import Path
 import numpy as np
 
 SCHEMA_VERSION = "1.0.0"
-
-SUITES = (
-    "kernel-identities",
-    "boson-commutators",
-    "sv-algebra",
-    "equilibrium-loop",
-    "dbm-moments",
-    "girsanov",
-    "npoint",
-    "np-brackets",
-    "hermite-example",
-)
 
 
 def report_schema_version() -> str:
@@ -54,168 +43,42 @@ def check(name, anchor, value, tolerance, passed=None, **extra):
     return row
 
 
+def _ratio_check(name, anchor, coarse, fine, low, high):
+    """A dt-halving trend: the coarse-over-fine residual ratio lies in [low, high]."""
+    ratio = coarse / fine if fine else float("inf")
+    return check(name, anchor, ratio, high, passed=low <= ratio <= high)
+
+
+def _std_error(samples) -> float:
+    """The standard error of the mean of independent samples."""
+    return float(samples.std(ddof=1) / math.sqrt(samples.size))
+
+
 # ----------------------------------------------------------------------
-# default scenarios (the acceptance configurations)
+# suites: each runner with its default scenario
+
+
+#: Each suite's runner and its default scenario (the acceptance
+#: configuration), which is also the schema of its configs.  Filled by @_suite.
+SUITE_TABLE = {}
+
+
+def _suite(name, **settings):
+    """Register the decorated runner as suite `name` with its default settings."""
+
+    def register(runner):
+        base = {"schema_version": SCHEMA_VERSION, "suite": name, "seed": 2024, "threads": 1}
+        SUITE_TABLE[name] = (runner, base | settings)
+        return runner
+
+    return register
 
 
 def default_scenario(suite: str) -> dict:
-    base = {"schema_version": SCHEMA_VERSION, "suite": suite, "seed": 2024, "threads": 1}
-    if suite == "kernel-identities":
-        base.update(
-            {
-                "k_max": 12,
-                "times": [0.1, 0.3],
-                "identity_times": [0.3, 0.2, 0.1],
-                "potentials": {
-                    "quadratic-force": {"beta": 2.0, "b": {"2": 1.0}},
-                    "mixed-force": {"beta": 2.0, "b": {"1": 0.5, "2": 0.3}},
-                    "hermite": {"beta": 2.0, "b": {"1": 1.0}},
-                    "hermite-beta1": {"beta": 1.0, "b": {"1": 1.0}},
-                    "hermite-beta4": {"beta": 4.0, "b": {"1": 1.0}},
-                    "generic-beta1": {"beta": 1.0, "b": {"1": 0.5, "2": 0.3}},
-                    "generic-beta4": {"beta": 4.0, "b": {"1": 0.5, "2": 0.3}},
-                },
-                "tolerances": {
-                    "route_equivalence": 1e-8,
-                    "hermite_diagonal": 1e-12,
-                    "hermite_closed": 1e-10,
-                    "semigroup": 1e-10,
-                    "kolmogorov": 1e-10,
-                    "technical_lemma_rel": 1e-7,
-                    "route_runtime_s": 5.0,
-                },
-            }
-        )
-    elif suite == "boson-commutators":
-        base.update(
-            {
-                "k_max": 6,
-                "n_particles": 5,
-                "grid": {"dt": 0.1, "steps": 6},
-                "potentials": {
-                    "hermite": {"beta": 2.0, "b": {"1": 1.0}},
-                    "generic-beta1": {"beta": 1.0, "b": {"1": 0.5, "2": 0.3}},
-                },
-                "tolerances": {"commutator": 1e-12},
-            }
-        )
-    elif suite == "sv-algebra":
-        base.update(
-            {
-                "k_max": 8,
-                "interior_modes": 6,
-                "n_particles": 5,
-                "grids": [{"dt": 0.02, "steps": 50}, {"dt": 0.01, "steps": 100}],
-                "potentials": {
-                    "hermite": {"beta": 2.0, "b": {"1": 1.0}},
-                    "generic": {"beta": 2.0, "b": {"1": 0.5, "2": 0.3}},
-                },
-                "constraint_mc": {
-                    "beta": 2.0,
-                    "b": {"1": 1.0},
-                    "n_particles": 5,
-                    "grid": {"dt": 1e-3, "steps": 1000},
-                    "replicas": 20000,
-                    "k_max": 4,
-                    "init_shift": 0.4,
-                },
-                "tolerances": {"ratio_low": 1.6, "ratio_high": 2.4, "runtime_s": 120.0, "mc_sigmas": 3.0},
-            }
-        )
-    elif suite == "equilibrium-loop":
-        base.update(
-            {
-                "sweeps": 100000,
-                "chains": 200,
-                "orders": [0, 1, 2],
-                "cases": [
-                    {"n_particles": 2, "beta": 1.0},
-                    {"n_particles": 2, "beta": 2.0},
-                    {"n_particles": 5, "beta": 1.0},
-                    {"n_particles": 5, "beta": 2.0},
-                ],
-                "b": {"1": 1.0},
-                "tolerances": {"sigmas": 3.0},
-            }
-        )
-    elif suite == "dbm-moments":
-        base.update(
-            {
-                "beta": 2.0,
-                "b": {"1": 1.0},
-                "n_particles": 5,
-                "grid": {"dt": 1e-3, "steps": 4000},
-                "replicas": 20000,
-                "init": {"kind": "equispaced", "shift": 0.5},
-                "pi1_times": [0.5, 1.0],
-                "pi2_window": [3.0, 4.0],
-                "moment_ks": [1, 2, 3, 4],
-                "tolerances": {
-                    "sigmas": 3.0,
-                    "noise_sigmas": 4.0,
-                    "runtime_s": 180.0,
-                    "bias_per_dt": 200.0,
-                },
-            }
-        )
-    elif suite == "girsanov":
-        base.update(
-            {
-                "beta": 2.0,
-                "b": {"1": 1.0},
-                "n_particles": 5,
-                "grid": {"dt": 1e-3, "steps": 400},
-                "replicas": 12000,
-                "tau": {"2": 0.05},
-                "init_values": [-4.0, -2.0, 0.0, 2.0, 4.0],
-                "tolerances": {"sigmas": 3.0},
-            }
-        )
-    elif suite == "npoint":
-        base.update(
-            {
-                "beta": 2.0,
-                "b": {"1": 1.0},
-                "n_particles": 5,
-                "grid": {"dt": 1e-3, "steps": 800},
-                "replicas": 8000,
-                "modes": [1, 2],
-                "k_max": 4,
-                "init": {"kind": "equispaced", "shift": 0.4},
-                "tolerances": {"sigmas": 3.0},
-            }
-        )
-    elif suite == "np-brackets":
-        base.update(
-            {
-                "grid_points": 2000,
-                "t_max": 1.0,
-                "exponents": [-1, 0, 1, 2],
-                "eps": 1e-2,
-                "beta": 2.0,
-                "b": {"1": 1.0},
-                "tolerances": {"bracket_rel": 1e-4, "jacobi": 1e-3, "shuffle": 1e-9, "sv_exact": 1e-12},
-            }
-        )
-    elif suite == "hermite-example":
-        base.update(
-            {
-                "sigma": 1.0,
-                "n_particles": 5,
-                "k_max": 6,
-                "t_max": 3.0,
-                "dts": [0.01, 0.005],
-                "linquadr_t_max": 1.0,
-                "tolerances": {"pair_rel": 1e-3, "trend_low": 1.4, "trend_high": 2.6},
-            }
-        )
-    else:
+    """A fresh copy of the suite's complete default scenario."""
+    if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    return base
-
-
-# ----------------------------------------------------------------------
-# suite implementations
+    return pickle.loads(pickle.dumps(SUITE_TABLE[suite][1]))  # numpy has loaded pickle; faster than json
 
 
 def _forces(spec) -> dict:
@@ -229,6 +92,30 @@ def _pot(spec):
     return Potential(float(spec["beta"]), _forces(spec))
 
 
+@_suite(
+    "kernel-identities",
+    k_max=12,
+    times=[0.1, 0.3],
+    identity_times=[0.3, 0.2, 0.1],
+    potentials={
+        "quadratic-force": {"beta": 2.0, "b": {"2": 1.0}},
+        "mixed-force": {"beta": 2.0, "b": {"1": 0.5, "2": 0.3}},
+        "hermite": {"beta": 2.0, "b": {"1": 1.0}},
+        "hermite-beta1": {"beta": 1.0, "b": {"1": 1.0}},
+        "hermite-beta4": {"beta": 4.0, "b": {"1": 1.0}},
+        "generic-beta1": {"beta": 1.0, "b": {"1": 0.5, "2": 0.3}},
+        "generic-beta4": {"beta": 4.0, "b": {"1": 0.5, "2": 0.3}},
+    },
+    tolerances={
+        "route_equivalence": 1e-8,
+        "hermite_diagonal": 1e-12,
+        "hermite_closed": 1e-10,
+        "semigroup": 1e-10,
+        "kolmogorov": 1e-10,
+        "technical_lemma_rel": 1e-7,
+        "route_runtime_s": 5.0,
+    },
+)
 def run_kernel_identities(scn):
     from .kernel import (
         hermite_kernel,
@@ -335,6 +222,17 @@ def run_kernel_identities(scn):
     return checks, tables
 
 
+@_suite(
+    "boson-commutators",
+    k_max=6,
+    n_particles=5,
+    grid={"dt": 0.1, "steps": 6},
+    potentials={
+        "hermite": {"beta": 2.0, "b": {"1": 1.0}},
+        "generic-beta1": {"beta": 1.0, "b": {"1": 0.5, "2": 0.3}},
+    },
+    tolerances={"commutator": 1e-12},
+)
 def run_boson_commutators(scn):
     from .boson import TimeGrid, commutator, dynamic_boson, kernel_table, static_boson
     from .kernel import retarded_propagator_modes
@@ -386,6 +284,27 @@ def run_boson_commutators(scn):
     return checks, tables
 
 
+@_suite(
+    "sv-algebra",
+    k_max=8,
+    interior_modes=6,
+    n_particles=5,
+    grids=[{"dt": 0.02, "steps": 50}, {"dt": 0.01, "steps": 100}],
+    potentials={
+        "hermite": {"beta": 2.0, "b": {"1": 1.0}},
+        "generic": {"beta": 2.0, "b": {"1": 0.5, "2": 0.3}},
+    },
+    constraint_mc={
+        "beta": 2.0,
+        "b": {"1": 1.0},
+        "n_particles": 5,
+        "grid": {"dt": 1e-3, "steps": 1000},
+        "replicas": 20000,
+        "k_max": 4,
+        "init_shift": 0.4,
+    },
+    tolerances={"ratio_low": 1.6, "ratio_high": 2.4, "runtime_s": 120.0, "mc_sigmas": 3.0},
+)
 def run_sv_algebra(scn):
     from .boson import TimeGrid, kernel_table
     from .dyson import InitSpec, simulate_dbm
@@ -421,15 +340,14 @@ def run_sv_algebra(scn):
                 resid.setdefault(r["relation"], []).append(r["residual"])
                 rows.append((name, r["relation"], gspec["dt"], scn["k_max"], r["residual"], r["relative"]))
         for rel, vals in resid.items():
-            ratio = vals[0] / vals[1] if vals[1] else float("inf")
-            ok = tol["ratio_low"] <= ratio <= tol["ratio_high"]
             checks.append(
-                check(
+                _ratio_check(
                     f"bracket-ratio/{name}/{rel}",
                     "first-order dt trend of the bracket residual",
-                    ratio,
+                    vals[0],
+                    vals[1],
+                    tol["ratio_low"],
                     tol["ratio_high"],
-                    passed=ok,
                 )
             )
     elapsed = time.perf_counter() - t0
@@ -470,6 +388,20 @@ def run_sv_algebra(scn):
     return checks, tables
 
 
+@_suite(
+    "equilibrium-loop",
+    sweeps=100000,
+    chains=200,
+    orders=[0, 1, 2],
+    cases=[
+        {"n_particles": 2, "beta": 1.0},
+        {"n_particles": 2, "beta": 2.0},
+        {"n_particles": 5, "beta": 1.0},
+        {"n_particles": 5, "beta": 2.0},
+    ],
+    b={"1": 1.0},
+    tolerances={"sigmas": 3.0},
+)
 def run_equilibrium_loop(scn):
     from .dyson import loop_equation_residual, sample_equilibrium
     from .kernel import Potential
@@ -511,6 +443,24 @@ def run_equilibrium_loop(scn):
     return checks, tables
 
 
+@_suite(
+    "dbm-moments",
+    beta=2.0,
+    b={"1": 1.0},
+    n_particles=5,
+    grid={"dt": 1e-3, "steps": 4000},
+    replicas=20000,
+    init={"kind": "equispaced", "shift": 0.5},
+    pi1_times=[0.5, 1.0],
+    pi2_window=[3.0, 4.0],
+    moment_ks=[1, 2, 3, 4],
+    tolerances={
+        "sigmas": 3.0,
+        "noise_sigmas": 4.0,
+        "runtime_s": 180.0,
+        "bias_per_dt": 200.0,
+    },
+)
 def run_dbm_moments(scn):
     from .boson import TimeGrid
     from .dyson import InitSpec, simulate_dbm
@@ -536,7 +486,7 @@ def run_dbm_moments(scn):
     pi1_0 = ens.pi_mean(1)[0]
     for t in scn["pi1_times"]:
         j = int(round(t / grid.dt))
-        want = pi1_0 * math.exp(-t)
+        want = pi1_0 * math.exp(-t / pot.sigma**2)
         checks.append(
             check(
                 f"pi1-decay/t={t}",
@@ -569,7 +519,7 @@ def run_dbm_moments(scn):
     rows = []
     for k in scn["moment_ks"]:
         r = ens.moment_residual_samples[k]
-        se = float(r.std(ddof=1) / math.sqrt(r.size))
+        se = _std_error(r)
         bias = tol["bias_per_dt"] * (1 + k * k) * grid.dt
         rows.append((k, float(r.mean()), se, bias))
         checks.append(
@@ -583,7 +533,7 @@ def run_dbm_moments(scn):
             )
         )
         s = ens.martingale_samples[k]
-        s_se = float(s.std(ddof=1) / math.sqrt(s.size))
+        s_se = _std_error(s)
         checks.append(
             check(
                 f"action-density-mean/k={k}",
@@ -606,6 +556,17 @@ def run_dbm_moments(scn):
     return checks, tables
 
 
+@_suite(
+    "girsanov",
+    beta=2.0,
+    b={"1": 1.0},
+    n_particles=5,
+    grid={"dt": 1e-3, "steps": 400},
+    replicas=12000,
+    tau={"2": 0.05},
+    init_values=[-4.0, -2.0, 0.0, 2.0, 4.0],
+    tolerances={"sigmas": 3.0},
+)
 def run_girsanov(scn):
     from .boson import TimeGrid
     from .dyson import InitSpec, girsanov_functionals, perturbed_potential, simulate_dbm
@@ -621,7 +582,7 @@ def run_girsanov(scn):
     per_rep = base.functional_samples
     w = np.exp(per_rep["logweight"] + per_rep["quadratic"])
     mean_w = float(w.mean())
-    se_w = float(w.std(ddof=1) / math.sqrt(w.size))
+    se_w = _std_error(w)
     checks.append(check("full-weight-mean", "E[exp(logweight + quadratic correction)] = 1", mean_w - 1.0, sig * se_w, mean=mean_w))
 
     pi2 = per_rep["pi2_end"]
@@ -648,6 +609,18 @@ def run_girsanov(scn):
     return checks, tables
 
 
+@_suite(
+    "npoint",
+    beta=2.0,
+    b={"1": 1.0},
+    n_particles=5,
+    grid={"dt": 1e-3, "steps": 800},
+    replicas=8000,
+    modes=[1, 2],
+    k_max=4,
+    init={"kind": "equispaced", "shift": 0.4},
+    tolerances={"sigmas": 3.0},
+)
 def run_npoint(scn):
     from .boson import TimeGrid
     from .dyson import InitSpec, npoint_functionals, npoint_vs_kernel, simulate_dbm
@@ -693,6 +666,16 @@ def run_npoint(scn):
     return checks, tables
 
 
+@_suite(
+    "np-brackets",
+    grid_points=2000,
+    t_max=1.0,
+    exponents=[-1, 0, 1, 2],
+    eps=1e-2,
+    beta=2.0,
+    b={"1": 1.0},
+    tolerances={"bracket_rel": 1e-4, "jacobi": 1e-3, "shuffle": 1e-9, "sv_exact": 1e-12},
+)
 def run_np_brackets(scn):
     from .nptransform import (
         IIWord,
@@ -755,8 +738,6 @@ def run_np_brackets(scn):
         )
     )
 
-    from .kernel import Potential
-
     pot = _pot(scn)
     tH = np.linspace(0, 1, 101)
     hist = np.sort(np.vstack([np.sin(tH) - 1, 0.3 * tH, 2 + 0.1 * np.cos(tH)]).T, axis=1)
@@ -784,6 +765,16 @@ def run_np_brackets(scn):
     return checks, tables
 
 
+@_suite(
+    "hermite-example",
+    sigma=1.0,
+    n_particles=5,
+    k_max=6,
+    t_max=3.0,
+    dts=[0.01, 0.005],
+    linquadr_t_max=1.0,
+    tolerances={"pair_rel": 1e-3, "trend_low": 1.4, "trend_high": 2.6},
+)
 def run_hermite_example(scn):
     from .boson import TimeGrid
     from .kernel import Potential
@@ -806,14 +797,14 @@ def run_hermite_example(scn):
     for name, vals in rels.items():
         checks.append(check(f"cancellation/{name}", "paired contributions cancel", vals[-1], tol["pair_rel"]))
         if vals[-1] > 1e-10:  # display-level pairs cancel identically; no trend
-            ratio = vals[0] / vals[-1]
             checks.append(
-                check(
+                _ratio_check(
                     f"cancellation-trend/{name}",
                     "pair residual shrinks at first order in dt",
-                    ratio,
+                    vals[0],
+                    vals[-1],
+                    tol["trend_low"],
                     tol["trend_high"] * 2,
-                    passed=tol["trend_low"] <= ratio <= tol["trend_high"] * 2,
                 )
             )
     pot = Potential(2.0, {1: 1.0 / sigma**2})
@@ -832,31 +823,21 @@ def run_hermite_example(scn):
                 1e-9,
             )
         )
-    ratio = consts[0] / consts[1] if consts[1] else float("inf")
     checks.append(
-        check(
+        _ratio_check(
             "linquadr-trend",
             "total-derivative cancellation at first order in dt",
-            ratio,
+            consts[0],
+            consts[1],
+            tol["trend_low"],
             tol["trend_high"],
-            passed=tol["trend_low"] <= ratio <= tol["trend_high"],
         )
     )
     tables["hermite_cancellations"] = (("pair", "dt", "residual", "magnitude", "relative"), rows)
     return checks, tables
 
 
-RUNNERS = {
-    "kernel-identities": run_kernel_identities,
-    "boson-commutators": run_boson_commutators,
-    "sv-algebra": run_sv_algebra,
-    "equilibrium-loop": run_equilibrium_loop,
-    "dbm-moments": run_dbm_moments,
-    "girsanov": run_girsanov,
-    "npoint": run_npoint,
-    "np-brackets": run_np_brackets,
-    "hermite-example": run_hermite_example,
-}
+SUITES = tuple(SUITE_TABLE)
 
 
 # ----------------------------------------------------------------------
@@ -865,9 +846,9 @@ RUNNERS = {
 
 def run_suite(scn: dict):
     suite = scn["suite"]
-    if suite not in RUNNERS:
+    if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    checks, tables = RUNNERS[suite](scn)
+    checks, tables = SUITE_TABLE[suite][0](scn)
     return suite_report(scn, checks), tables
 
 
@@ -894,34 +875,15 @@ def write_report(report, tables, out_dir: Path):
             w.writerows(rows)
 
 
+# ----------------------------------------------------------------------
+# config validation: the default scenario of the suite is the schema
+
+
 def _l_max(spec) -> int:
     """The force support L_max of a potential config: the highest l with
     b_l != 0, as in kernel.Potential.l_max.  No Potential is built here,
     because importing kernel would add about 10 ms to every validation."""
     return max((l for l, v in _forces(spec).items() if v), default=0)
-
-
-def _covers_forces(scn) -> bool:
-    """k_max reaches the force support L_max of every potential the suite tabulates."""
-    mc = scn.get("constraint_mc") or {}
-    specs = [(scn["k_max"], p) for p in scn.get("potentials", {}).values()]
-    specs += [(scn["k_max"], scn)] if "b" in scn else []
-    specs += [(mc["k_max"], mc)] if mc else []
-    return all(k >= _l_max(spec) for k, spec in specs)
-
-
-def _langevin_runs(scn) -> list:
-    """The config blocks that set up a Langevin simulation: sv-algebra's
-    constraint_mc (when set) or the scenario itself."""
-    if scn["suite"] == "sv-algebra":
-        return [scn["constraint_mc"]] if scn["constraint_mc"] else []
-    return [scn]
-
-
-#: The fields and kinds of dyson.InitSpec, named here so that validation
-#: does not import the engine.
-INIT_KEYS = ("kind", "shift", "halfwidth", "values", "sweeps", "seed")
-INIT_KINDS = ("equispaced", "explicit", "equilibrium")
 
 
 def _confining(spec) -> bool:
@@ -931,47 +893,97 @@ def _confining(spec) -> bool:
     return l % 2 == 1 and forces[l] > 0
 
 
-def _init_ok(scn) -> bool:
-    init = scn["init"]
-    kind = init.get("kind", "equispaced")
-    return set(init) <= set(INIT_KEYS) and kind in INIT_KINDS and (kind != "explicit" or len(init["values"]) == scn["n_particles"])
+#: The fields of dyson.InitSpec, each with a value of its type, named here so
+#: that validation does not import the engine.  An init may leave any out.
+INIT_FIELDS = {"kind": "equispaced", "shift": 0.0, "halfwidth": 1.0, "values": [0.0], "sweeps": 2000, "seed": 0}
+INIT_KEYS = tuple(INIT_FIELDS)
+INIT_KINDS = ("equispaced", "explicit", "equilibrium")
+
+#: Maps whose keys the user names, with the least integer a key may be (None:
+#: any name).  A tau_1 tilt would be a constant force, not a potential.
+NAMED_KEYS = {"potentials": None, "b": 1, "tau": 2}
+
+#: Lower bounds by key name, on its value or on each entry of its list.  The
+#: standard errors are the scatter across replicas or chains, so 2 are needed;
+#: np-brackets leaves out 10 grid points at each end; NP exponents start at -1.
+BOUNDS = {"dt": (">", 0), "dts": (">", 0), "sigma": (">", 0), "t_max": (">", 0), "steps": (">=", 2), "replicas": (">=", 2)}
+BOUNDS |= {"chains": (">=", 2), "n_particles": (">=", 1), "grid_points": (">=", 20), "exponents": (">=", -1), "seed": (">=", 0)}
+BOUNDS |= dict.fromkeys(("beta", "times", "identity_times", "orders", "moment_ks", "modes", "pi1_times", "pi2_window"), (">=", 0))
+
+
+def _check_value(value, ref, path, key=None):
+    """Check a config value against its default ref: a number is finite (an
+    integer where the default is one, never a bool) and keeps its BOUNDS,
+    every list entry matches the first default entry, and an object has
+    exactly the default's keys.  Errors name the key path."""
+    where = path or "config"
+    if isinstance(ref, (int, float)):
+        kind = int if isinstance(ref, int) else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kind) or (isinstance(value, float) and not math.isfinite(value)):
+            raise ValueError(f"{where} must be {'an integer' if kind is int else 'a finite number'}")
+        op, least = BOUNDS.get(key, (">=", -math.inf))
+        if value < least or (op == ">" and value == least):
+            raise ValueError(f"{where} must be {op} {least}")
+    elif isinstance(ref, str):
+        if not isinstance(value, str):
+            raise ValueError(f"{where} must be a string")
+    elif isinstance(ref, list):
+        if not isinstance(value, list):
+            raise ValueError(f"{where} must be a list")
+        for i, v in enumerate(value):
+            _check_value(v, ref[0], f"{where}[{i}]", key)
+    elif value is None and key == "constraint_mc":  # null skips the Monte Carlo
+        return
+    elif not isinstance(value, dict):
+        raise ValueError(f"{where} must be an object")
+    elif key in NAMED_KEYS:
+        least, entry = NAMED_KEYS[key], next(iter(ref.values()))
+        for name, v in value.items():
+            if least is not None and not (str(name).isdecimal() and int(name) >= least):
+                raise ValueError(f"{where}: key {name!r} must be an integer >= {least}")
+            _check_value(v, entry, f"{path}.{name}")
+    else:
+        if key == "init":
+            ref = INIT_FIELDS
+        missing = [k for k in ref if k not in value and k != "schema_version" and key != "init"]
+        if missing:
+            raise ValueError(f"{where}: missing {', '.join(missing)}")
+        unknown = [str(k) for k in value if k not in ref]
+        if unknown:
+            raise ValueError(f"{where}: unknown key {', '.join(unknown)}")
+        for k, v in value.items():
+            _check_value(v, ref[k], f"{path}.{k}" if path else k, k)
 
 
 #: The potentials run_kernel_identities reads by name.
 KERNEL_IDENTITY_POTENTIALS = ("quadratic-force", "mixed-force", "hermite", "hermite-beta1", "hermite-beta4", "generic-beta1", "generic-beta4")
 
-
-def _eq_case(case) -> bool:
-    n, beta = case.get("n_particles"), case.get("beta")
-    return isinstance(n, int) and n >= 1 and isinstance(beta, (int, float)) and beta >= 0
-
-
-LANGEVIN_SUITES = ("sv-algebra", "dbm-moments", "girsanov", "npoint")
-
-#: Value rules beyond the presence of keys: (suites, rule, message).
+#: Cross-field rules on a config that has passed the schema: (suites, rule, message).
 VALUE_RULES = (
     (("kernel-identities",), lambda s: set(KERNEL_IDENTITY_POTENTIALS) <= set(s["potentials"]), f"potentials must name {', '.join(KERNEL_IDENTITY_POTENTIALS)}"),
-    (("kernel-identities", "boson-commutators", "sv-algebra", "npoint"), _covers_forces, "k_max must reach the force support L_max of every potential"),
+    (("kernel-identities",), lambda s: len(s["times"]) >= 1, "times needs an entry: the kernel table is written at the last"),
+    (("kernel-identities",), lambda s: len(s["identity_times"]) == 3 and s["identity_times"][0] > s["identity_times"][1] > s["identity_times"][2], "identity_times must be [t, t', t''] with t > t' > t''"),
+    (("kernel-identities", "boson-commutators", "sv-algebra"), lambda s: all(s["k_max"] >= _l_max(p) for p in s["potentials"].values()), "k_max must reach the force support L_max of every potential"),
+    (("npoint",), lambda s: s["k_max"] >= _l_max(s), "k_max must reach the force support L_max of b"),
     (("boson-commutators",), lambda s: s["grid"]["steps"] >= 3, "grid.steps must be >= 3: the checks pair slots steps - 1 and 2"),
     (("sv-algebra",), lambda s: 1 <= s["interior_modes"] <= s["k_max"], "interior_modes must lie in 1..k_max"),
     (("sv-algebra",), lambda s: len(s["grids"]) >= 2, "grids needs two entries for the dt-halving ratio"),
+    (("sv-algebra",), lambda s: not s["constraint_mc"] or s["constraint_mc"]["k_max"] >= max(2, 2 * _l_max(s["constraint_mc"])), "constraint_mc.k_max must be >= max(2, 2 L_max): the constraint weights reach mode 2 L_max"),
+    (("sv-algebra",), lambda s: not s["constraint_mc"] or s["constraint_mc"]["beta"] > 0, "constraint_mc.beta must be > 0: the constraint's linear part scales by beta^(-1/2)"),
     (("hermite-example",), lambda s: len(s["dts"]) >= 2, "dts needs two entries for the dt-halving trends"),
     (("hermite-example",), lambda s: all(round(t / dt) >= 2 for dt in s["dts"] for t in (s["t_max"], s["linquadr_t_max"])), "every dt must leave 2 or more steps in t_max and linquadr_t_max"),
     (("hermite-example",), lambda s: s["k_max"] >= 3, "k_max must be >= 3: the cancellation pairs start at mode 3"),
-    (("equilibrium-loop",), lambda s: [(l, v > 0) for l, v in _forces(s).items() if v] == [(1, True)], "b must be Gaussian, {1: b_1 > 0}: the pi2-stationary check needs sigma"),
-    (("equilibrium-loop",), lambda s: all(isinstance(o, int) and 0 <= o <= 6 for o in s["orders"]), "orders must be integers in 0..6: order n reads pi_(n+2), and the sampler tracks pi_k up to k = 8"),
-    (("equilibrium-loop",), lambda s: isinstance(s["chains"], int) and s["chains"] >= 2 and isinstance(s["sweeps"], int), "chains must be an integer >= 2 (the standard errors are the scatter across chains) and sweeps an integer"),
-    (("equilibrium-loop",), lambda s: len(s["cases"]) >= 1 and all(_eq_case(c) for c in s["cases"]), "cases must be a non-empty list; every case needs an integer n_particles >= 1 and a number beta >= 0"),
-    (LANGEVIN_SUITES, lambda s: all(isinstance(r["replicas"], int) and r["replicas"] >= 2 for r in _langevin_runs(s)), "replicas must be an integer >= 2: the standard errors are the scatter across replicas"),
-    (LANGEVIN_SUITES, lambda s: all(isinstance(r["n_particles"], int) and r["n_particles"] >= 1 for r in _langevin_runs(s)), "n_particles must be an integer >= 1"),
-    (("sv-algebra",), lambda s: all(r["k_max"] >= max(2, 2 * _l_max(r)) for r in _langevin_runs(s)), "constraint_mc.k_max must be >= max(2, 2 L_max): the constraint weights reach mode 2 L_max"),
-    (("sv-algebra",), lambda s: all(r["beta"] > 0 for r in _langevin_runs(s)), "constraint_mc.beta must be > 0: the constraint's linear part scales by beta^(-1/2)"),
-    (("girsanov",), lambda s: all(int(k) >= 2 and math.isfinite(float(v)) for k, v in s["tau"].items()), "tau must map integers k >= 2 to numbers: a tau_1 tilt is a constant force, not a potential"),
+    (("equilibrium-loop", "dbm-moments"), lambda s: [(l, v > 0) for l, v in _forces(s).items() if v] == [(1, True)], "b must be Gaussian, {1: b_1 > 0}: the closed forms for pi_1 and pi_2 need sigma"),
+    (("equilibrium-loop",), lambda s: all(o <= 6 for o in s["orders"]), "orders must be <= 6: order n reads pi_(n+2), and the sampler tracks pi_k up to k = 8"),
+    (("equilibrium-loop",), lambda s: len(s["cases"]) >= 1, "cases must hold one case or more"),
     (("girsanov",), lambda s: len(s["init_values"]) == s["n_particles"], "init_values must hold n_particles values"),
-    (("dbm-moments",), lambda s: all(isinstance(k, int) and 0 <= k and k + max(_l_max(s), 1) - 1 <= 6 for k in s["moment_ks"]), "moment_ks must be integers k >= 0 with k + L_max - 1 <= 6: the run tracks pi_k up to k = 6"),
-    (("dbm-moments", "npoint"), _init_ok, f"init must set kind in {', '.join(INIT_KINDS)} and no keys beyond {', '.join(INIT_KEYS)}; an explicit init needs n_particles values"),
-    (("dbm-moments", "npoint"), lambda s: s["init"].get("kind") != "equilibrium" or _confining(s), "an equilibrium init needs a confining force: the highest nonzero b_l must have odd l and b_l > 0"),
-    (("npoint",), lambda s: all(isinstance(k, int) and 0 <= k <= s["k_max"] for k in s["modes"]), "modes must be integers in 0..k_max"),
+    (("dbm-moments",), lambda s: all(k <= 6 for k in s["moment_ks"]), "moment_ks must be <= 6: the run tracks pi_k up to k = 6"),
+    (("dbm-moments",), lambda s: len(s["pi2_window"]) == 2 and s["pi2_window"][0] <= s["pi2_window"][1], "pi2_window must be [start, end] with start <= end"),
+    (("dbm-moments",), lambda s: all(round(t / s["grid"]["dt"]) <= s["grid"]["steps"] for t in s["pi1_times"] + s["pi2_window"]), "pi1_times and pi2_window must lie within steps * dt: the runner reads slot round(t / dt)"),
+    (("dbm-moments", "npoint"), lambda s: s["init"].get("kind", "equispaced") in INIT_KINDS, f"init.kind must be one of {', '.join(INIT_KINDS)}"),
+    (("dbm-moments", "npoint"), lambda s: s["init"].get("kind") != "explicit" or len(s["init"].get("values", [])) == s["n_particles"], "an explicit init needs n_particles values"),
+    (("npoint",), lambda s: s["init"].get("kind") != "equilibrium" or _confining(s), "an equilibrium init needs a confining force: the highest nonzero b_l must have odd l and b_l > 0"),
+    (("npoint",), lambda s: all(k <= s["k_max"] for k in s["modes"]), "modes must be <= k_max"),
 )
 
 
@@ -980,37 +992,19 @@ def _holds(rule, message, scn) -> bool:
     is a config error that names the cause."""
     try:
         return bool(rule(scn))
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError, ArithmeticError) as exc:
         raise ValueError(f"{message} (could not evaluate: {exc!r})") from None
 
 
 def validate_scenario(scn: dict):
-    if "suite" not in scn:
-        raise ValueError("config must name a suite")
+    if not isinstance(scn, dict) or "suite" not in scn:
+        raise ValueError("config must be an object that names a suite")
     if scn["suite"] not in SUITES:
         raise ValueError(f"unknown suite {scn['suite']!r}; choose from {', '.join(SUITES)}")
-    ref = default_scenario(scn["suite"])
-    missing = [k for k in ref if k not in scn and k not in ("schema_version",)]
-    if missing:
-        raise ValueError(f"config is missing explicit settings: {', '.join(sorted(missing))}")
-    mc = scn["constraint_mc"] if isinstance(scn.get("constraint_mc"), dict) else {}
-    grids = [("grid", scn["grid"])] if "grid" in ref else []
-    grids += [(f"grids[{i}]", g) for i, g in enumerate(scn.get("grids", ()))]
-    grids += [("constraint_mc.grid", mc.get("grid"))] if mc else []
-    for where, g in grids:
-        if not (isinstance(g, dict) and isinstance(g.get("dt"), (int, float)) and isinstance(g.get("steps"), int)):
-            raise ValueError(f"{where} must set a number dt and an integer steps")
-        if g["dt"] <= 0 or g["steps"] < 2:
-            raise ValueError(f"{where} needs dt > 0 and steps >= 2")
+    _check_value(scn, SUITE_TABLE[scn["suite"]][1], "")
     for suites, rule, message in VALUE_RULES:
         if scn["suite"] in suites and not _holds(rule, message, scn):
             raise ValueError(message)
-    if "pi2_window" in ref:
-        # the runner reads slot round(t / dt): every sample time must fall on the simulated grid
-        dt, steps, times, window = scn["grid"]["dt"], scn["grid"]["steps"], scn["pi1_times"], scn["pi2_window"]
-        ok = isinstance(times, list) and isinstance(window, list) and len(window) == 2 and window[0] <= window[1]
-        if not (ok and all(isinstance(t, (int, float)) and 0 <= round(t / dt) <= steps for t in times + window)):
-            raise ValueError(f"pi1_times and pi2_window = [start, end] must lie within [0, steps * dt] = [0, {steps * dt:g}]")
     return scn
 
 
@@ -1034,6 +1028,8 @@ def main(argv=None) -> int:
         with open(args.config) as fh:
             scn = json.load(fh)
         validate_scenario(scn)
+        if args.seed is not None:
+            _check_value(args.seed, 0, "--seed", "seed")
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -292,7 +292,7 @@ def simulate_dbm(
         replica-major rows (m_bad, n), the layout the noise is drawn in."""
         lam_s = lam_bad.copy()
         db_tot = np.zeros_like(lam_bad)
-        t_left = np.full(lam_bad.shape[0], dt)
+        t_left = np.full(lam_bad.shape[0], float(dt))  # an int dt would make t_left an int array
         ctr = _SUBSTEP_CTR0
         guard = 0
         while np.any(t_left > 0):

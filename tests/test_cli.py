@@ -1,9 +1,13 @@
+import copy
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coulombgas.cli import (
     SUITES,
@@ -101,6 +105,14 @@ OPERATOR_CONFIG_ERRORS = {
     "hermite-example dt leaves one step": _mutated("hermite-example", dts=[1.0, 0.5]),
     "hermite-example dt 0": _mutated("hermite-example", dts=[0.01, 0.0]),
     "hermite-example k_max 2": _mutated("hermite-example", k_max=2),
+    "kernel-identities no times": _mutated("kernel-identities", times=[]),
+    "kernel-identities time below 0": _mutated("kernel-identities", times=[-0.1, 0.3]),
+    "kernel-identities identity_times not decreasing": _mutated("kernel-identities", identity_times=[0.3, 0.2, 0.2]),
+    "kernel-identities two identity_times": _mutated("kernel-identities", identity_times=[0.2, 0.1]),
+    "np-brackets exponent -2": _mutated("np-brackets", exponents=[-2, 0]),
+    "np-brackets grid_points 10": _mutated("np-brackets", grid_points=10),
+    "np-brackets t_max 0": _mutated("np-brackets", t_max=0.0),
+    "hermite-example sigma 0": _mutated("hermite-example", sigma=0.0),
     "malformed: boson-commutators potential without b": _mutated("boson-commutators", potentials__hermite={"beta": 2.0}),
     "malformed: npoint b as a list": _mutated("npoint", b=[1.0]),
     "kernel-identities potential renamed": _mutated(
@@ -124,6 +136,7 @@ EQUILIBRIUM_CONFIG_ERRORS = {
     "b not confining": _mutated("equilibrium-loop", b={"2": 1.0}),
     "b not Gaussian": _mutated("equilibrium-loop", b={"1": 1, "3": 0.2}),
     "b_1 negative": _mutated("equilibrium-loop", b={"1": -1.0}),
+    "seed -1": _mutated("equilibrium-loop", seed=-1),
     "malformed: case not an object": _mutated("equilibrium-loop", cases=[[2, 1.0]]),
     "malformed: b as a list": _mutated("equilibrium-loop", b=[1.0]),
 }
@@ -138,6 +151,7 @@ LANGEVIN_CONFIG_ERRORS = {
     "dbm-moments init kind bogus": _mutated("dbm-moments", init={"kind": "bogus"}),
     "dbm-moments unknown init key": _mutated("dbm-moments", init={"kind": "equispaced", "offset": 0.5}),
     "dbm-moments replicas 1": _mutated("dbm-moments", replicas=1),
+    "dbm-moments b not Gaussian": _mutated("dbm-moments", b={"1": 1.0, "3": 0.1}),
     "dbm-moments equilibrium init, force not confining": _mutated("dbm-moments", b={"2": 1.0}, init={"kind": "equilibrium"}),
     "npoint mode above k_max": _mutated("npoint", modes=[1, 5]),
     "npoint explicit init of the wrong length": _mutated("npoint", init={"kind": "explicit", "values": [0.0, 1.0]}),
@@ -145,6 +159,24 @@ LANGEVIN_CONFIG_ERRORS = {
     "sv-algebra constraint_mc replicas 1": _mutated("sv-algebra", constraint_mc__replicas=1),
     "sv-algebra constraint_mc beta 0": _mutated("sv-algebra", constraint_mc__beta=0.0),
     "malformed: girsanov tau key not an integer": _mutated("girsanov", tau={"two": 0.05}),
+}
+
+#: The start of the message each malformed config gets: the key path at fault.
+MALFORMED_MESSAGES = {
+    "malformed: boson-commutators potential without b": "potentials.hermite: missing b",
+    "malformed: npoint b as a list": "b must be an object",
+    "malformed: b as a list": "b must be an object",
+    "malformed: girsanov tau key not an integer": "tau: key 'two' must be an integer",
+    "malformed: case not an object": "cases[0] must be an object",
+}
+
+#: Configs with a key no suite reads, by the start of their message.
+UNKNOWN_KEY_ERRORS = {
+    "config: unknown key debug": _mutated("kernel-identities", debug={"flip_generator_sign": True}),
+    "tolerances: unknown key semigroupp": _mutated("kernel-identities", tolerances__semigroupp=1e-10),
+    "potentials.hermite: unknown key sigma": _mutated("boson-commutators", potentials__hermite__sigma=1.0),
+    "init: unknown key offset": _mutated("npoint", init__offset=0.5),
+    "constraint_mc: unknown key replica": _mutated("sv-algebra", constraint_mc__replica=100),
 }
 
 
@@ -158,7 +190,7 @@ def test_init_keys_name_the_engine_fields():
     assert INIT_KEYS == tuple(f.name for f in dataclasses.fields(InitSpec))
 
 
-def _assert_config_error(tmp_path, scn, malformed):
+def _assert_config_error(tmp_path, scn, message=None):
     """Running scn exits 2 with a message, no traceback and no report."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(scn))
@@ -171,29 +203,120 @@ def _assert_config_error(tmp_path, scn, malformed):
     assert "config error:" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
-    if malformed:
-        # a value the rule cannot read is reported with its cause
-        assert "could not evaluate:" in proc.stderr
+    if message:
+        assert f"config error: {message}" in proc.stderr
 
 
 @pytest.mark.parametrize("case", sorted(OPERATOR_CONFIG_ERRORS))
 def test_operator_config_errors_exit_2(tmp_path, case):
     """Configs that the operator suites cannot run are config errors."""
-    _assert_config_error(tmp_path, OPERATOR_CONFIG_ERRORS[case], case.startswith("malformed:"))
+    _assert_config_error(tmp_path, OPERATOR_CONFIG_ERRORS[case], MALFORMED_MESSAGES.get(case))
 
 
 @pytest.mark.parametrize("case", sorted(LANGEVIN_CONFIG_ERRORS))
 def test_langevin_value_errors_exit_2(tmp_path, case):
     """Langevin-suite configs that would end in a traceback, a nan standard
     error or a vacuous pass are config errors."""
-    _assert_config_error(tmp_path, LANGEVIN_CONFIG_ERRORS[case], case.startswith("malformed:"))
+    _assert_config_error(tmp_path, LANGEVIN_CONFIG_ERRORS[case], MALFORMED_MESSAGES.get(case))
 
 
 @pytest.mark.parametrize("case", sorted(EQUILIBRIUM_CONFIG_ERRORS))
 def test_equilibrium_config_errors_exit_2(tmp_path, case):
     """equilibrium-loop configs that would end in a traceback, a nan standard
     error or an empty run are config errors."""
-    _assert_config_error(tmp_path, EQUILIBRIUM_CONFIG_ERRORS[case], case.startswith("malformed:"))
+    _assert_config_error(tmp_path, EQUILIBRIUM_CONFIG_ERRORS[case], MALFORMED_MESSAGES.get(case))
+
+
+@pytest.mark.parametrize("message", sorted(UNKNOWN_KEY_ERRORS))
+def test_unknown_keys_exit_2(tmp_path, message):
+    """A key the suite does not read, at any depth, is a config error that
+    names its path."""
+    _assert_config_error(tmp_path, UNKNOWN_KEY_ERRORS[message], message)
+
+
+def _key_paths(node, prefix=()):
+    """Every key path of a config: object keys and list indices."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _key_paths(value, prefix + (key,))
+
+
+RETYPED = (None, True, "x", [], {}, 0, -1, 0.5, float("nan"), [1.0], {"1": 1.0}, {"beta": 2.0})
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_validate_mutated_defaults_returns_or_raises_value_error(data):
+    """Default configs with keys dropped, renamed, retyped or negated either
+    validate or raise ValueError, never another exception."""
+    scn = default_scenario(data.draw(st.sampled_from(SUITES)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        *parents, leaf = data.draw(st.sampled_from(list(_key_paths(scn))))
+        target = scn
+        for key in parents:
+            target = target[key]
+        mutation = data.draw(st.sampled_from(("drop", "rename", "retype", "negate")))
+        if mutation == "drop":
+            del target[leaf]
+        elif mutation == "rename" and isinstance(target, dict):
+            target[f"{leaf}x"] = target.pop(leaf)
+        elif mutation == "retype":
+            target[leaf] = copy.deepcopy(data.draw(st.sampled_from(RETYPED)))
+        elif mutation == "negate" and type(target[leaf]) in (int, float):
+            target[leaf] = -target[leaf]
+    try:
+        validate_scenario(scn)
+    except ValueError:
+        pass
+
+
+def test_validation_imports_no_engine():
+    """Validating every default config imports neither kernel nor dyson, so
+    a config error costs no engine start-up."""
+    code = (
+        "import sys\n"
+        "from coulombgas import cli\n"
+        "for suite in cli.SUITES:\n"
+        "    cli.validate_scenario(cli.default_scenario(suite))\n"
+        "print(sorted({'coulombgas.kernel', 'coulombgas.dyson'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_pi1_decay_uses_sigma():
+    """pi1-decay expects pi_1(0) e^{-t/sigma^2}: at b_1 = 2 (sigma^2 = 1/2)
+    both rows pass, and the expected values fall by e^{-2 (1.0 - 0.5)}."""
+    scn = default_scenario("dbm-moments")
+    scn.update(b={"1": 2.0}, replicas=400, grid={"dt": 1e-3, "steps": 1000}, pi2_window=[0.8, 1.0])
+    rep, _ = run_suite(validate_scenario(scn))
+    rows = [c for c in rep["checks"] if c["name"].startswith("pi1-decay/")]
+    assert [c["name"] for c in rows] == ["pi1-decay/t=0.5", "pi1-decay/t=1.0"]
+    assert math.isclose(rows[1]["expected"] / rows[0]["expected"], math.exp(-1.0), rel_tol=1e-12)
+    assert all(c["pass"] for c in rows), rows
+
+
+def test_seed_flag_below_zero_exit_2(tmp_path, capsys):
+    """--seed -1 is a config error like a negative seed in the file."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(default_scenario("equilibrium-loop")))
+    assert main(["run", str(cfg), "--seed", "-1", "--out", str(tmp_path / "r")]) == 2
+    assert "config error: --seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_integer_dt_runs(tmp_path, capsys):
+    """An integer dt passes as a number and runs: dt = 1 ends in the engine's
+    rejection-rate error (exit 1), not in an int/float cast error in the
+    collision sub-steps."""
+    scn = default_scenario("npoint")
+    scn.update(replicas=20, grid={"dt": 1, "steps": 4})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(scn))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "r")]) == 1
+    assert "engine error: RejectionRateError" in capsys.readouterr().err
 
 
 def test_equilibrium_reports_sampler_diagnostics():
