@@ -330,12 +330,14 @@ def run_sv_algebra(scn):
             f = bump(0.0, tmax, 4)
             g = bump(0.0, tmax, 4) * poly_t(1)
             tab = kernel_table(pot, grid, scn["k_max"])
+            family = {}  # the family members of this (potential, grid), built once for both checks
             reps = verify_sv_algebra_quadratic(
-                f, g, pot, scn["n_particles"], grid, scn["k_max"], mode_int=scn["interior_modes"], ktable=tab
+                f, g, pot, scn["n_particles"], grid, scn["k_max"], mode_int=scn["interior_modes"], ktable=tab, family=family
             )
             reps += verify_sv_algebra_linear(
-                f, g, pot, scn["n_particles"], grid, scn["k_max"], mode_int=scn["interior_modes"], ktable=tab
+                f, g, pot, scn["n_particles"], grid, scn["k_max"], mode_int=scn["interior_modes"], ktable=tab, family=family
             )
+            del family  # eight dense operators: free them before the next grid's are built
             for r in reps:
                 resid.setdefault(r["relation"], []).append(r["residual"])
                 rows.append((name, r["relation"], gspec["dt"], scn["k_max"], r["residual"], r["relative"]))
@@ -478,7 +480,7 @@ def run_dbm_moments(scn):
         scn["replicas"],
         InitSpec(**scn["init"]),
         seed=scn["seed"],
-        k_track=6,
+        k_track=max([2] + [k + pot.l_max - 1 for k in scn["moment_ks"]]),  # pi_1, pi_2 and the residuals' pi_(k+L_max-1)
         track_moment_residual=tuple(scn["moment_ks"]),
     )
     elapsed = time.perf_counter() - t0
@@ -910,10 +912,14 @@ BOUNDS = {"dt": (">", 0), "dts": (">", 0), "sigma": (">", 0), "t_max": (">", 0),
 BOUNDS |= {"chains": (">=", 2), "n_particles": (">=", 1), "grid_points": (">=", 20), "exponents": (">=", -1), "seed": (">=", 0)}
 BOUNDS |= dict.fromkeys(("beta", "times", "identity_times", "orders", "moment_ks", "modes", "pi1_times", "pi2_window"), (">=", 0))
 
+#: Upper bounds by key name, applied like BOUNDS.  The engine keys its noise
+#: with numpy.uint64(seed), and girsanov's second run uses seed + 1.
+CEILINGS = {"seed": 2**63}
+
 
 def _check_value(value, ref, path, key=None):
     """Check a config value against its default ref: a number is finite (an
-    integer where the default is one, never a bool) and keeps its BOUNDS,
+    integer where the default is one, never a bool) within its BOUNDS and CEILINGS,
     every list entry matches the first default entry, and an object has
     exactly the default's keys.  Errors name the key path."""
     where = path or "config"
@@ -924,6 +930,8 @@ def _check_value(value, ref, path, key=None):
         op, least = BOUNDS.get(key, (">=", -math.inf))
         if value < least or (op == ">" and value == least):
             raise ValueError(f"{where} must be {op} {least}")
+        if key in CEILINGS and value >= CEILINGS[key]:
+            raise ValueError(f"{where} must be < {CEILINGS[key]}")
     elif isinstance(ref, str):
         if not isinstance(value, str):
             raise ValueError(f"{where} must be a string")
@@ -958,6 +966,15 @@ def _check_value(value, ref, path, key=None):
 #: The potentials run_kernel_identities reads by name.
 KERNEL_IDENTITY_POTENTIALS = ("quadratic-force", "mixed-force", "hermite", "hermite-beta1", "hermite-beta4", "generic-beta1", "generic-beta4")
 
+
+def _spread_defined(spec, init) -> bool:
+    """An equispaced init without a halfwidth spreads over sigma = b_1^(-1/2)
+    when the force is Gaussian, as in dyson.InitSpec.positions; a Gaussian
+    force with b_1 < 0 has no sigma."""
+    equispaced = init.get("kind", "equispaced") == "equispaced" and "halfwidth" not in init
+    return not equispaced or [(l, v > 0) for l, v in _forces(spec).items() if v] != [(1, False)]
+
+
 #: Cross-field rules on a config that has passed the schema: (suites, rule, message).
 VALUE_RULES = (
     (("kernel-identities",), lambda s: set(KERNEL_IDENTITY_POTENTIALS) <= set(s["potentials"]), f"potentials must name {', '.join(KERNEL_IDENTITY_POTENTIALS)}"),
@@ -977,13 +994,14 @@ VALUE_RULES = (
     (("equilibrium-loop",), lambda s: all(o <= 6 for o in s["orders"]), "orders must be <= 6: order n reads pi_(n+2), and the sampler tracks pi_k up to k = 8"),
     (("equilibrium-loop",), lambda s: len(s["cases"]) >= 1, "cases must hold one case or more"),
     (("girsanov",), lambda s: len(s["init_values"]) == s["n_particles"], "init_values must hold n_particles values"),
-    (("dbm-moments",), lambda s: all(k <= 6 for k in s["moment_ks"]), "moment_ks must be <= 6: the run tracks pi_k up to k = 6"),
+    (("dbm-moments",), lambda s: all(k <= 6 for k in s["moment_ks"]), "moment_ks must be <= 6: the run tracks pi_k up to k = 6 at most"),
     (("dbm-moments",), lambda s: len(s["pi2_window"]) == 2 and s["pi2_window"][0] <= s["pi2_window"][1], "pi2_window must be [start, end] with start <= end"),
     (("dbm-moments",), lambda s: all(round(t / s["grid"]["dt"]) <= s["grid"]["steps"] for t in s["pi1_times"] + s["pi2_window"]), "pi1_times and pi2_window must lie within steps * dt: the runner reads slot round(t / dt)"),
     (("dbm-moments", "npoint"), lambda s: s["init"].get("kind", "equispaced") in INIT_KINDS, f"init.kind must be one of {', '.join(INIT_KINDS)}"),
     (("dbm-moments", "npoint"), lambda s: s["init"].get("kind") != "explicit" or len(s["init"].get("values", [])) == s["n_particles"], "an explicit init needs n_particles values"),
     (("npoint",), lambda s: s["init"].get("kind") != "equilibrium" or _confining(s), "an equilibrium init needs a confining force: the highest nonzero b_l must have odd l and b_l > 0"),
     (("npoint",), lambda s: all(k <= s["k_max"] for k in s["modes"]), "modes must be <= k_max"),
+    (("npoint", "sv-algebra"), lambda s: _spread_defined(s, s["init"]) if s["suite"] == "npoint" else not s["constraint_mc"] or _spread_defined(s["constraint_mc"], {}), "a Gaussian force {1: b_1} needs b_1 > 0 for an equispaced init without halfwidth: the init spreads over sigma = b_1^(-1/2)"),
 )
 
 

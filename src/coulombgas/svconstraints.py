@@ -383,7 +383,25 @@ def _relation_report(name, lhs, rhs_displayed, probes):
     return {"relation": name, "residual": resid, "scale": scale, "relative": resid / scale}
 
 
-def verify_sv_algebra_quadratic(f, g, pot, n_particles, grid, k_max, mode_int, ktable=None):
+def _family_member(family, kind, v_power, label, fn, pot, n_particles, grid, k_max, ktable):
+    """A_v[fn] (kind "quadr") or A_v^lin[fn] (kind "lin") for v = z^v_power,
+    built on first use and kept in ``family`` under (kind, v_power, label).
+
+    The arrays of a kept operator are made read-only: the bracket checks only
+    read their operands, and a write would corrupt every later read."""
+    key = (kind, v_power, label)
+    if key not in family:
+        build = quadr_family_op if kind == "quadr" else lin_family_op
+        op = build(v_power, fn, pot, n_particles, grid, k_max, ktable)
+        for name in ("x", "d", "xd", "dd"):
+            arr = getattr(op, name)
+            if arr is not None:
+                arr.flags.writeable = False
+        family[key] = op
+    return family[key]
+
+
+def verify_sv_algebra_quadratic(f, g, pot, n_particles, grid, k_max, mode_int, ktable=None, family=None):
     """Bracket relations among the quadratic family members.
 
     Checks, against smooth degree <= 2 probe functionals on interior modes:
@@ -392,13 +410,23 @@ def verify_sv_algebra_quadratic(f, g, pot, n_particles, grid, k_max, mode_int, k
         [A_1[f], A_1[g]]  ~ 0,
     all with the realization's bracket orientation (BRACKET_ORIENTATION).
     Returns a list of per-relation residual dicts.
+
+    ``family`` holds the family members A_v[f], A_v[g], A_v^lin[f] and
+    A_v^lin[g] (v = 1, z) of one (f, g, pot, n_particles, grid, k_max),
+    keyed by (kind, v_power, label) with kind "quadr" or "lin" and label "f"
+    or "g"; members it lacks are built into it.  This check and
+    :func:`verify_sv_algebra_linear` both read one family when given the
+    same dict, so each member is built once for the pair.  By default a
+    fresh dict is used.
     """
     if ktable is None:
         ktable = kernel_table(pot, grid, k_max)
+    family = {} if family is None else family
     probes = weak_probe_profiles(grid, mode_int)
-    mk = lambda v, fn: quadr_family_op(v, fn, pot, n_particles, grid, k_max, ktable)
-    a1f, a1g = mk(0, f), mk(0, g)
-    azf, azg = mk(1, f), mk(1, g)
+    fns = {"f": f, "g": g}
+    mk = lambda v, label: _family_member(family, "quadr", v, label, fns[label], pot, n_particles, grid, k_max, ktable)
+    a1f, a1g = mk(0, "f"), mk(0, "g")
+    azf, azg = mk(1, "f"), mk(1, "g")
 
     out = []
     h = f.deriv(1) * g - f * g.deriv(1)
@@ -414,7 +442,7 @@ def verify_sv_algebra_quadratic(f, g, pot, n_particles, grid, k_max, mode_int, k
     return out
 
 
-def verify_sv_algebra_linear(f, g, pot, n_particles, grid, k_max, mode_int, ktable=None):
+def verify_sv_algebra_linear(f, g, pot, n_particles, grid, k_max, mode_int, ktable=None, family=None):
     """Cross-brackets of linear and quadratic family members.
 
     Checks (orientation as in the quadratic suite):
@@ -422,21 +450,27 @@ def verify_sv_algebra_linear(f, g, pot, n_particles, grid, k_max, mode_int, ktab
         [A_1^lin[f], A_z[g]] - [A_z^lin[g], A_1[f]] ~ 2 * lin target, label
                                                       f''g - f'g'/2
         [A_1^lin[f], A_1[g]] - (f <-> g) ~ 0.
+
+    ``family`` is the family dict of :func:`verify_sv_algebra_quadratic`;
+    given the dict that check filled, this one reads its quadratic members
+    and builds only the linear ones.  By default a fresh dict is used.
     """
     if ktable is None:
         ktable = kernel_table(pot, grid, k_max)
+    family = {} if family is None else family
     probes = weak_probe_profiles(grid, mode_int)
-    mkq = lambda v, fn: quadr_family_op(v, fn, pot, n_particles, grid, k_max, ktable)
-    mkl = lambda v, fn: lin_family_op(v, fn, pot, n_particles, grid, k_max, ktable)
+    fns = {"f": f, "g": g}
+    mkq = lambda v, label: _family_member(family, "quadr", v, label, fns[label], pot, n_particles, grid, k_max, ktable)
+    mkl = lambda v, label: _family_member(family, "lin", v, label, fns[label], pot, n_particles, grid, k_max, ktable)
 
     out = []
     h = f.deriv(1) * g - f * g.deriv(1)
-    lhs = commutator(mkl(1, f), mkq(1, g)) - commutator(mkl(1, g), mkq(1, f))
+    lhs = commutator(mkl(1, "f"), mkq(1, "g")) - commutator(mkl(1, "g"), mkq(1, "f"))
     target = lin_core(1, 2.0 * h.deriv(3), 2.0 * h.deriv(1), pot, n_particles, grid, k_max, ktable)
     out.append(_relation_report("linear [0,0] -> 0-type", lhs, target, probes))
 
     h2 = f.deriv(2) * g - 0.5 * (f.deriv(1) * g.deriv(1))
-    lhs2 = commutator(mkl(0, f), mkq(1, g)) - commutator(mkl(1, f), mkq(0, g))
+    lhs2 = commutator(mkl(0, "f"), mkq(1, "g")) - commutator(mkl(1, "f"), mkq(0, "g"))
     target2 = 2.0 * lin_core(0, h2.deriv(2), h2, pot, n_particles, grid, k_max, ktable)
     # The mixed-weight bracket retains a total-derivative-labelled mode
     # extraction that the u = v cases kill (there it pairs with the conserved
@@ -451,7 +485,7 @@ def verify_sv_algebra_linear(f, g, pot, n_particles, grid, k_max, mode_int, ktab
     rep_corr["as_stated_relative"] = rep_stated["relative"]
     out.append(rep_corr)
 
-    lhs3 = commutator(mkl(0, f), mkq(0, g)) - commutator(mkl(0, g), mkq(0, f))
+    lhs3 = commutator(mkl(0, "f"), mkq(0, "g")) - commutator(mkl(0, "g"), mkq(0, "f"))
     zero = BosonOperator(grid, k_max)
     out.append(_relation_report("linear [-1,-1] -> 0", lhs3, zero, probes))
     return out

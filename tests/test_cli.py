@@ -1,14 +1,17 @@
 import copy
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coulombgas import cli
 from coulombgas.cli import (
     SUITES,
     default_scenario,
@@ -18,6 +21,10 @@ from coulombgas.cli import (
     validate_scenario,
     write_report,
 )
+
+#: The environment of a child process: the coulombgas these tests import comes
+#: first on its path, so a bare ``python -m pytest`` runs the same code in both.
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
 def test_schema_version_constant():
@@ -159,15 +166,19 @@ LANGEVIN_CONFIG_ERRORS = {
     "sv-algebra constraint_mc replicas 1": _mutated("sv-algebra", constraint_mc__replicas=1),
     "sv-algebra constraint_mc beta 0": _mutated("sv-algebra", constraint_mc__beta=0.0),
     "malformed: girsanov tau key not an integer": _mutated("girsanov", tau={"two": 0.05}),
+    "npoint Gaussian b_1 negative": _mutated("npoint", b={"1": -1.0}),
+    "sv-algebra constraint_mc Gaussian b_1 negative": _mutated("sv-algebra", constraint_mc__b={"1": -1.0}),
+    "npoint seed 2**63": _mutated("npoint", seed=2**63),
 }
 
-#: The start of the message each malformed config gets: the key path at fault.
+#: The start of the message a config gets, where the test asserts it: the key path at fault.
 MALFORMED_MESSAGES = {
     "malformed: boson-commutators potential without b": "potentials.hermite: missing b",
     "malformed: npoint b as a list": "b must be an object",
     "malformed: b as a list": "b must be an object",
     "malformed: girsanov tau key not an integer": "tau: key 'two' must be an integer",
     "malformed: case not an object": "cases[0] must be an object",
+    "npoint seed 2**63": f"seed must be < {2**63}",
 }
 
 #: Configs with a key no suite reads, by the start of their message.
@@ -198,6 +209,7 @@ def _assert_config_error(tmp_path, scn, message=None):
         [sys.executable, "-m", "coulombgas.cli", "run", str(cfg), "--out", str(tmp_path / "out")],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 2, proc.stderr
     assert "config error:" in proc.stderr
@@ -281,7 +293,7 @@ def test_validation_imports_no_engine():
         "    cli.validate_scenario(cli.default_scenario(suite))\n"
         "print(sorted({'coulombgas.kernel', 'coulombgas.dyson'} & set(sys.modules)))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -305,6 +317,24 @@ def test_seed_flag_below_zero_exit_2(tmp_path, capsys):
     assert main(["run", str(cfg), "--seed", "-1", "--out", str(tmp_path / "r")]) == 2
     assert "config error: --seed must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+def test_seed_flag_at_ceiling_exit_2(tmp_path, capsys):
+    """--seed 2**63 is a config error like that seed in the file."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(default_scenario("npoint")))
+    assert main(["run", str(cfg), "--seed", str(2**63), "--out", str(tmp_path / "r")]) == 2
+    assert f"config error: --seed must be < {2**63}" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_largest_seed_runs():
+    """girsanov, whose second run uses seed + 1, runs at the largest seed."""
+    scn = default_scenario("girsanov")
+    scn.update(seed=2**63 - 1, replicas=20, grid={"dt": 0.01, "steps": 10})
+    validate_scenario(scn)
+    rep, _ = run_suite(scn)
+    assert rep["scenario"]["seed"] == 2**63 - 1 and rep["checks"]
 
 
 def test_integer_dt_runs(tmp_path, capsys):
@@ -420,6 +450,7 @@ def test_console_entry_point_runs():
         [sys.executable, "-m", "coulombgas.cli", "default-config", "boson-commutators"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["suite"] == "boson-commutators"

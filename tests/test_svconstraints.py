@@ -154,8 +154,9 @@ def test_sv_algebra_first_order_convergence(pot):
         f = bump(0.0, tmax, 4)
         g = bump(0.0, tmax, 4) * poly_t(1)
         tab = kernel_table(pot, grid, k_max)
-        reps = verify_sv_algebra_quadratic(f, g, pot, n_part, grid, k_max, mode_int=6, ktable=tab)
-        reps += verify_sv_algebra_linear(f, g, pot, n_part, grid, k_max, mode_int=6, ktable=tab)
+        family = {}
+        reps = verify_sv_algebra_quadratic(f, g, pot, n_part, grid, k_max, mode_int=6, ktable=tab, family=family)
+        reps += verify_sv_algebra_linear(f, g, pot, n_part, grid, k_max, mode_int=6, ktable=tab, family=family)
         for r in reps:
             resid.setdefault(r["relation"], []).append(r["residual"])
     for name, (r1, r2) in resid.items():
@@ -173,6 +174,89 @@ def test_sv_algebra_f_equals_g_is_exact_zero():
     lin = verify_sv_algebra_linear(f, f, HERMITE2, 5.0, grid, 6, mode_int=4, ktable=tab)
     assert lin[0]["residual"] < 1e-12
     assert lin[2]["residual"] < 1e-12
+
+
+def test_sv_algebra_shared_family_builds_each_member_once(monkeypatch):
+    """One (potential, grid) pass of both checks on one family dict builds
+    the four quadratic members and the quadratic target, and the four linear
+    members, once each; the kept members are read-only."""
+    from coulombgas import svconstraints
+
+    calls = {"quadr": 0, "lin": 0}
+
+    def counted(kind, build):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return build(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(svconstraints, "quadr_family_op", counted("quadr", svconstraints.quadr_family_op))
+    monkeypatch.setattr(svconstraints, "lin_family_op", counted("lin", svconstraints.lin_family_op))
+    grid = TimeGrid(0.05, 20)
+    f = bump(0.0, 1.0, 4)
+    g = bump(0.0, 1.0, 4) * poly_t(1)
+    tab = kernel_table(HERMITE2, grid, 6)
+    family = {}
+    verify_sv_algebra_quadratic(f, g, HERMITE2, 5.0, grid, 6, mode_int=4, ktable=tab, family=family)
+    verify_sv_algebra_linear(f, g, HERMITE2, 5.0, grid, 6, mode_int=4, ktable=tab, family=family)
+    assert calls == {"quadr": 5, "lin": 4}
+    assert sorted(family) == [(kind, v, label) for kind in ("lin", "quadr") for v in (0, 1) for label in ("f", "g")]
+    for op in family.values():
+        for arr in (op.x, op.d, op.xd, op.dd):
+            assert arr is None or not arr.flags.writeable
+
+
+#: Every report of both checks at TimeGrid(0.05, 20), k_max 6, mode_int 4,
+#: N = 5, as the checks computed them when each built its own members.
+SV_ALGEBRA_PINNED = {
+    "hermite": [
+        {"relation": "quadr [0,0] -> 0-type", "residual": 1.290009068145383, "scale": 8.875976482936872, "relative": 0.14533714353854918},
+        {"relation": "quadr [-1,0] -> -1-type", "residual": 13.194489258367676, "scale": 56.0757904943931, "relative": 0.23529742767847323},
+        {"relation": "quadr [-1,-1] -> 0", "residual": 2.594591015279247, "scale": 2.594591015279247, "relative": 1.0},
+        {"relation": "linear [0,0] -> 0-type", "residual": 7.32532830298798, "scale": 11.334157572654618, "relative": 0.6463054934635328},
+        {
+            "relation": "linear [-1,0] -> -1-type",
+            "residual": 6.062216287757872,
+            "scale": 7.704848760731636,
+            "relative": 0.7868053580304433,
+            "as_stated_residual": 4.18479969315216,
+            "as_stated_relative": 0.35197001066799244,
+        },
+        {"relation": "linear [-1,-1] -> 0", "residual": 201.93941013274082, "scale": 201.93941013274082, "relative": 1.0},
+    ],
+    "generic": [
+        {"relation": "quadr [0,0] -> 0-type", "residual": 1.8414563525714422, "scale": 9.789105363728094, "relative": 0.18811283402818946},
+        {"relation": "quadr [-1,0] -> -1-type", "residual": 13.248393230234234, "scale": 130.94107346027295, "relative": 0.10117828485844627},
+        {"relation": "quadr [-1,-1] -> 0", "residual": 3.0010587264525013, "scale": 3.0010587264525013, "relative": 1.0},
+        {"relation": "linear [0,0] -> 0-type", "residual": 8.550792172288883, "scale": 12.56227031815239, "relative": 0.6806725182416311},
+        {
+            "relation": "linear [-1,0] -> -1-type",
+            "residual": 6.184632204533048,
+            "scale": 9.260654146205905,
+            "relative": 0.667839669519123,
+            "as_stated_residual": 5.7928656415081425,
+            "as_stated_relative": 0.7533347855729655,
+        },
+        {"relation": "linear [-1,-1] -> 0", "residual": 198.6151385647637, "scale": 198.6151385647637, "relative": 1.0},
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SV_ALGEBRA_PINNED))
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-family", "own-family"])
+def test_sv_algebra_reports_pinned(name, shared):
+    """Exact residuals and scales of both checks, whether they read one
+    family dict or each build their own members."""
+    pot = {"hermite": HERMITE2, "generic": Potential(2.0, {1: 0.5, 2: 0.3})}[name]
+    grid = TimeGrid(0.05, 20)
+    f = bump(0.0, 1.0, 4)
+    g = bump(0.0, 1.0, 4) * poly_t(1)
+    tab = kernel_table(pot, grid, 6)
+    shared_family = {"family": {}} if shared else {}
+    reps = verify_sv_algebra_quadratic(f, g, pot, 5.0, grid, 6, mode_int=4, ktable=tab, **shared_family)
+    reps += verify_sv_algebra_linear(f, g, pot, 5.0, grid, 6, mode_int=4, ktable=tab, **shared_family)
+    assert reps == SV_ALGEBRA_PINNED[name]
 
 
 def test_sv_algebra_truncation_independence():
