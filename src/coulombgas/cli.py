@@ -373,7 +373,6 @@ def run_sv_algebra(scn):
             mc["replicas"],
             InitSpec("equispaced", shift=mc["init_shift"]),
             seed=scn["seed"],
-            k_track=4,
             functionals={name: constraint_functional(cop) for name, cop in cops.items()},
         )
         for name, cop in cops.items():
@@ -465,7 +464,7 @@ def run_equilibrium_loop(scn):
 )
 def run_dbm_moments(scn):
     from .boson import TimeGrid
-    from .dyson import InitSpec, simulate_dbm
+    from .dyson import InitSpec, moment_functionals, simulate_dbm
 
     checks, tables = [], {}
     tol = scn["tolerances"]
@@ -480,8 +479,7 @@ def run_dbm_moments(scn):
         scn["replicas"],
         InitSpec(**scn["init"]),
         seed=scn["seed"],
-        k_track=max([2] + [k + pot.l_max - 1 for k in scn["moment_ks"]]),  # pi_1, pi_2 and the residuals' pi_(k+L_max-1)
-        track_moment_residual=tuple(scn["moment_ks"]),
+        functionals=moment_functionals(pot, grid, scn["moment_ks"]),
     )
     elapsed = time.perf_counter() - t0
 
@@ -520,7 +518,7 @@ def run_dbm_moments(scn):
     )
     rows = []
     for k in scn["moment_ks"]:
-        r = ens.moment_residual_samples[k]
+        r = ens.functional_samples[f"residual{k}"]
         se = _std_error(r)
         bias = tol["bias_per_dt"] * (1 + k * k) * grid.dt
         rows.append((k, float(r.mean()), se, bias))
@@ -534,7 +532,7 @@ def run_dbm_moments(scn):
                 bias_bound=bias,
             )
         )
-        s = ens.martingale_samples[k]
+        s = ens.functional_samples[f"martingale{k}"] / (grid.steps * grid.dt)
         s_se = _std_error(s)
         checks.append(
             check(
@@ -580,7 +578,7 @@ def run_girsanov(scn):
     tau = {int(k): float(v) for k, v in scn["tau"].items()}
     init = InitSpec("explicit", values=tuple(scn["init_values"]))
     funcs = girsanov_functionals(tau, grid)
-    base = simulate_dbm(pot, scn["n_particles"], grid, scn["replicas"], init, seed=scn["seed"], k_track=4, functionals=funcs)
+    base = simulate_dbm(pot, scn["n_particles"], grid, scn["replicas"], init, seed=scn["seed"], functionals=funcs)
     per_rep = base.functional_samples
     w = np.exp(per_rep["logweight"] + per_rep["quadratic"])
     mean_w = float(w.mean())
@@ -591,7 +589,7 @@ def run_girsanov(scn):
     rew = float(np.sum(w * pi2) / np.sum(w))
     se_rew = float(np.std(w * (pi2 - rew), ddof=1) / (np.mean(w) * math.sqrt(base.m)))
     tilted = perturbed_potential(pot, tau)
-    direct = simulate_dbm(tilted, scn["n_particles"], grid, scn["replicas"], init, seed=scn["seed"] + 1, k_track=4)
+    direct = simulate_dbm(tilted, scn["n_particles"], grid, scn["replicas"], init, seed=scn["seed"] + 1)
     d_mean = float(direct.pi_mean(2)[-1])
     d_se = float(direct.pi_se(2)[-1])
     checks.append(
@@ -646,7 +644,6 @@ def run_npoint(scn):
         scn["replicas"],
         InitSpec(**scn["init"]),
         seed=scn["seed"],
-        k_track=6,
         functionals=funcs,
     )
     rows = []
@@ -909,7 +906,7 @@ NAMED_KEYS = {"potentials": None, "b": 1, "tau": 2}
 #: standard errors are the scatter across replicas or chains, so 2 are needed;
 #: np-brackets leaves out 10 grid points at each end; NP exponents start at -1.
 BOUNDS = {"dt": (">", 0), "dts": (">", 0), "sigma": (">", 0), "t_max": (">", 0), "steps": (">=", 2), "replicas": (">=", 2)}
-BOUNDS |= {"chains": (">=", 2), "n_particles": (">=", 1), "grid_points": (">=", 20), "exponents": (">=", -1), "seed": (">=", 0)}
+BOUNDS |= {"chains": (">=", 2), "n_particles": (">=", 1), "threads": (">=", 1), "grid_points": (">=", 20), "exponents": (">=", -1), "seed": (">=", 0)}
 BOUNDS |= dict.fromkeys(("beta", "times", "identity_times", "orders", "moment_ks", "modes", "pi1_times", "pi2_window"), (">=", 0))
 
 #: Upper bounds by key name, applied like BOUNDS.  The engine keys its noise
@@ -994,7 +991,7 @@ VALUE_RULES = (
     (("equilibrium-loop",), lambda s: all(o <= 6 for o in s["orders"]), "orders must be <= 6: order n reads pi_(n+2), and the sampler tracks pi_k up to k = 8"),
     (("equilibrium-loop",), lambda s: len(s["cases"]) >= 1, "cases must hold one case or more"),
     (("girsanov",), lambda s: len(s["init_values"]) == s["n_particles"], "init_values must hold n_particles values"),
-    (("dbm-moments",), lambda s: all(k <= 6 for k in s["moment_ks"]), "moment_ks must be <= 6: the run tracks pi_k up to k = 6 at most"),
+    (("dbm-moments",), lambda s: all(k <= 6 for k in s["moment_ks"]), "moment_ks must be <= 6"),
     (("dbm-moments",), lambda s: len(s["pi2_window"]) == 2 and s["pi2_window"][0] <= s["pi2_window"][1], "pi2_window must be [start, end] with start <= end"),
     (("dbm-moments",), lambda s: all(round(t / s["grid"]["dt"]) <= s["grid"]["steps"] for t in s["pi1_times"] + s["pi2_window"]), "pi1_times and pi2_window must lie within steps * dt: the runner reads slot round(t / dt)"),
     (("dbm-moments", "npoint"), lambda s: s["init"].get("kind", "equispaced") in INIT_KINDS, f"init.kind must be one of {', '.join(INIT_KINDS)}"),
@@ -1042,19 +1039,17 @@ def main(argv=None) -> int:
         print(json.dumps(default_scenario(args.suite), indent=2, sort_keys=True))
         return 0
 
+    flags = {key: value for key, value in (("seed", args.seed), ("threads", args.threads)) if value is not None}
     try:
         with open(args.config) as fh:
             scn = json.load(fh)
         validate_scenario(scn)
-        if args.seed is not None:
-            _check_value(args.seed, 0, "--seed", "seed")
+        for key, value in flags.items():
+            _check_value(value, 0, f"--{key}", key)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        scn["seed"] = args.seed
-    if args.threads is not None:
-        scn["threads"] = args.threads
+    scn |= flags
     out_dir = Path(args.out or os.environ.get("COULOMBGAS_OUT", "reports"))
 
     from .dyson import RejectionRateError  # not at module level: keeps CLI start-up free of the engine import

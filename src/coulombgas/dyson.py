@@ -7,9 +7,9 @@ Simulates the coupled eigenvalue-type dynamics
 with the noise convention Var(dB) = 2 dt, by Euler-Maruyama with step
 rejection on ordering violations (beta >= 1).  Provides Metropolis sampling
 of the stationary Gibbs measure, the per-replica path functionals (reweighting
-log weights, linearized action densities, pi_k at chosen slots) that the
-reweighting, constraint and n-point checks average, and the loop-equation
-residual.  The stored-path post-processors (linear statistics, reweighting
+log weights, moment residuals, action densities, pi_k at chosen slots) that the
+reweighting, moment, constraint and n-point checks average, and the
+loop-equation residual.  The stored-path post-processors (linear statistics, reweighting
 weights, action terms) are the reference the online functionals are tested
 against.
 
@@ -55,6 +55,7 @@ __all__ = [
     "action_terms",
     "slin_increment",
     "girsanov_functionals",
+    "moment_functionals",
     "loop_equation_residual",
     "npoint_vs_kernel",
     "npoint_functionals",
@@ -63,6 +64,7 @@ __all__ = [
 ]
 
 GAP_MIN = 1e-8
+_EQ_INIT_SWEEPS_PER_CHAIN = 200  # least sweeps per chain: fewer leave an equilibrium init short of equilibrium
 
 
 class RejectionRateError(RuntimeError):
@@ -94,7 +96,8 @@ class InitSpec:
             base = np.linspace(-hw, hw, n) if n > 1 else np.zeros(1)
             return np.tile(base + self.shift, (m, 1))
         if self.kind == "equilibrium":
-            eq = sample_equilibrium(pot, n, self.sweeps, self.seed, chains=max(64, m // 8))
+            chains = max(64, m // 8)
+            eq = sample_equilibrium(pot, n, max(self.sweeps, _EQ_INIT_SWEEPS_PER_CHAIN * chains), self.seed, chains=chains)
             rng = np.random.default_rng(self.seed + 1)
             idx = rng.integers(0, eq.samples.shape[0], size=m)
             return np.sort(eq.samples[idx], axis=1)
@@ -111,10 +114,9 @@ class Ensemble:
     m: int
     seed: int
     init: InitSpec
-    k_track: int
     paths: np.ndarray | None = None       # (m, steps+1, n)
     incs: np.ndarray | None = None        # stored Brownian increments (m, steps, n)
-    pi_sum: np.ndarray | None = None      # (steps+1, k_track+1)
+    pi_sum: np.ndarray | None = None      # (steps+1, 3): pi_0..pi_2
     pi_sumsq: np.ndarray | None = None
     noise_sum: float = 0.0
     noise_sumsq: float = 0.0
@@ -125,8 +127,6 @@ class Ensemble:
     # of paths, incs and slin_samples
     slin_samples: np.ndarray | None = None
     functional_samples: dict = field(default_factory=dict)  # name -> (m,) per-replica values
-    moment_residual_samples: dict = field(default_factory=dict)  # k -> (m,) time-averaged residual
-    martingale_samples: dict = field(default_factory=dict)       # k -> (m,) time-averaged S_k
 
     @property
     def rejection_rate(self) -> float:
@@ -192,8 +192,6 @@ def simulate_dbm(
     m: int,
     init: InitSpec | None = None,
     seed: int = 0,
-    k_track: int = 6,
-    track_moment_residual: tuple = (),
     functionals: dict | None = None,
     keep_paths: bool = False,
 ) -> Ensemble:
@@ -203,29 +201,27 @@ def simulate_dbm(
     below GAP_MIN) are rejected and redrawn with fresh counter-keyed noise;
     a terminal rejection rate >= 1% raises RejectionRateError.
 
-    ``functionals`` maps names to dicts of per-slot weights, {kind: {k:
+    ``functionals`` maps names to dicts of per-slot weights, {kind: {key:
     weights}} with weights of length steps+1; each name accumulates the
-    per-replica path functional sum_j w_j X_k(j) summed over its entries.
-    The four kinds of X_k(j) are
+    per-replica path functional sum_j w_j X_key(j) summed over its entries.
+    The five kinds of X_key(j) are
       "pi": pi_k(t_j), on every slot j = 0..steps;
+      "pp": pi_a(t_j) pi_b(t_j) for a key (a, b), a <= b, on every slot;
       "s":  the linearized action density S_k(t_j) of step j (see
             :func:`slin_increment`), j < steps;
       "q":  the leading mean of the higher Ito remainder of the pi_k
             update of step j, times dt, j < steps;
       "db": sum_i k lam_i(t_j)^(k-1) dB_i(j), the Ito integrand of the
             reweighting log weight (see :func:`girsanov_functionals`), j < steps.
-    ``track_moment_residual`` lists modes k for which the time-averaged
-    evolution-identity residual (centered time derivative telescoped over the
-    interior window) and the time-averaged martingale density S_k are
-    accumulated per replica, giving exact replica-scatter error bars.
     ``keep_paths`` stores every trajectory and Brownian increment in
     ``paths`` and ``incs``.  It serves the stored-path post-processors, the
     reference the online functionals are tested against; without it both
     stay None and only the online accumulators are kept.
 
     The state is particle-major, (n, m): a sum over particles is n - 1
-    contiguous row adds, and one power stack lam^0..lam^k_track per slot
-    feeds every moment, functional and martingale accumulator.  Noise is drawn,
+    contiguous row adds, and one power stack lam^0..lam^K per slot, K the
+    largest of 2, every "pi" key, every "pp" index and every "db" k - 1, feeds
+    ``pi_sum``, ``pi_sumsq`` (pi_0..pi_2) and those functionals.  Noise is drawn,
     retried and summed as (m, n) blocks; ``paths`` (m, steps+1, n) and
     ``incs`` (m, steps, n) stay replica-major.  For n <= 7 these row adds
     equal numpy's replica-major sum over axis 1 bit for bit; for n >= 8 that
@@ -236,46 +232,33 @@ def simulate_dbm(
     steps = grid.steps
     lam = np.ascontiguousarray(np.sort(init.positions(pot, n, m), axis=1).T)
 
-    ens = Ensemble(pot, n, grid, m, seed, init, k_track)
+    ens = Ensemble(pot, n, grid, m, seed, init)
     if keep_paths:
         ens.paths = np.empty((m, steps + 1, n))
         ens.paths[:, 0] = lam.T
         ens.incs = np.empty((m, steps, n))
-    ens.pi_sum = np.zeros((steps + 1, k_track + 1))
-    ens.pi_sumsq = np.zeros((steps + 1, k_track + 1))
-    mres_ks = tuple(track_moment_residual)
-    for k in mres_ks:
-        if k + pot.l_max - 1 > k_track or k > k_track:
-            raise ValueError("k_track too small for the requested moment residuals")
-    macc = {k: np.zeros(m) for k in mres_ks}
-    sfull = {k: np.zeros(m) for k in mres_ks}
-    pi_boundary = {}
+    ens.pi_sum, ens.pi_sumsq = np.zeros((2, steps + 1, 3))
     functionals = functionals or {}
     facc = {name: np.zeros(m) for name in functionals}
-    pows = np.empty((k_track + 1, n, m))  # lam^k of the current slot, k = 0..k_track
+    depth = 2
+    for spec in functionals.values():
+        depth = max([depth, *spec.get("pi", {}), *(max(ab) for ab in spec.get("pp", {})), *(k - 1 for k in spec.get("db", {}))])
+    pows = np.empty((depth + 1, n, m))  # lam^k of the current slot, k = 0..depth
     pows[0] = 1.0
 
     def record_pi(j, lam_now):
-        for k in range(1, k_track + 1):
+        for k in range(1, depth + 1):
             np.multiply(pows[k - 1], lam_now, out=pows[k])
-        pis = pows.sum(axis=1)  # (k_track+1, m): pi_k per replica
-        ens.pi_sum[j] += pis.sum(axis=1)
-        ens.pi_sumsq[j] += (pis**2).sum(axis=1)
+        pis = pows.sum(axis=1)  # (depth+1, m): pi_k per replica
+        ens.pi_sum[j] += pis[:3].sum(axis=1)
+        ens.pi_sumsq[j] += (pis[:3] ** 2).sum(axis=1)
         for name, spec in functionals.items():
             for k, w in spec.get("pi", {}).items():
                 if w[j] != 0.0:
-                    facc[name] += w[j] * (pis[k] if k <= k_track else np.sum(lam_now**k, axis=0))
-        if mres_ks and j in (0, 1, steps - 1, steps):
-            pi_boundary[j] = pis
-        for k in mres_ks if 1 <= j <= steps - 1 else ():
-            term = np.zeros(m)
-            if k >= 2:
-                term += (pot.beta / 2.0 - 1.0) * k * (k - 1) * pis[k - 2]
-            for l, bl in pot.b.items():
-                term += k * bl * pis[l + k - 1]
-            for q in range(0, k - 1):
-                term -= (pot.beta / 2.0) * k * pis[q] * pis[k - 2 - q]
-            macc[k] += term
+                    facc[name] += w[j] * pis[k]
+            for (a, b), w in spec.get("pp", {}).items():
+                if w[j] != 0.0:
+                    facc[name] += w[j] * pis[a] * pis[b]
 
     record_pi(0, lam)
     order_guard = pot.beta >= 1.0 and n > 1
@@ -369,21 +352,11 @@ def simulate_dbm(
                     facc[name] += w[j] * q * dt
             for k, w in spec.get("db", {}).items():
                 if w[j] != 0.0:
-                    lam_k = pows[k - 1] if k <= k_track + 1 else lam ** (k - 1)
-                    facc[name] += np.sum((k * w[j]) * lam_k * db, axis=0)
-        for k in mres_ks:
-            sfull[k] += np.sum(k * pows[k - 1] * db, axis=0)  # S_k dt = sum k lam^(k-1) dB
+                    facc[name] += np.sum((k * w[j]) * pows[k - 1] * db, axis=0)
         lam = prop
         record_pi(j + 1, lam)
 
     ens.functional_samples = facc
-    if mres_ks:
-        width = max(steps - 1, 1)
-        end, end1, start1, start = (pi_boundary[i] for i in (steps, steps - 1, 1, 0))
-        for k in mres_ks:
-            tele = (end[k] + end1[k] - start1[k] - start[k]) / (2 * dt)
-            ens.moment_residual_samples[k] = (tele + macc[k]) / width
-            ens.martingale_samples[k] = sfull[k] / (steps * dt)
     if ens.rejection_rate >= 0.01:
         raise RejectionRateError(f"rejection rate {ens.rejection_rate:.3%} >= 1%")
     return ens
@@ -520,8 +493,6 @@ def linear_statistics(e: Ensemble, k: int):
     """pi_k per replica and slot, (m, steps+1), from an Ensemble with stored paths."""
     if e.paths is None:
         raise ValueError("ensemble was simulated without stored paths")
-    if k == 0:
-        return np.full((e.m, e.grid.steps + 1), float(e.n))
     return np.sum(e.paths**k, axis=2)
 
 
@@ -588,6 +559,36 @@ def girsanov_functionals(tau, grid: TimeGrid) -> dict:
     }
 
 
+def moment_functionals(pot: Potential, grid: TimeGrid, ks) -> dict:
+    """The moment-hierarchy checks of the modes ``ks`` as :func:`simulate_dbm` functionals.
+
+    "residual<k>" is the evolution-identity residual d pi_k/dt + (beta/2 - 1)
+    k (k-1) pi_{k-2} + k sum_l b_l pi_{l+k-1} - (beta/2) k sum_{q=0}^{k-2}
+    pi_q pi_{k-2-q} averaged over slots 1..steps-1, with the centred
+    derivative telescoped onto slots 0, 1, steps-1 and steps; its mean is
+    O(dt).  "martingale<k>" sums S_k dt = sum_i k lam_i^(k-1) dB_i over slots
+    0..steps-1; over steps * dt it is the time-averaged S_k, of mean zero.
+    """
+    steps, width, slots = grid.steps, max(grid.steps - 1, 1), np.arange(grid.nslots)
+    ends = np.isin(slots, (steps - 1, steps)) - np.isin(slots, (0, 1)).astype(float)  # telescoped centred derivative
+    interior = ((slots >= 1) & (slots < steps)) / width
+    live = (slots < steps).astype(float)
+    out = {}
+    for k in ks:
+        terms = [(l + k - 1, k * bl) for l, bl in pot.b.items()]
+        if k >= 2:
+            terms.append((k - 2, (pot.beta / 2.0 - 1.0) * k * (k - 1)))
+        pi, pp = {k: ends / (2 * grid.dt * width)}, {}
+        for key, c in terms:
+            pi[key] = pi.get(key, 0.0) + c * interior
+        for q in range(k - 1):
+            key = (min(q, k - 2 - q), max(q, k - 2 - q))
+            pp[key] = pp.get(key, 0.0) - (pot.beta / 2.0) * k * interior
+        out[f"residual{k}"] = {"pi": pi, "pp": pp}
+        out[f"martingale{k}"] = {"db": {k: live}}
+    return out
+
+
 def perturbed_potential(pot: Potential, tau: dict) -> Potential:
     """Potential whose dynamics the weight exp(logweight + quadr)
     reweights onto: V' -> V' + 2 sum_k k tau_k x^(k-1)."""
@@ -623,9 +624,7 @@ def action_terms(e: Ensemble, tau) -> tuple[np.ndarray, np.ndarray]:
             if k >= 2:
                 quad = np.zeros(e.m)
                 for q in range(0, k - 1):
-                    pq = np.sum(lam**q, axis=1) if q else float(e.n)
-                    pr = np.sum(lam ** (k - 2 - q), axis=1) if k - 2 - q else float(e.n)
-                    quad += pq * pr
+                    quad += np.sum(lam**q, axis=1) * np.sum(lam ** (k - 2 - q), axis=1)
                 s_quad -= arr[j] * (e.pot.beta / 2.0) * k * quad * dt
     return s_lin, s_quad
 

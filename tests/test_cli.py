@@ -144,6 +144,7 @@ EQUILIBRIUM_CONFIG_ERRORS = {
     "b not Gaussian": _mutated("equilibrium-loop", b={"1": 1, "3": 0.2}),
     "b_1 negative": _mutated("equilibrium-loop", b={"1": -1.0}),
     "seed -1": _mutated("equilibrium-loop", seed=-1),
+    "threads -3": _mutated("equilibrium-loop", threads=-3),
     "malformed: case not an object": _mutated("equilibrium-loop", cases=[[2, 1.0]]),
     "malformed: b as a list": _mutated("equilibrium-loop", b=[1.0]),
 }
@@ -179,6 +180,7 @@ MALFORMED_MESSAGES = {
     "malformed: girsanov tau key not an integer": "tau: key 'two' must be an integer",
     "malformed: case not an object": "cases[0] must be an object",
     "npoint seed 2**63": f"seed must be < {2**63}",
+    "threads -3": "threads must be >= 1",
 }
 
 #: Configs with a key no suite reads, by the start of their message.
@@ -316,6 +318,15 @@ def test_seed_flag_below_zero_exit_2(tmp_path, capsys):
     cfg.write_text(json.dumps(default_scenario("equilibrium-loop")))
     assert main(["run", str(cfg), "--seed", "-1", "--out", str(tmp_path / "r")]) == 2
     assert "config error: --seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_threads_flag_zero_exit_2(tmp_path, capsys):
+    """--threads 0 is a config error like that value in the file."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(default_scenario("equilibrium-loop")))
+    assert main(["run", str(cfg), "--threads", "0", "--out", str(tmp_path / "r")]) == 2
+    assert "config error: --threads must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
 
 

@@ -14,6 +14,7 @@ from coulombgas.dyson import (
     linear_statistics,
     load_paths,
     loop_equation_residual,
+    moment_functionals,
     npoint_functionals,
     npoint_vs_kernel,
     perturbed_potential,
@@ -41,7 +42,7 @@ def test_ou_single_particle_moments():
     sig = 1.0
     grid = TimeGrid(1e-3, 800)
     ens = simulate_dbm(
-        HERMITE2, 1, grid, 20000, InitSpec("explicit", values=(1.5,)), seed=7, k_track=4
+        HERMITE2, 1, grid, 20000, InitSpec("explicit", values=(1.5,)), seed=7
     )
     t = 0.8
     mean = ens.pi_mean(1)[-1]
@@ -58,7 +59,7 @@ def test_free_particles_pi2_growth():
     pot = Potential(0.0, {})
     grid = TimeGrid(1e-3, 500)
     init = InitSpec("explicit", values=(-1.0, 0.5, 2.0))
-    ens = simulate_dbm(pot, 3, grid, 8000, init, seed=3, k_track=4)
+    ens = simulate_dbm(pot, 3, grid, 8000, init, seed=3)
     pi2_0 = 1.0 + 0.25 + 4.0
     t = 0.5
     want = pi2_0 + 2 * 3 * t
@@ -68,7 +69,7 @@ def test_free_particles_pi2_growth():
 def test_hermite_pi1_decay():
     grid = TimeGrid(1e-3, 500)
     init = InitSpec("equispaced", shift=0.5)
-    ens = simulate_dbm(HERMITE2, 5, grid, 4000, init, seed=11, k_track=4)
+    ens = simulate_dbm(HERMITE2, 5, grid, 4000, init, seed=11)
     pi1_0 = ens.pi_mean(1)[0]
     want = pi1_0 * math.exp(-0.5)
     assert abs(ens.pi_mean(1)[-1] - want) < 3 * ens.pi_se(1)[-1] + 1e-2
@@ -121,10 +122,10 @@ def test_substep_counter_cap_raises(monkeypatch):
 
     grid = TimeGrid(5e-3, 200)
     init = InitSpec("equispaced", halfwidth=1.0)
-    assert simulate_dbm(HERMITE2, 5, grid, 200, init, seed=3, k_track=4).substepped > 0
+    assert simulate_dbm(HERMITE2, 5, grid, 200, init, seed=3).substepped > 0
     monkeypatch.setattr(dyson, "_SUBSTEP_CTR0", dyson._SUBSTEP_CTR_END - 3)
     with pytest.raises(dyson.RejectionRateError, match="alias"):
-        simulate_dbm(HERMITE2, 5, grid, 200, init, seed=3, k_track=4)
+        simulate_dbm(HERMITE2, 5, grid, 200, init, seed=3)
 
 
 def test_exchange_symmetry_of_linear_statistics():
@@ -265,7 +266,7 @@ def test_girsanov_constant_tau1_telescopes():
 
 def test_girsanov_full_weight_mean_one():
     grid = TimeGrid(1e-3, 400)
-    ens = simulate_dbm(HERMITE2, 5, grid, 8000, seed=17, keep_paths=True, k_track=4)
+    ens = simulate_dbm(HERMITE2, 5, grid, 8000, seed=17, keep_paths=True)
     tau = {2: 0.05}
     w = np.exp(girsanov_logweight(ens, tau) + girsanov_quadratic_correction(ens, tau))
     mean = w.mean()
@@ -286,14 +287,14 @@ def test_girsanov_reweighting_matches_perturbed_drift():
     # identical explicit start for both simulations (the default equispaced
     # halfwidth would differ between the two potentials)
     init = InitSpec("explicit", values=tuple(np.linspace(-4.0, 4.0, 5)))
-    base = simulate_dbm(HERMITE2, 5, grid, 12000, init, seed=23, keep_paths=True, k_track=4)
+    base = simulate_dbm(HERMITE2, 5, grid, 12000, init, seed=23, keep_paths=True)
     w = np.exp(girsanov_logweight(base, tau) + girsanov_quadratic_correction(base, tau))
     pi2_T = linear_statistics(base, 2)[:, -1]
     rew = float(np.sum(w * pi2_T) / np.sum(w))
     se_rew = float(np.std(w * (pi2_T - rew), ddof=1) / (np.mean(w) * math.sqrt(base.m)))
     tilted = perturbed_potential(HERMITE2, tau)
     assert tilted.b[1] == pytest.approx(1.0 + 4 * 0.05)
-    direct = simulate_dbm(tilted, 5, grid, 12000, init, seed=29, k_track=4)
+    direct = simulate_dbm(tilted, 5, grid, 12000, init, seed=29)
     d_mean = direct.pi_mean(2)[-1]
     d_se = direct.pi_se(2)[-1]
     assert abs(rew - d_mean) < 3 * math.hypot(se_rew, d_se)
@@ -301,7 +302,7 @@ def test_girsanov_reweighting_matches_perturbed_drift():
 
 def test_action_terms_consistency():
     grid = TimeGrid(1e-3, 200)
-    ens = simulate_dbm(HERMITE2, 3, grid, 2000, seed=2, keep_paths=True, k_track=4)
+    ens = simulate_dbm(HERMITE2, 3, grid, 2000, seed=2, keep_paths=True)
     tau = {1: 0.1}
     s_lin, s_quad = action_terms(ens, tau)
     assert np.all(s_quad == 0.0)  # k = 1 has an empty quadratic sum
@@ -320,21 +321,22 @@ def test_online_reweighting_functionals_match_stored_path_oracles():
     """The functionals of girsanov_functionals equal the stored-path
     post-processors: bit for bit where both sum in the same order (a single
     tau_k, pi_2 at the last slot), to rounding otherwise.  tau_6 reads
-    lam^5 beyond the power stack of k_track = 4."""
+    lam^5 from a power stack built by repeated products, where the oracle
+    takes libm powers."""
     grid = TimeGrid(1e-3, 200)
     taus = {"single": {2: 0.05}, "beyond-stack": {6: 1e-5}, "mixed": {1: 0.02, 3: 0.01}}
     funcs = {f"{label}:{name}": spec for label, tau in taus.items() for name, spec in girsanov_functionals(tau, grid).items()}
     ens = simulate_dbm(
-        HERMITE2, 5, grid, 300, InitSpec("equispaced", shift=0.4), seed=19, k_track=4, functionals=funcs, keep_paths=True
+        HERMITE2, 5, grid, 300, InitSpec("equispaced", shift=0.4), seed=19, functionals=funcs, keep_paths=True
     )
     got = ens.functional_samples
 
     def rel(a, b):
         return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
-    for label in ("single", "beyond-stack"):
-        assert np.array_equal(got[f"{label}:logweight"], girsanov_logweight(ens, taus[label]))
-    assert rel(got["mixed:logweight"], girsanov_logweight(ens, taus["mixed"])) < 1e-13
+    assert np.array_equal(got["single:logweight"], girsanov_logweight(ens, taus["single"]))
+    for label in ("beyond-stack", "mixed"):
+        assert rel(got[f"{label}:logweight"], girsanov_logweight(ens, taus[label])) < 1e-13
     for label, tau in taus.items():
         assert np.array_equal(got[f"{label}:pi2_end"], linear_statistics(ens, 2)[:, -1])
         assert rel(got[f"{label}:quadratic"], girsanov_quadratic_correction(ens, tau)) < 1e-13
@@ -349,7 +351,7 @@ def test_constraint_functional_matches_stored_path_contraction():
     a = bump(0.0, grid.dt * grid.steps, 4)
     specs = {n: constraint_functional(build_dynamical_constraint(n, a, pot, 4, grid, 4, parts="affine")) for n in (-1, 0)}
     assert sorted(specs[0]["s"]) == [1, 2, 3, 4]
-    ens = simulate_dbm(pot, 4, grid, 200, seed=7, k_track=4, functionals=specs, keep_paths=True)
+    ens = simulate_dbm(pot, 4, grid, 200, seed=7, functionals=specs, keep_paths=True)
     for n, spec in specs.items():
         want = np.zeros(ens.m)
         for l, w in spec["s"].items():
@@ -363,22 +365,62 @@ def test_constraint_functional_matches_stored_path_contraction():
 def test_action_lin_mean_zero():
     """E S_k(t) = 0: the per-replica time-averaged martingale density."""
     grid = TimeGrid(1e-3, 300)
-    ens = simulate_dbm(HERMITE2, 5, grid, 6000, seed=31, k_track=6, track_moment_residual=(1, 2, 3, 4))
+    ens = simulate_dbm(HERMITE2, 5, grid, 6000, seed=31, functionals=moment_functionals(HERMITE2, grid, (1, 2, 3, 4)))
     for k in (1, 2, 3, 4):
-        s = ens.martingale_samples[k]
+        s = ens.functional_samples[f"martingale{k}"] / (grid.steps * grid.dt)
         assert abs(s.mean()) < 3 * s.std(ddof=1) / math.sqrt(s.size)
 
 
 # --------------------------------------------------------- moment hierarchy
 
 
+@pytest.mark.parametrize("pot", [HERMITE2, Potential(1.0, {1: 0.5, 2: 0.3})], ids=["hermite", "generic-beta1"])
+def test_moment_functionals_match_stored_path_oracle(pot):
+    """The residual and martingale functionals equal the time-averaged
+    evolution-identity residual and martingale density recomputed from the
+    stored paths; the generic potential exercises the (beta/2 - 1) and b_2
+    terms."""
+    grid = TimeGrid(1e-3, 200)
+    ks = (1, 2, 3, 4)
+    init = InitSpec("explicit", values=(-2.0, -0.5, 0.5, 2.0))
+    ens = simulate_dbm(pot, 4, grid, 100, init, seed=5, functionals=moment_functionals(pot, grid, ks), keep_paths=True)
+    steps, dt = grid.steps, grid.dt
+    pi = {q: linear_statistics(ens, q) for q in range(0, 4 + pot.l_max)}
+    inner = slice(1, steps)
+    for k in ks:
+        term = sum(k * bl * pi[l + k - 1][:, inner] for l, bl in pot.b.items())
+        if k >= 2:
+            term = term + (pot.beta / 2.0 - 1.0) * k * (k - 1) * pi[k - 2][:, inner]
+        for q in range(k - 1):
+            term = term - (pot.beta / 2.0) * k * pi[q][:, inner] * pi[k - 2 - q][:, inner]
+        tele = (pi[k][:, steps] + pi[k][:, steps - 1] - pi[k][:, 1] - pi[k][:, 0]) / (2 * dt)
+        want = (tele + term.sum(axis=1)) / (steps - 1)
+        got = ens.functional_samples[f"residual{k}"]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), k
+        want = np.sum(k * ens.paths[:, :-1] ** (k - 1) * ens.incs, axis=(1, 2)) / (steps * dt)
+        got = ens.functional_samples[f"martingale{k}"] / (steps * dt)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), k
+
+
+def test_pi_functional_beyond_the_moments():
+    """A "pi" key of 9 deepens the power stack: the functional equals
+    linear_statistics(e, 9) summed with its weights."""
+    grid = TimeGrid(1e-3, 100)
+    w = np.linspace(0.0, 1.0, grid.nslots)
+    ens = simulate_dbm(HERMITE2, 5, grid, 50, seed=4, functionals={"pi9": {"pi": {9: w}}}, keep_paths=True)
+    want = linear_statistics(ens, 9) @ w
+    assert np.max(np.abs(ens.functional_samples["pi9"] - want)) <= 1e-13 * np.max(np.abs(want))
+    assert ens.pi_sum.shape == (grid.nslots, 3)
+
+
 def test_moment_hierarchy_time_averaged():
     grid = TimeGrid(1e-3, 500)
     ens = simulate_dbm(
-        HERMITE2, 5, grid, 8000, InitSpec("equispaced", shift=0.3), seed=43, k_track=6, track_moment_residual=(1, 2, 3, 4)
+        HERMITE2, 5, grid, 8000, InitSpec("equispaced", shift=0.3), seed=43,
+        functionals=moment_functionals(HERMITE2, grid, (1, 2, 3, 4)),
     )
     for k in (1, 2, 3, 4):
-        r = ens.moment_residual_samples[k]
+        r = ens.functional_samples[f"residual{k}"]
         se = r.std(ddof=1) / math.sqrt(r.size)
         bias = 200.0 * (1 + k * k) * grid.dt
         assert abs(r.mean()) < 3 * se + bias, f"k={k}: {r.mean()} vs 3*{se}+{bias}"
@@ -391,9 +433,9 @@ def test_moment_residual_bias_scales_linearly():
     for dt, steps in ((8e-3, 125), (4e-3, 250)):
         grid = TimeGrid(dt, steps)
         ens = simulate_dbm(
-            HERMITE2, 5, grid, 40000, InitSpec("explicit", values=vals), seed=47, k_track=6, track_moment_residual=(2,)
+            HERMITE2, 5, grid, 40000, InitSpec("explicit", values=vals), seed=47, functionals=moment_functionals(HERMITE2, grid, (2,))
         )
-        r = ens.moment_residual_samples[2]
+        r = ens.functional_samples["residual2"]
         means.append((r.mean(), r.std(ddof=1) / math.sqrt(r.size)))
     assert abs(means[0][0]) > 5 * means[0][1]  # bias resolvable at the coarse step
     assert 1.3 < means[0][0] / means[1][0] < 3.0
@@ -414,7 +456,7 @@ def test_npoint_vs_kernel_hermite():
         funcs[f"npoint{k}:lhs"] = fl["lhs"]
         funcs[f"npoint{k}:rhs"] = fl["rhs"]
     ens = simulate_dbm(
-        HERMITE2, 5, grid, 8000, InitSpec("equispaced", shift=0.4), seed=53, k_track=6, functionals=funcs
+        HERMITE2, 5, grid, 8000, InitSpec("equispaced", shift=0.4), seed=53, functionals=funcs
     )
     # k = 1: the discrete identity telescopes exactly (rounding floor);
     # k = 2: strict 3-sigma once the remainder counterterm is included
@@ -437,10 +479,20 @@ def test_npoint_zero_test_function():
     assert lhs == rhs == disc == 0.0
 
 
+@pytest.mark.parametrize("m", [1000, 8000])
+def test_equilibrium_init_draws_the_stationary_pi2(m):
+    """An equilibrium init draws <pi_2> = 25 (HERMITE2, N = 5) at the default
+    sweeps and seed, also when m sets many chains."""
+    lam = InitSpec("equilibrium").positions(HERMITE2, 5, m)
+    pi2 = np.sum(lam**2, axis=1)
+    se = pi2.std(ddof=1) / math.sqrt(m)
+    assert abs(pi2.mean() - stationary_pi2(HERMITE2, 5)) < 4 * se, (pi2.mean(), se)
+
+
 def test_equilibrium_initial_condition():
     grid = TimeGrid(1e-3, 40)
     init = InitSpec("equilibrium", sweeps=20000, seed=5)
-    ens = simulate_dbm(HERMITE2, 3, grid, 2000, init, seed=11, k_track=4)
+    ens = simulate_dbm(HERMITE2, 3, grid, 2000, init, seed=11)
     # starting in equilibrium, <pi_2> stays at the stationary value
     want = stationary_pi2(HERMITE2, 3)
     for j in (0, 20, 40):

@@ -4,9 +4,14 @@ Each small ``simulate_dbm`` configuration below is run once and every output
 of the returned ``Ensemble`` (stored arrays, accumulators, functionals and
 counters) is hashed with sha256 over its raw bytes.  The literals pin the exact bit pattern of the
 engine: a refactor that keeps the noise stream, the trajectories and the
-summation order passes; any change of a single bit fails.  The digests hold
-for this repository's numpy (Philox stream, pairwise summation, libm power)
-on x86-64; a different numpy or libm may legitimately change them.
+summation order passes; any change of a single bit fails.  The moment
+residuals of :func:`moment_functionals` get a digest of their own, so that a
+change of their summation order leaves every other literal standing.  The
+digests hold for this repository's numpy (Philox stream, pairwise summation,
+libm power) on x86-64; a different numpy or libm may legitimately change them.
+
+``python tests/test_engine_golden.py`` prints every case's current digests
+and counts in the form of ``GOLDEN``.
 """
 
 import hashlib
@@ -15,7 +20,7 @@ import numpy as np
 import pytest
 
 from coulombgas.boson import TimeGrid
-from coulombgas.dyson import InitSpec, girsanov_functionals, npoint_functionals, simulate_dbm
+from coulombgas.dyson import InitSpec, girsanov_functionals, moment_functionals, npoint_functionals, simulate_dbm
 from coulombgas.kernel import Potential
 from coulombgas.svconstraints import build_dynamical_constraint, constraint_functional
 from coulombgas.timefunc import bump
@@ -36,9 +41,10 @@ def _npoint_funcs(pot, grid):
 
 def _run(name):
     if name == "moment-residual":
+        grid = TimeGrid(1e-3, 400)
         return simulate_dbm(
-            HERMITE2, 5, TimeGrid(1e-3, 400), 300, InitSpec("equispaced", shift=0.5), seed=11,
-            k_track=6, track_moment_residual=(1, 2, 3, 4), keep_paths=False,
+            HERMITE2, 5, grid, 300, InitSpec("equispaced", shift=0.5), seed=11,
+            functionals=moment_functionals(HERMITE2, grid, (1, 2, 3, 4)), keep_paths=False,
         )
     if name == "reweight-constraint":
         grid = TimeGrid(1e-3, 300)
@@ -46,69 +52,93 @@ def _run(name):
         funcs = {**girsanov_functionals({2: 0.05, 3: 0.01}, grid), "constraint": constraint_functional(cop)}
         return simulate_dbm(
             HERMITE2, 5, grid, 200, InitSpec("equispaced", shift=0.4), seed=12,
-            k_track=4, functionals=funcs, keep_paths=False,
+            functionals=funcs, keep_paths=False,
         )
     if name == "functionals":
         grid = TimeGrid(1e-3, 300)
         return simulate_dbm(
             HERMITE2, 5, grid, 200, InitSpec("equispaced", shift=0.4), seed=13,
-            k_track=6, functionals=_npoint_funcs(HERMITE2, grid), keep_paths=False,
+            functionals=_npoint_funcs(HERMITE2, grid), keep_paths=False,
         )
     if name == "stored-paths":
         return simulate_dbm(
             GENERIC1, 4, TimeGrid(1e-3, 300), 150, InitSpec("explicit", values=(-2.0, -0.5, 0.5, 2.0)), seed=14,
-            k_track=4, keep_paths=True,
+            keep_paths=True,
         )
     if name == "substeps":
         grid = TimeGrid(5e-3, 200)
         return simulate_dbm(
             HERMITE2, 5, grid, 200, InitSpec("equispaced", halfwidth=1.0), seed=3,
-            k_track=6, track_moment_residual=(1, 2), functionals=_npoint_funcs(HERMITE2, grid),
+            functionals={**moment_functionals(HERMITE2, grid, (1, 2)), **_npoint_funcs(HERMITE2, grid)},
             keep_paths=True,
         )
     raise KeyError(name)
 
 
-def ensemble_digest(ens) -> str:
-    """sha256 over the raw bytes of every output array, accumulator and counter."""
-    h = hashlib.sha256()
+def ensemble_digests(ens) -> tuple:
+    """sha256 over the raw bytes of every output array, accumulator and
+    counter but the moment residuals, and sha256 over the moment residuals
+    (None without them).  A martingale functional is hashed as the
+    time-averaged density, over steps * dt."""
+    h, h_res = hashlib.sha256(), hashlib.sha256()
 
-    def put(label, value):
-        h.update(label.encode())
+    def put(label, value, into=h):
+        into.update(label.encode())
         if value is None:
-            h.update(b"none")
+            into.update(b"none")
         else:
-            h.update(np.ascontiguousarray(value).tobytes())
+            into.update(np.ascontiguousarray(value).tobytes())
 
     put("paths", ens.paths)
     put("incs", ens.incs)
-    put("pi_sum", ens.pi_sum)
-    put("pi_sumsq", ens.pi_sumsq)
+    put("pi_sum", ens.pi_sum[:, :3])
+    put("pi_sumsq", ens.pi_sumsq[:, :3])
     put("noise", np.array([ens.noise_sum, ens.noise_sumsq], dtype=np.float64))
     put("counts", np.array([ens.noise_count, ens.rejected, ens.substepped], dtype=np.int64))
-    for name in sorted(ens.functional_samples):
-        put(f"functional:{name}", ens.functional_samples[name])
-    for k in sorted(ens.moment_residual_samples):
-        put(f"moment_residual{k}", ens.moment_residual_samples[k])
-        put(f"martingale{k}", ens.martingale_samples[k])
-    return h.hexdigest()
+    funcs = ens.functional_samples
+    moments = sorted(name for name in funcs if name.startswith(("residual", "martingale")))
+    for name in sorted(set(funcs) - set(moments)):
+        put(f"functional:{name}", funcs[name])
+    for name in moments:
+        if name.startswith("martingale"):
+            put(name, funcs[name] / (ens.grid.steps * ens.grid.dt))
+        else:
+            put(name, funcs[name], into=h_res)
+    return h.hexdigest(), h_res.hexdigest() if any(name.startswith("residual") for name in moments) else None
 
 
-# name -> (sha256 of all outputs, rejected, substepped)
+# name -> (sha256 of all outputs but the moment residuals, sha256 of the
+# moment residuals, rejected, substepped)
 GOLDEN = {
-    "moment-residual": ("8f573174647a396fe4e1f0a18330b12dd66f01084a8e212d5f2bc711ab331fc3", 0, 0),
-    "reweight-constraint": ("2c108708d93c106681a9d36546da93b0172e882f2024c8ada1973d6b52b312c8", 0, 0),
-    "functionals": ("ad4b4401d86f6ec247fa51e0184ea9bd2eed04f1064b8fda98e95662c6470401", 0, 0),
-    "stored-paths": ("c26036abe69318686f72f48c1edef4383bb6af88069a0ee75fdf204a713c5e29", 21, 0),
-    "substeps": ("f638dffe0667079cd86e402784054a7696007d6e665036be0263cd3b557cb4e4", 198, 11),
+    "moment-residual": (
+        "c6a00862b8dcb51dca56536aed4b5009dc49aefa5427ad865cf7b2e0cc68871b",
+        "f1820cccbb2f99c39c00a6879a52ac00e1ad12033d73fb0700dddbb81559eba1",
+        0,
+        0,
+    ),
+    "reweight-constraint": ("48325a13db1de776757c3bee80ad79a19807fa4f4de691279b5910e68d6e12e9", None, 0, 0),
+    "functionals": ("fe55a43c29d66dfd7cbcbf5aab6de76e64bd9eb977897203691d5ea86efeabfe", None, 0, 0),
+    "stored-paths": ("94e248c34d5202330cc2468c0eac1802bc1fa6b3476abf7724bc4ff0dcec6347", None, 21, 0),
+    "substeps": (
+        "ed786ee60bf087171554cf926b773a5afd62a417349dccba96b4862cd76ce3dc",
+        "257e93c43ee36830d51c7ea41e9ce8bb8de76ad798ff394c0c2425a45b780c16",
+        198,
+        11,
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_engine_outputs_bitwise_golden(name):
-    digest, rejected, substepped = GOLDEN[name]
+    *digests, rejected, substepped = GOLDEN[name]
     ens = _run(name)
     assert (ens.rejected, ens.substepped) == (rejected, substepped)
-    assert ensemble_digest(ens) == digest
+    assert ensemble_digests(ens) == tuple(digests)
     if name == "substeps":
         assert substepped > 0  # the sub-step path is really exercised
+
+
+if __name__ == "__main__":
+    for name in sorted(GOLDEN):
+        ens = _run(name)
+        print(f"    {name!r}: ({', '.join(map(repr, ensemble_digests(ens)))}, {ens.rejected}, {ens.substepped}),")
