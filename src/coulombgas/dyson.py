@@ -185,6 +185,183 @@ def slin_increment(pot: Potential, lam: np.ndarray, dlam: np.ndarray, dt: float,
     return out
 
 
+_KINDS = ("pi", "pp", "db", "s", "q")
+_STEP_KINDS = ("db", "s", "q")  # read the step from slot j, so they live on j < steps
+_CONTRACTED = ("db", "dl", "d1", "d2")  # sum_i lam_i^p x_i with x = dB, displacement, drift, drift^2
+_KEY_RULES = {
+    "pi": "an integer power k >= 0",
+    "pp": "a pair (a, b) of integer powers, 0 <= a <= b",
+    "db": "an integer mode k >= 1",
+    "s": "an integer mode l >= 1",
+    "q": "an integer mode l >= 1",
+}
+
+
+def _is_power(x, least) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= least
+
+
+def _key_ok(kind: str, key) -> bool:
+    if kind == "pp":
+        return isinstance(key, tuple) and len(key) == 2 and _is_power(key[0], 0) and _is_power(key[1], key[0])
+    return _is_power(key, 0 if kind == "pi" else 1)
+
+
+def _feature_terms(pot: Potential, dt: float, n: int, kind: str, key) -> list:
+    """The (feature, coefficient) pairs whose sum is X_key(j) of ``kind``.
+
+    A feature is ("pi", k) = pi_k, ("pp", (a, b)) = pi_a pi_b, or (tag, p) =
+    sum_i lam_i^p x_i with x = dB for "db", the accepted displacement for
+    "dl", the drift for "d1" and the squared drift for "d2".  pi_0 pi_b is
+    n pi_b, exactly, since pi_0 sums n ones."""
+    if kind == "pi":
+        return [(("pi", key), 1.0)]
+    if kind == "pp":
+        return [(("pi", key[1]), float(n))] if key[0] == 0 else [(("pp", key), 1.0)]
+    if kind == "db":
+        return [(("db", key - 1), float(key))]
+    l = key
+    if kind == "s":
+        terms = [(("dl", l - 1), l / dt), *((("pi", q + l - 1), l * bq) for q, bq in pot.b.items())]
+        if l >= 2:
+            terms.append((("pi", l - 2), l * (l - 1) * pot.beta / 2.0))
+        return terms
+    c = l * (l - 1) * dt  # "q": three drift-law terms of the pi_l update, each times dt
+    terms = ((("d2", l - 2), 0.5 * c), (("d1", l - 3), c * (l - 2)), (("pi", l - 4), 0.5 * c * (l - 2) * (l - 3)))
+    return [(feat, coef) for feat, coef in terms if coef != 0.0]
+
+
+def _weight_store(functionals: dict, pot: Potential, n: int, grid: TimeGrid) -> tuple:
+    """Check the specs and fold them into the (name index, feature) pairs
+    that carry a nonzero weight, with their weights, (slots, pairs)."""
+    step_slots = np.arange(grid.nslots) < grid.steps
+    store = {}
+    for i, (name, spec) in enumerate(functionals.items()):
+        for kind, entries in spec.items():
+            if kind not in _KINDS:
+                raise ValueError(f"functional {name!r}: unknown kind {kind!r}; the kinds are {', '.join(_KINDS)}")
+            for key, w in entries.items():
+                where = f"functional {name!r}, kind {kind!r}, key {key!r}"
+                if not _key_ok(kind, key):
+                    raise ValueError(f"{where}: the key must be {_KEY_RULES[kind]}")
+                w = np.asarray(w, dtype=float)
+                if w.shape != (grid.nslots,):
+                    raise ValueError(f"{where}: weights of shape {w.shape}, expected one per slot, ({grid.nslots},)")
+                if kind in _STEP_KINDS:
+                    w = w * step_slots
+                for feat, coef in _feature_terms(pot, grid.dt, n, kind, key):
+                    store[i, feat] = store.get((i, feat), 0.0) + coef * w
+    pairs = [pair for pair, w in store.items() if np.any(w)]
+    wts = np.empty((grid.nslots, len(pairs)))  # slot-major: row j holds the entries of W_j
+    for c, pair in enumerate(pairs):
+        wts[:, c] = store[pair]
+    return pairs, wts
+
+
+def _feature_rows(features) -> tuple:
+    """Row layout of the feature table F_j for a set of features.
+
+    Rows 0..depth hold pi_0..pi_depth and the next ones the pi_a pi_b pairs:
+    the state of the slot.  Then each contracted tag gets one block of rows
+    for its powers lo..hi, filled from the power stack rows lo..hi.  Returns
+    (depth, pp pairs, blocks of (tag, stack rows, table rows), {feature: row})."""
+    pp = sorted({p for tag, p in features if tag == "pp"})
+    spans = {}  # in a fixed tag order: the row order sets the order of the sums over features
+    for tag in _CONTRACTED:
+        powers = [p for t, p in features if t == tag]
+        if powers:
+            spans[tag] = (min(powers), max(powers))
+    depth = max([2, *(p for tag, p in features if tag == "pi"), *(b for _, b in pp), *(hi for _, hi in spans.values())])
+    row = {("pi", k): k for k in range(depth + 1)}
+    row.update({("pp", ab): depth + 1 + r for r, ab in enumerate(pp)})
+    blocks = []
+    for tag, (lo, hi) in spans.items():
+        start = len(row)
+        row.update({(tag, p): start + p - lo for p in range(lo, hi + 1)})
+        blocks.append((tag, slice(lo, hi + 1), slice(start, len(row))))
+    return depth, pp, blocks, row
+
+
+class _FeatureTable:
+    """The functionals of one :func:`simulate_dbm` run: the weight store,
+    the per-slot feature table F_j built from one power stack, and the
+    per-replica accumulators, to which each slot adds W_j @ F_j."""
+
+    def __init__(self, functionals: dict, pot: Potential, n: int, grid: TimeGrid, m: int):
+        self.names = list(functionals)
+        pairs, self.wts = _weight_store(functionals, pot, n, grid)
+        self.depth, self.pp, self.blocks, row = _feature_rows({feat for _, feat in pairs})
+        self.who = np.array([i for i, _ in pairs], dtype=int)
+        self.col = np.array([row[feat] for _, feat in pairs], dtype=int)
+        self.live = self.wts.any(axis=1)
+        self.same = np.zeros(grid.nslots, dtype=bool)  # W_j equals W_{j-1}: F_j joins the run of slot j-1
+        self.same[1:] = self.live[1:] & (self.wts[1:] == self.wts[:-1]).all(axis=1)
+        self.w_j = np.zeros((len(self.names), len(row)))  # W_j, or the weights of the current run
+        self.table = np.zeros((len(row), m))  # F_j
+        self.run = np.empty_like(self.table) if self.same.any() else None  # F summed over the current run
+        self.pending = False  # run holds features not yet weighted into facc
+        self.facc, self.contrib = np.zeros((2, len(self.names), m))
+        self.xbuf = np.empty((n, m))  # the noise, the displacement or the squared drift of the step
+        self.pows = np.empty((self.depth + 1, n, m))  # lam^k of the current slot, k = 0..depth
+        self.pows[0] = 1.0
+
+    def slot(self, j: int, lam: np.ndarray) -> np.ndarray:
+        """Build the stack and the state rows of slot j from the particle-major
+        lam (n, m); returns pi_0..pi_depth, (depth+1, m)."""
+        pows, depth = self.pows, self.depth
+        for k in range(1, depth + 1):
+            np.multiply(pows[k - 1], lam, out=pows[k])
+        pis = pows.sum(axis=1, out=self.table[: depth + 1])
+        if self.live[j]:
+            for r, (a, b) in enumerate(self.pp, start=depth + 1):
+                np.multiply(pis[a], pis[b], out=self.table[r])
+        return pis
+
+    def step(self, j: int, db: np.ndarray, lam: np.ndarray, prop: np.ndarray, drift: np.ndarray):
+        """Fill the step rows of slot j and accumulate its features: db is the
+        accepted noise (m, n), lam, prop and drift are particle-major (n, m)."""
+        if not self.live[j]:
+            return
+        x = self.xbuf
+        for tag, powers, rows in self.blocks:
+            if tag == "db":
+                np.copyto(x, db.T)  # einsum is slow on the strided view
+            elif tag == "dl":
+                np.subtract(prop, lam, out=x)
+            elif tag == "d2":
+                np.multiply(drift, drift, out=x)
+            np.einsum("pim,im->pm", self.pows[powers], drift if tag == "d1" else x, out=self.table[rows])
+        self._accumulate(j)
+
+    def finish(self, steps: int) -> dict:
+        """Accumulate the last slot, which has no step, and return the
+        per-replica samples, name -> (m,)."""
+        if self.live[steps]:
+            self.table[self.depth + 1 + len(self.pp) :] = 0.0  # stale step rows: 0 weight times inf would be nan
+            self._accumulate(steps)
+        self._flush()
+        return dict(zip(self.names, self.facc))
+
+    def _accumulate(self, j: int):
+        """Add W_j F_j to facc.  Over a run of slots with equal weights the
+        features are summed first and weighted once, when the run ends."""
+        if self.same[j]:
+            if self.pending:
+                np.add(self.run, self.table, out=self.run)
+            else:
+                np.copyto(self.run, self.table)
+            self.pending = True
+            return
+        self._flush()
+        self.w_j[self.who, self.col] = self.wts[j]
+        np.add(self.facc, np.matmul(self.w_j, self.table, out=self.contrib), out=self.facc)
+
+    def _flush(self):
+        if self.pending:
+            np.add(self.facc, np.matmul(self.w_j, self.run, out=self.contrib), out=self.facc)
+            self.pending = False
+
+
 def simulate_dbm(
     pot: Potential,
     n: int,
@@ -207,29 +384,53 @@ def simulate_dbm(
     The five kinds of X_key(j) are
       "pi": pi_k(t_j), on every slot j = 0..steps;
       "pp": pi_a(t_j) pi_b(t_j) for a key (a, b), a <= b, on every slot;
-      "s":  the linearized action density S_k(t_j) of step j (see
-            :func:`slin_increment`), j < steps;
-      "q":  the leading mean of the higher Ito remainder of the pi_k
-            update of step j, times dt, j < steps;
-      "db": sum_i k lam_i(t_j)^(k-1) dB_i(j), the Ito integrand of the
-            reweighting log weight (see :func:`girsanov_functionals`), j < steps.
-    ``keep_paths`` stores every trajectory and Brownian increment in
-    ``paths`` and ``incs``.  It serves the stored-path post-processors, the
-    reference the online functionals are tested against; without it both
-    stay None and only the online accumulators are kept.
+      "s":  the linearized action density S_l(t_j) of step j (see
+            :func:`slin_increment`), l >= 1, j < steps;
+      "q":  the leading mean of the higher Ito remainder of the pi_l update
+            of step j, times dt, l >= 1, j < steps;
+      "db": sum_i k lam_i(t_j)^(k-1) dB_i(j), k >= 1, the Ito integrand of
+            the reweighting log weight (see :func:`girsanov_functionals`),
+            j < steps.
+    An unknown kind, a key outside these ranges or weights of another shape
+    raise ValueError before the first step.  ``keep_paths`` stores every
+    trajectory and Brownian increment in ``paths`` and ``incs``.  It serves
+    the stored-path post-processors, the reference the online functionals
+    are tested against; without it both stay None and only the online
+    accumulators are kept.
+
+    Every kind is a weighted sum of per-slot features of one power stack
+    lam^0..lam^K: pi_k, pi_a pi_b (pi_0 pi_b is n pi_b), and sum_i lam_i^p
+    x_i with x the noise dB, the accepted displacement D = lam(t_{j+1}) -
+    lam(t_j), the drift and its square.  S_l = (l/dt) sum_i lam_i^(l-1) D_i
+    + l (l-1) (beta/2) pi_{l-2} + l sum_q b_q pi_{q+l-1} holds on sub-stepped
+    rows too, and q_l = dt [l(l-1)/2 sum_i lam_i^(l-2) drift_i^2 +
+    l(l-1)(l-2) sum_i lam_i^(l-3) drift_i + l(l-1)(l-2)(l-3)/2 pi_{l-4}].
+    The stack depth K is the largest power a feature reads, and at least 2.
+    At set-up the specs fold into one weight store that holds only the
+    (name, feature) pairs with a nonzero weight, 8 bytes per pair and slot;
+    beside it the engine keeps the table F_j and a run sum, (features, m) each,
+    and the accumulators, (names, m) twice.  Each slot with a nonzero W_j
+    adds W_j @ F_j to the accumulators; over a run of slots with equal W_j,
+    as in the moment residuals and the reweighting weights, the F_j are
+    summed first and weighted once.  So each weight multiplies a particle
+    sum or a sum over slots, where :func:`slin_increment` and the
+    stored-path post-processors weight each term and take libm powers: the
+    functionals agree with them to rounding, not bit for bit.  The
+    trajectories, ``pi_sum``, ``pi_sumsq``, the noise sums and the counters
+    do not depend on the functionals.
 
     The state is particle-major, (n, m): a sum over particles is n - 1
-    contiguous row adds, and one power stack lam^0..lam^K per slot, K the
-    largest of 2, every "pi" key, every "pp" index and every "db" k - 1, feeds
-    ``pi_sum``, ``pi_sumsq`` (pi_0..pi_2) and those functionals.  Noise is drawn,
-    retried and summed as (m, n) blocks; ``paths`` (m, steps+1, n) and
-    ``incs`` (m, steps, n) stay replica-major.  For n <= 7 these row adds
-    equal numpy's replica-major sum over axis 1 bit for bit; for n >= 8 that
-    sum is pairwise and the last bits of the outputs may differ from it.
+    contiguous row adds, and the stack feeds ``pi_sum`` and ``pi_sumsq``
+    (pi_0..pi_2) and the features.  Noise is drawn, retried and summed as
+    (m, n) blocks; ``paths`` (m, steps+1, n) and ``incs`` (m, steps, n)
+    stay replica-major.  For n <= 7 these row adds equal numpy's
+    replica-major sum over axis 1 bit for bit; for n >= 8 that sum is
+    pairwise and the last bits of the outputs may differ from it.
     """
     init = init or InitSpec()
     dt = grid.dt
     steps = grid.steps
+    features = _FeatureTable(functionals or {}, pot, n, grid, m)
     lam = np.ascontiguousarray(np.sort(init.positions(pot, n, m), axis=1).T)
 
     ens = Ensemble(pot, n, grid, m, seed, init)
@@ -238,29 +439,12 @@ def simulate_dbm(
         ens.paths[:, 0] = lam.T
         ens.incs = np.empty((m, steps, n))
     ens.pi_sum, ens.pi_sumsq = np.zeros((2, steps + 1, 3))
-    functionals = functionals or {}
-    facc = {name: np.zeros(m) for name in functionals}
-    depth = 2
-    for spec in functionals.values():
-        depth = max([depth, *spec.get("pi", {}), *(max(ab) for ab in spec.get("pp", {})), *(k - 1 for k in spec.get("db", {}))])
-    pows = np.empty((depth + 1, n, m))  # lam^k of the current slot, k = 0..depth
-    pows[0] = 1.0
 
     def record_pi(j, lam_now):
-        for k in range(1, depth + 1):
-            np.multiply(pows[k - 1], lam_now, out=pows[k])
-        pis = pows.sum(axis=1)  # (depth+1, m): pi_k per replica
+        pis = features.slot(j, lam_now)
         ens.pi_sum[j] += pis[:3].sum(axis=1)
         ens.pi_sumsq[j] += (pis[:3] ** 2).sum(axis=1)
-        for name, spec in functionals.items():
-            for k, w in spec.get("pi", {}).items():
-                if w[j] != 0.0:
-                    facc[name] += w[j] * pis[k]
-            for (a, b), w in spec.get("pp", {}).items():
-                if w[j] != 0.0:
-                    facc[name] += w[j] * pis[a] * pis[b]
 
-    record_pi(0, lam)
     order_guard = pot.beta >= 1.0 and n > 1
     sqrt2dt = math.sqrt(2.0 * dt)
 
@@ -334,29 +518,12 @@ def simulate_dbm(
         if keep_paths:
             ens.incs[:, j] = db
             ens.paths[:, j + 1] = prop.T
-        db = np.ascontiguousarray(db.T)
-        dlam = prop - lam
-        for name, spec in functionals.items():
-            for l, w in spec.get("s", {}).items():
-                if w[j] != 0.0:
-                    facc[name] += w[j] * slin_increment(pot, lam.T, dlam.T, dt, l) / dt
-            for l, w in spec.get("q", {}).items():
-                # leading mean of the higher Ito remainder of the discrete
-                # pi_l update, evaluated from the drift law (no increments)
-                if w[j] != 0.0:
-                    q = 0.5 * l * (l - 1) * np.sum(lam ** (l - 2) * drift**2, axis=0)
-                    if l >= 3:
-                        q += l * (l - 1) * (l - 2) * np.sum(lam ** (l - 3) * drift, axis=0)
-                    if l >= 4:
-                        q += 0.5 * l * (l - 1) * (l - 2) * (l - 3) * np.sum(lam ** (l - 4), axis=0)
-                    facc[name] += w[j] * q * dt
-            for k, w in spec.get("db", {}).items():
-                if w[j] != 0.0:
-                    facc[name] += np.sum((k * w[j]) * pows[k - 1] * db, axis=0)
+        record_pi(j, lam)  # after the step's own work, so the stack is still in cache for its features
+        features.step(j, db, lam, prop, drift)
         lam = prop
-        record_pi(j + 1, lam)
 
-    ens.functional_samples = facc
+    record_pi(steps, lam)
+    ens.functional_samples = features.finish(steps)
     if ens.rejection_rate >= 0.01:
         raise RejectionRateError(f"rejection rate {ens.rejection_rate:.3%} >= 1%")
     return ens

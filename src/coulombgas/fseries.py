@@ -23,7 +23,6 @@ __all__ = [
     "TruncSeries",
     "WindowOverflowError",
     "DEFAULT_KMAX",
-    "default_window",
     "mul",
     "differentiate",
     "split",
@@ -40,10 +39,6 @@ _POS_INF = float("inf")
 
 class WindowOverflowError(Exception):
     """A requested degree depends on truncated (unknown) coefficients."""
-
-
-def default_window(k_max: int = DEFAULT_KMAX):
-    return (-(k_max + 2), k_max + 2)
 
 
 class TruncSeries:

@@ -319,10 +319,11 @@ def test_action_terms_consistency():
 
 def test_online_reweighting_functionals_match_stored_path_oracles():
     """The functionals of girsanov_functionals equal the stored-path
-    post-processors: bit for bit where both sum in the same order (a single
-    tau_k, pi_2 at the last slot), to rounding otherwise.  tau_6 reads
-    lam^5 from a power stack built by repeated products, where the oracle
-    takes libm powers."""
+    post-processors: bit for bit where both sum in the same order (pi_2 at
+    the last slot), to rounding otherwise.  The engine multiplies each
+    weight onto the particle sum where the oracle weights each term, and
+    tau_6 reads lam^5 from a power stack built by repeated products, where
+    the oracle takes libm powers."""
     grid = TimeGrid(1e-3, 200)
     taus = {"single": {2: 0.05}, "beyond-stack": {6: 1e-5}, "mixed": {1: 0.02, 3: 0.01}}
     funcs = {f"{label}:{name}": spec for label, tau in taus.items() for name, spec in girsanov_functionals(tau, grid).items()}
@@ -334,8 +335,7 @@ def test_online_reweighting_functionals_match_stored_path_oracles():
     def rel(a, b):
         return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
-    assert np.array_equal(got["single:logweight"], girsanov_logweight(ens, taus["single"]))
-    for label in ("beyond-stack", "mixed"):
+    for label in taus:
         assert rel(got[f"{label}:logweight"], girsanov_logweight(ens, taus[label])) < 1e-13
     for label, tau in taus.items():
         assert np.array_equal(got[f"{label}:pi2_end"], linear_statistics(ens, 2)[:, -1])
@@ -402,6 +402,25 @@ def test_moment_functionals_match_stored_path_oracle(pot):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), k
 
 
+def test_moment_residual_has_no_rounding_bias():
+    """Against the residual recomputed in extended precision from the stored
+    paths, the per-replica rounding errors of residual2 average out: a sum
+    that adds the same rounded product on every slot would leave a mean
+    error of order 1e-14 max|residual| here."""
+    grid = TimeGrid(1e-3, 2000)
+    ens = simulate_dbm(
+        HERMITE2, 5, grid, 100, InitSpec("equispaced", shift=0.5), seed=2024,
+        functionals=moment_functionals(HERMITE2, grid, (2,)), keep_paths=True,
+    )
+    paths, steps = ens.paths.astype(np.longdouble), grid.steps
+    pi2 = np.sum(paths**2, axis=2)
+    inner = 2.0 * pi2[:, 1:steps].sum(axis=1) - 2.0 * 25.0 * (steps - 1)  # k b_1 pi_2 - (beta/2) k pi_0^2
+    tele = (pi2[:, steps] + pi2[:, steps - 1] - pi2[:, 1] - pi2[:, 0]) / (2 * np.longdouble(grid.dt))
+    want = (tele + inner) / (steps - 1)
+    err = ens.functional_samples["residual2"] - want
+    assert abs(float(err.mean())) < 2e-15 * float(np.max(np.abs(want)))
+
+
 def test_pi_functional_beyond_the_moments():
     """A "pi" key of 9 deepens the power stack: the functional equals
     linear_statistics(e, 9) summed with its weights."""
@@ -411,6 +430,92 @@ def test_pi_functional_beyond_the_moments():
     want = linear_statistics(ens, 9) @ w
     assert np.max(np.abs(ens.functional_samples["pi9"] - want)) <= 1e-13 * np.max(np.abs(want))
     assert ens.pi_sum.shape == (grid.nslots, 3)
+
+
+@pytest.mark.parametrize(
+    "pot, dt, halfwidth", [(HERMITE2, 5e-3, 1.0), (Potential(1.0, {1: 0.5, 2: 0.3}), 2e-3, 2.0)], ids=["hermite", "generic-beta1"]
+)
+def test_every_functional_kind_matches_stored_path_oracle(pot, dt, halfwidth):
+    """Each of the five kinds equals its definition recomputed from the
+    stored paths and increments, on a run whose sub-stepped rows make the
+    accepted displacement differ from dB + drift dt.  The generic run takes
+    a smaller step and a wider start: at the Hermite settings more than 1%
+    of its steps are rejected, and at dt = 5e-3 its cubic force lets
+    replicas from a wider start escape."""
+    from coulombgas.dyson import _drift
+
+    grid = TimeGrid(dt, 200)
+    steps = grid.steps
+    w = 1.0 + 0.5 * np.sin(np.linspace(0.0, 7.0, grid.nslots))
+    specs = {
+        "pi": {"pi": {0: w, 3: w, 5: w}},
+        "pp": {"pp": {(0, 2): w, (1, 3): w, (2, 2): w}},
+        "db": {"db": {1: w, 3: w}},
+        "s": {"s": {1: w, 2: w, 4: w}},
+        "q": {"q": {2: w, 3: w, 5: w}},
+    }
+    init = InitSpec("equispaced", halfwidth=halfwidth)
+    ens = simulate_dbm(pot, 5, grid, 200, init, seed=3, functionals=specs, keep_paths=True)
+    assert ens.substepped > 0
+    pi = {k: linear_statistics(ens, k) for k in range(6)}
+    want = {
+        "pi": sum(pi[k] @ w for k in specs["pi"]["pi"]),
+        "pp": sum((pi[a] * pi[b]) @ w for a, b in specs["pp"]["pp"]),
+        "db": 0.0,
+        "s": 0.0,
+        "q": 0.0,
+    }
+    for j in range(steps):
+        lam = ens.paths[:, j]
+        drift = _drift(pot, lam.T).T
+        for k in specs["db"]["db"]:
+            want["db"] = want["db"] + w[j] * np.sum(k * lam ** (k - 1) * ens.incs[:, j], axis=1)
+        for l in specs["s"]["s"]:
+            want["s"] = want["s"] + w[j] * slin_increment(pot, lam, ens.paths[:, j + 1] - lam, dt, l) / dt
+        for l in specs["q"]["q"]:
+            q = 0.5 * l * (l - 1) * np.sum(lam ** (l - 2) * drift**2, axis=1)
+            if l >= 3:
+                q += l * (l - 1) * (l - 2) * np.sum(lam ** (l - 3) * drift, axis=1)
+            if l >= 4:
+                q += 0.5 * l * (l - 1) * (l - 2) * (l - 3) * np.sum(lam ** (l - 4), axis=1)
+            want["q"] = want["q"] + w[j] * q * dt
+    for name, ref in want.items():
+        got = ens.functional_samples[name]
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"ss": {1: "w"}}, "unknown kind 'ss'"),
+        ({"pi": {2: "long"}}, "'pi'"),
+        ({"s": {2: "short"}}, "'s'"),
+        ({"db": {1: 0.5}}, "'db'"),
+        ({"pp": {(2, 1): "w"}}, "'pp'"),
+        ({"pi": {-1: "w"}}, "'pi'"),
+        ({"q": {0: "w"}}, "'q'"),
+    ],
+    ids=["unknown-kind", "long-weights", "short-weights", "scalar-weight", "pp-unordered", "negative-power", "q-zero-mode"],
+)
+def test_malformed_functional_specs_raise_before_the_first_step(spec, message):
+    """A spec that the engine cannot evaluate raises ValueError naming the
+    functional and the kind, before any step is taken."""
+    grid = TimeGrid(1e-3, 20)
+    weights = {"w": np.ones(grid.nslots), "long": np.ones(grid.nslots + 1), "short": np.ones(grid.nslots - 1)}
+    spec = {kind: {key: weights.get(w, w) for key, w in entries.items()} for kind, entries in spec.items()}
+    with pytest.raises(ValueError, match=message) as info:
+        simulate_dbm(HERMITE2, 3, grid, 4, seed=1, functionals={"bad-functional": spec})
+    assert "bad-functional" in str(info.value)
+
+
+def test_feature_rows_do_not_depend_on_feature_order():
+    """The row layout of the feature table, and with it the order of every
+    sum over features, does not follow the iteration order of the feature
+    set, which string hashing changes from process to process."""
+    from coulombgas.dyson import _feature_rows
+
+    feats = [("db", 1), ("dl", 0), ("d2", 2), ("d1", 0), ("pp", (1, 2)), ("pi", 5), ("dl", 3), ("db", 3)]
+    assert _feature_rows(feats) == _feature_rows(feats[::-1])
 
 
 def test_moment_hierarchy_time_averaged():

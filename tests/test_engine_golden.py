@@ -2,13 +2,16 @@
 
 Each small ``simulate_dbm`` configuration below is run once and every output
 of the returned ``Ensemble`` (stored arrays, accumulators, functionals and
-counters) is hashed with sha256 over its raw bytes.  The literals pin the exact bit pattern of the
-engine: a refactor that keeps the noise stream, the trajectories and the
-summation order passes; any change of a single bit fails.  The moment
-residuals of :func:`moment_functionals` get a digest of their own, so that a
-change of their summation order leaves every other literal standing.  The
-digests hold for this repository's numpy (Philox stream, pairwise summation,
-libm power) on x86-64; a different numpy or libm may legitimately change them.
+counters) is hashed with sha256 over its raw bytes.  The literals pin the
+exact bit pattern of the engine: a refactor that keeps the noise stream, the
+trajectories and the summation order passes; any change of a single bit
+fails.  The trajectories and accumulators, the functional samples and the
+moment residuals of :func:`moment_functionals` each get a digest of their
+own, so that a change of the functionals' summation order leaves the
+trajectory literals standing.  The digests hold for this repository's numpy
+(Philox stream, pairwise summation, libm power, and the BLAS matrix product
+that weights the functionals' features) on x86-64; a different numpy, libm
+or BLAS kernel may legitimately change them.
 
 ``python tests/test_engine_golden.py`` prints every case's current digests
 and counts in the form of ``GOLDEN``.
@@ -77,10 +80,11 @@ def _run(name):
 
 def ensemble_digests(ens) -> tuple:
     """sha256 over the raw bytes of every output array, accumulator and
-    counter but the moment residuals, and sha256 over the moment residuals
-    (None without them).  A martingale functional is hashed as the
-    time-averaged density, over steps * dt."""
-    h, h_res = hashlib.sha256(), hashlib.sha256()
+    counter; sha256 over the functional samples but the moment residuals
+    (None without any); sha256 over the moment residuals (None without
+    them).  A martingale functional is hashed as the time-averaged density,
+    over steps * dt."""
+    h, h_fun, h_res = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
 
     def put(label, value, into=h):
         into.update(label.encode())
@@ -96,32 +100,47 @@ def ensemble_digests(ens) -> tuple:
     put("noise", np.array([ens.noise_sum, ens.noise_sumsq], dtype=np.float64))
     put("counts", np.array([ens.noise_count, ens.rejected, ens.substepped], dtype=np.int64))
     funcs = ens.functional_samples
-    moments = sorted(name for name in funcs if name.startswith(("residual", "martingale")))
-    for name in sorted(set(funcs) - set(moments)):
-        put(f"functional:{name}", funcs[name])
-    for name in moments:
+    residuals = sorted(name for name in funcs if name.startswith("residual"))
+    others = sorted(set(funcs) - set(residuals))
+    for name in others:
         if name.startswith("martingale"):
-            put(name, funcs[name] / (ens.grid.steps * ens.grid.dt))
+            put(name, funcs[name] / (ens.grid.steps * ens.grid.dt), into=h_fun)
         else:
-            put(name, funcs[name], into=h_res)
-    return h.hexdigest(), h_res.hexdigest() if any(name.startswith("residual") for name in moments) else None
+            put(f"functional:{name}", funcs[name], into=h_fun)
+    for name in residuals:
+        put(name, funcs[name], into=h_res)
+    return h.hexdigest(), h_fun.hexdigest() if others else None, h_res.hexdigest() if residuals else None
 
 
-# name -> (sha256 of all outputs but the moment residuals, sha256 of the
-# moment residuals, rejected, substepped)
+# name -> (sha256 of the trajectories and accumulators, sha256 of the
+# functional samples, sha256 of the moment residuals, rejected, substepped)
 GOLDEN = {
-    "moment-residual": (
-        "c6a00862b8dcb51dca56536aed4b5009dc49aefa5427ad865cf7b2e0cc68871b",
-        "f1820cccbb2f99c39c00a6879a52ac00e1ad12033d73fb0700dddbb81559eba1",
+    "functionals": (
+        "f5eba389ea14efdf6fd955269f90675105e6e62cf734839ef830d7758f590aa4",
+        "0413d48ccf30ec2435b483af2e78c839ac89ab2e2408ec2e03f7060c663365a1",
+        None,
         0,
         0,
     ),
-    "reweight-constraint": ("48325a13db1de776757c3bee80ad79a19807fa4f4de691279b5910e68d6e12e9", None, 0, 0),
-    "functionals": ("fe55a43c29d66dfd7cbcbf5aab6de76e64bd9eb977897203691d5ea86efeabfe", None, 0, 0),
-    "stored-paths": ("94e248c34d5202330cc2468c0eac1802bc1fa6b3476abf7724bc4ff0dcec6347", None, 21, 0),
+    "moment-residual": (
+        "43687154be87622c8a54c375f5c32f2af6e85fcf6db0d00046dcb511be02354c",
+        "bcb50e015fdccd154117f6c12f384f8078f5e1118046bd51b497d9fc98f60110",
+        "c39f9844bd7d280079217e01b78c73d1163e3fd28e2241d352d132c0ec7274f7",
+        0,
+        0,
+    ),
+    "reweight-constraint": (
+        "f227d94adca541eccac43d654c461414a89d71358912ad43d20d73a790e615d4",
+        "28f6ce959c846130b957657272736ac6617a696e717d6519928302e1b3fc3acd",
+        None,
+        0,
+        0,
+    ),
+    "stored-paths": ("94e248c34d5202330cc2468c0eac1802bc1fa6b3476abf7724bc4ff0dcec6347", None, None, 21, 0),
     "substeps": (
-        "ed786ee60bf087171554cf926b773a5afd62a417349dccba96b4862cd76ce3dc",
-        "257e93c43ee36830d51c7ea41e9ce8bb8de76ad798ff394c0c2425a45b780c16",
+        "d95c87b4fc29d510e2e198cb904e6a9235d2ae95e2bb4ba30ee247ba03fbe76d",
+        "6645638550868ecca9428163c037175eef3b35e09fba83ca2b9e8d64b8b221c4",
+        "58ad5ff664bf5c0fa8727b5644da12737d5e3d5ff123797b514543db0f86f364",
         198,
         11,
     ),
