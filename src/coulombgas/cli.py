@@ -366,15 +366,9 @@ def run_sv_algebra(scn):
             f"n={n}": build_dynamical_constraint(n, a, pot, mc["n_particles"], grid, mc["k_max"], parts="affine")
             for n in (-1, 0)
         }
-        ens = simulate_dbm(
-            pot,
-            mc["n_particles"],
-            grid,
-            mc["replicas"],
-            InitSpec("equispaced", shift=mc["init_shift"]),
-            seed=scn["seed"],
-            functionals={name: constraint_functional(cop) for name, cop in cops.items()},
-        )
+        funcs = {name: constraint_functional(cop) for name, cop in cops.items()}
+        init = InitSpec("equispaced", shift=mc["init_shift"])
+        ens = simulate_dbm(pot, mc["n_particles"], grid, mc["replicas"], init, scn["seed"], funcs, workers=scn["threads"])
         for name, cop in cops.items():
             mean, se = constraint_residual_mc(cop, ens, name)
             checks.append(
@@ -472,15 +466,8 @@ def run_dbm_moments(scn):
     n_part = scn["n_particles"]
     grid = TimeGrid(scn["grid"]["dt"], scn["grid"]["steps"])
     t0 = time.perf_counter()
-    ens = simulate_dbm(
-        pot,
-        n_part,
-        grid,
-        scn["replicas"],
-        InitSpec(**scn["init"]),
-        seed=scn["seed"],
-        functionals=moment_functionals(pot, grid, scn["moment_ks"]),
-    )
+    funcs = moment_functionals(pot, grid, scn["moment_ks"])
+    ens = simulate_dbm(pot, n_part, grid, scn["replicas"], InitSpec(**scn["init"]), scn["seed"], funcs, workers=scn["threads"])
     elapsed = time.perf_counter() - t0
 
     pi1_0 = ens.pi_mean(1)[0]
@@ -511,7 +498,7 @@ def run_dbm_moments(scn):
             expected=want,
         )
     )
-    var = ens.noise_sumsq / ens.noise_count - (ens.noise_sum / ens.noise_count) ** 2
+    var = ens.noise_m2 / ens.noise_count
     se_var = var * math.sqrt(2.0 / (ens.noise_count - 1))
     checks.append(
         check("noise-variance", "Var(dB) = 2 dt", var - 2 * grid.dt, tol["noise_sigmas"] * se_var, variance=float(var))
@@ -578,7 +565,7 @@ def run_girsanov(scn):
     tau = {int(k): float(v) for k, v in scn["tau"].items()}
     init = InitSpec("explicit", values=tuple(scn["init_values"]))
     funcs = girsanov_functionals(tau, grid)
-    base = simulate_dbm(pot, scn["n_particles"], grid, scn["replicas"], init, seed=scn["seed"], functionals=funcs)
+    base = simulate_dbm(pot, scn["n_particles"], grid, scn["replicas"], init, scn["seed"], funcs, workers=scn["threads"])
     per_rep = base.functional_samples
     w = np.exp(per_rep["logweight"] + per_rep["quadratic"])
     mean_w = float(w.mean())
@@ -589,7 +576,7 @@ def run_girsanov(scn):
     rew = float(np.sum(w * pi2) / np.sum(w))
     se_rew = float(np.std(w * (pi2 - rew), ddof=1) / (np.mean(w) * math.sqrt(base.m)))
     tilted = perturbed_potential(pot, tau)
-    direct = simulate_dbm(tilted, scn["n_particles"], grid, scn["replicas"], init, seed=scn["seed"] + 1)
+    direct = simulate_dbm(tilted, scn["n_particles"], grid, scn["replicas"], init, scn["seed"] + 1, workers=scn["threads"])
     d_mean = float(direct.pi_mean(2)[-1])
     d_se = float(direct.pi_se(2)[-1])
     checks.append(
@@ -637,15 +624,8 @@ def run_npoint(scn):
         fl = npoint_functionals(pot, grid, f, k, scn["k_max"])
         funcs[f"npoint{k}:lhs"] = fl["lhs"]
         funcs[f"npoint{k}:rhs"] = fl["rhs"]
-    ens = simulate_dbm(
-        pot,
-        scn["n_particles"],
-        grid,
-        scn["replicas"],
-        InitSpec(**scn["init"]),
-        seed=scn["seed"],
-        functionals=funcs,
-    )
+    init = InitSpec(**scn["init"])
+    ens = simulate_dbm(pot, scn["n_particles"], grid, scn["replicas"], init, scn["seed"], funcs, workers=scn["threads"])
     rows = []
     for k in scn["modes"]:
         lhs, rhs, disc, se = npoint_vs_kernel(ens, k)
@@ -894,7 +874,7 @@ def _confining(spec) -> bool:
 
 #: The fields of dyson.InitSpec, each with a value of its type, named here so
 #: that validation does not import the engine.  An init may leave any out.
-INIT_FIELDS = {"kind": "equispaced", "shift": 0.0, "halfwidth": 1.0, "values": [0.0], "sweeps": 2000, "seed": 0}
+INIT_FIELDS = {"kind": "equispaced", "shift": 0.0, "halfwidth": 1.0, "values": [0.0], "sweeps": 200, "seed": 0}
 INIT_KEYS = tuple(INIT_FIELDS)
 INIT_KINDS = ("equispaced", "explicit", "equilibrium")
 
@@ -906,7 +886,7 @@ NAMED_KEYS = {"potentials": None, "b": 1, "tau": 2}
 #: standard errors are the scatter across replicas or chains, so 2 are needed;
 #: np-brackets leaves out 10 grid points at each end; NP exponents start at -1.
 BOUNDS = {"dt": (">", 0), "dts": (">", 0), "sigma": (">", 0), "t_max": (">", 0), "steps": (">=", 2), "replicas": (">=", 2)}
-BOUNDS |= {"chains": (">=", 2), "n_particles": (">=", 1), "threads": (">=", 1), "grid_points": (">=", 20), "exponents": (">=", -1), "seed": (">=", 0)}
+BOUNDS |= {"chains": (">=", 2), "n_particles": (">=", 1), "threads": (">=", 1), "sweeps": (">=", 1), "grid_points": (">=", 20), "exponents": (">=", -1), "seed": (">=", 0)}
 BOUNDS |= dict.fromkeys(("beta", "times", "identity_times", "orders", "moment_ks", "modes", "pi1_times", "pi2_window"), (">=", 0))
 
 #: Upper bounds by key name, applied like BOUNDS.  The engine keys its noise
@@ -1030,7 +1010,7 @@ def main(argv=None) -> int:
     runp.add_argument("config", help="path to the scenario JSON")
     runp.add_argument("--out", default=None, help="output directory (default: COULOMBGAS_OUT or ./reports)")
     runp.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    runp.add_argument("--threads", type=int, default=None, help="worker hint, recorded in the report")
+    runp.add_argument("--threads", type=int, default=None, help="worker processes for replica blocks")
     defp = sub.add_parser("default-config", help="print the complete default scenario for a suite")
     defp.add_argument("suite", choices=SUITES)
     args = parser.parse_args(argv)

@@ -13,10 +13,12 @@ loop-equation residual.  The stored-path post-processors (linear statistics, rew
 weights, action terms) are the reference the online functionals are tested
 against.
 
-Reproducibility: every batch of Gaussian increments comes from a
-counter-based generator keyed by (seed, step, retry), so results are bitwise
-identical regardless of how the replica loop is scheduled.  The Langevin
-state is particle-major, (n, m); public arrays stay replica-major, (m, ...).
+Reproducibility: the replicas fall into fixed blocks of 500, and every
+Gaussian increment comes from a Philox stream keyed by (seed, block) at a
+counter fixed by (step, draw, row), so a row's noise does not depend on the
+other rows, and results do not depend on how many worker processes step the
+blocks.  The Langevin state is particle-major, (n, m); public arrays stay
+replica-major, (m, ...).
 
 Reweighting conventions (fixed by the 2 dt noise variance):
 
@@ -64,7 +66,6 @@ __all__ = [
 ]
 
 GAP_MIN = 1e-8
-_EQ_INIT_SWEEPS_PER_CHAIN = 200  # least sweeps per chain: fewer leave an equilibrium init short of equilibrium
 
 
 class RejectionRateError(RuntimeError):
@@ -73,14 +74,22 @@ class RejectionRateError(RuntimeError):
 
 @dataclass(frozen=True)
 class InitSpec:
-    """Initial condition: equispaced grid, explicit values, or Gibbs draw."""
+    """Initial condition: equispaced grid, explicit values, or Gibbs draw.
+
+    An equilibrium init runs ``sweeps`` Metropolis sweeps per chain (at least
+    10, see :func:`sample_equilibrium`); fewer than 200 leave it short of
+    equilibrium."""
 
     kind: str = "equispaced"
     shift: float = 0.0
     halfwidth: float | None = None
     values: tuple = ()
-    sweeps: int = 2000
+    sweeps: int = 200
     seed: int = 0
+
+    def __post_init__(self):
+        if self.sweeps < 1:
+            raise ValueError(f"InitSpec.sweeps must be >= 1, got {self.sweeps}")
 
     def positions(self, pot: Potential, n: int, m: int) -> np.ndarray:
         if self.kind == "explicit":
@@ -97,7 +106,7 @@ class InitSpec:
             return np.tile(base + self.shift, (m, 1))
         if self.kind == "equilibrium":
             chains = max(64, m // 8)
-            eq = sample_equilibrium(pot, n, max(self.sweeps, _EQ_INIT_SWEEPS_PER_CHAIN * chains), self.seed, chains=chains)
+            eq = sample_equilibrium(pot, n, self.sweeps * chains, self.seed, chains=chains)
             rng = np.random.default_rng(self.seed + 1)
             idx = rng.integers(0, eq.samples.shape[0], size=m)
             return np.sort(eq.samples[idx], axis=1)
@@ -116,11 +125,11 @@ class Ensemble:
     init: InitSpec
     paths: np.ndarray | None = None       # (m, steps+1, n)
     incs: np.ndarray | None = None        # stored Brownian increments (m, steps, n)
-    pi_sum: np.ndarray | None = None      # (steps+1, 3): pi_0..pi_2
-    pi_sumsq: np.ndarray | None = None
-    noise_sum: float = 0.0
-    noise_sumsq: float = 0.0
-    noise_count: int = 0
+    pi_avg: np.ndarray | None = None      # (steps+1, 3): replica mean of pi_0..pi_2
+    pi_m2: np.ndarray | None = None       # (steps+1, 3): sum of squared deviations from pi_avg
+    noise_count: int = 0                  # the noise dB: m * steps * n samples
+    noise_mean: float = 0.0
+    noise_m2: float = 0.0
     rejected: int = 0
     substepped: int = 0
     # always None; kept because the benchmark tracer sums the stored bytes
@@ -134,11 +143,10 @@ class Ensemble:
         return self.rejected / max(total, 1)
 
     def pi_mean(self, k: int) -> np.ndarray:
-        return self.pi_sum[:, k] / self.m
+        return self.pi_avg[:, k]
 
     def pi_se(self, k: int) -> np.ndarray:
-        var = self.pi_sumsq[:, k] / self.m - (self.pi_sum[:, k] / self.m) ** 2
-        return np.sqrt(np.maximum(var, 0.0) / max(self.m - 1, 1))
+        return np.sqrt(self.pi_m2[:, k] / self.m / max(self.m - 1, 1))
 
 
 def _drift(pot: Potential, lam: np.ndarray) -> np.ndarray:
@@ -154,18 +162,59 @@ def _drift(pot: Potential, lam: np.ndarray) -> np.ndarray:
     return out
 
 
-# Noise keys are (step << 16) + counter: retries use counters 1.._MAX_RETRIES,
-# sub-step draws count up from _SUBSTEP_CTR0 and must stay below 16 << 16,
-# where the key of step j would equal a main-loop key of step j + 16.
+# Noise: Philox keyed by (seed, block), with a 4-word counter.  Step j's main
+# draw of a block is one standard_normal((rows, n)) from counter (0, 0, 0, j).
+# Row i of the block draws standard_normal(n) from (0, 1 + i, d, j): ordering
+# retry r has draw number d = r, and its s-th sub-step draw d = _MAX_RETRIES
+# + s.  The generator advances word 0 only, by one per 4 outputs, so at these
+# sizes it never carries into the words that tell the draws apart.
+_BLOCK = 500  # replicas per block; every value defines another noise stream
 _MAX_RETRIES = 12
-_SUBSTEP_CTR0 = 1_000_000
-_SUBSTEP_CTR_END = 1 << 20
+_MAX_SUBSTEPS = 500_000  # sub-steps of one row in one step
 
 
-def _gauss(seed: int, step: int, retry: int, shape) -> np.ndarray:
-    key = np.array([np.uint64(seed), np.uint64((step << 16) + retry)], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.standard_normal(shape)
+def _stream(seed: int, block: int, counter) -> np.random.Generator:
+    key = np.array([seed, block], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=np.array(counter, dtype=np.uint64)))
+
+
+def _main_draw(gen: np.random.Generator, j: int, out: np.ndarray):
+    """Fill out with step j's main draw of a block's stream gen, which serves
+    the main draws only: its counter moves on to (0, 0, 0, j), and the draw
+    equals that of ``_stream(seed, block, (0, 0, 0, j))``."""
+    bits = gen.bit_generator
+    now = int.from_bytes(bits.state["state"]["counter"].tobytes(), "little")
+    if now != j << 192:
+        bits.advance((j << 192) - now)
+    gen.standard_normal(out=out)
+
+
+def _block_moments(x: np.ndarray, width: int, mean: np.ndarray, m2: np.ndarray):
+    """Two-pass mean and M2 of each run of ``width`` columns in every row of x
+    (rows, cols), the last run possibly shorter, into mean and m2 (rows,
+    runs).  Each run is reduced as one contiguous row, so its values depend
+    neither on the other runs nor on the other rows of x."""
+    cut = x.shape[1] - x.shape[1] % width
+    for v, runs in ((x[:, :cut], slice(0, cut // width)), (x[:, cut:], slice(cut // width, None))):
+        if v.shape[1]:
+            v = v.reshape(len(x), -1, min(width, v.shape[1]))
+            mu = mean[:, runs]
+            np.divide(np.add.reduce(v, axis=2, out=mu), v.shape[2], out=mu)
+            dev = v - mu[:, :, None]
+            np.einsum("ijk,ijk->ij", dev, dev, out=m2[:, runs])
+
+
+def _chan_merge(counts, means, m2s) -> tuple:
+    """Merge per-block (count, mean, M2), in block order (Chan, Golub and
+    LeVeque 1983): returns the (mean, M2) of all the blocks."""
+    n_a, mean, m2 = counts[0], means[0], m2s[0]
+    for n_b, mean_b, m2_b in zip(counts[1:], means[1:], m2s[1:]):
+        n_ab = n_a + n_b
+        delta = mean_b - mean
+        mean = mean + delta * (n_b / n_ab)
+        m2 = m2 + m2_b + delta * delta * (n_a * n_b / n_ab)
+        n_a = n_ab
+    return mean, m2
 
 
 def slin_increment(pot: Potential, lam: np.ndarray, dlam: np.ndarray, dt: float, mode: int) -> np.ndarray:
@@ -233,7 +282,7 @@ def _feature_terms(pot: Potential, dt: float, n: int, kind: str, key) -> list:
 
 def _weight_store(functionals: dict, pot: Potential, n: int, grid: TimeGrid) -> tuple:
     """Check the specs and fold them into the (name index, feature) pairs
-    that carry a nonzero weight, with their weights, (slots, pairs)."""
+    that carry a nonzero weight: returns (names, pairs, weights (slots, pairs))."""
     step_slots = np.arange(grid.nslots) < grid.steps
     store = {}
     for i, (name, spec) in enumerate(functionals.items()):
@@ -255,7 +304,7 @@ def _weight_store(functionals: dict, pot: Potential, n: int, grid: TimeGrid) -> 
     wts = np.empty((grid.nslots, len(pairs)))  # slot-major: row j holds the entries of W_j
     for c, pair in enumerate(pairs):
         wts[:, c] = store[pair]
-    return pairs, wts
+    return list(functionals), pairs, wts
 
 
 def _feature_rows(features) -> tuple:
@@ -283,18 +332,18 @@ def _feature_rows(features) -> tuple:
 
 
 class _FeatureTable:
-    """The functionals of one :func:`simulate_dbm` run: the weight store,
-    the per-slot feature table F_j built from one power stack, and the
-    per-replica accumulators, to which each slot adds W_j @ F_j."""
+    """The functionals of m replicas of one :func:`simulate_dbm` run: the
+    weight store of :func:`_weight_store`, the per-slot feature table F_j
+    built from one power stack, and the per-replica accumulators, to which
+    each slot adds W_j @ F_j."""
 
-    def __init__(self, functionals: dict, pot: Potential, n: int, grid: TimeGrid, m: int):
-        self.names = list(functionals)
-        pairs, self.wts = _weight_store(functionals, pot, n, grid)
+    def __init__(self, store: tuple, n: int, m: int):
+        self.names, pairs, self.wts = store
         self.depth, self.pp, self.blocks, row = _feature_rows({feat for _, feat in pairs})
         self.who = np.array([i for i, _ in pairs], dtype=int)
         self.col = np.array([row[feat] for _, feat in pairs], dtype=int)
         self.live = self.wts.any(axis=1)
-        self.same = np.zeros(grid.nslots, dtype=bool)  # W_j equals W_{j-1}: F_j joins the run of slot j-1
+        self.same = np.zeros(len(self.wts), dtype=bool)  # W_j equals W_{j-1}: F_j joins the run of slot j-1
         self.same[1:] = self.live[1:] & (self.wts[1:] == self.wts[:-1]).all(axis=1)
         self.w_j = np.zeros((len(self.names), len(row)))  # W_j, or the weights of the current run
         self.table = np.zeros((len(row), m))  # F_j
@@ -362,6 +411,122 @@ class _FeatureTable:
             self.pending = False
 
 
+def _substep(pot: Potential, lam: np.ndarray, dt: float, j: int, draw) -> tuple:
+    """Advance one row lam (n,) that no retry could order through step j by
+    adaptive sub-steps; ``draw(s)`` gives the row's s-th sub-step normals.
+
+    A deterministic drift overshoot cannot be fixed by redrawing the noise
+    (the pair force beta/d exceeds d for gaps below ~sqrt(beta dt)), so the
+    row advances through sub-steps whose size shrinks with its minimum gap;
+    this preserves the weak order.  Returns (positions, summed noise,
+    rejected sub-steps)."""
+    lam, db_tot, t_left = lam.copy(), np.zeros_like(lam), float(dt)  # an int dt would make t_left an int
+    s = rejected = substeps = 0
+    while t_left > 0:
+        substeps += 1
+        if substeps > _MAX_SUBSTEPS:
+            raise RejectionRateError(f"step {j}: collision unresolved after {substeps} sub-steps")
+        dr = _drift(pot, lam[:, None])[:, 0]
+        gap = float(np.min(np.diff(lam)))
+        h = min(t_left, dt / 8.0, max(gap**2 / (8.0 * max(pot.beta, 1e-12)), dt * 1e-9))
+        for _ in range(40):
+            s += 1
+            dbs = math.sqrt(2.0 * h) * draw(s)
+            prop = lam + dbs + dr * h
+            if not np.any(np.diff(prop) < GAP_MIN):
+                break
+            rejected += 1
+            h /= 2.0
+        else:
+            raise RejectionRateError(f"step {j}: sub-step rejection did not terminate")
+        lam = prop
+        db_tot += dbs
+        t_left -= h
+    return lam, db_tot, rejected
+
+
+def _run_blocks(pot: Potential, n: int, grid: TimeGrid, seed: int, block0: int, lam0: np.ndarray, store: tuple, keep_paths: bool) -> dict:
+    """Step the replica blocks block0, block0 + 1, ... from the sorted initial
+    positions lam0 (rows, n) as one particle-major array.  Returns their
+    partials: per block the two-pass (mean, M2) of pi_0..pi_2 per slot and of
+    the noise, and over the rows the functional samples, the stored paths and
+    the counters."""
+    dt, steps = grid.dt, grid.steps
+    rows = lam0.shape[0]
+    sizes = [min(_BLOCK, rows - lo) for lo in range(0, rows, _BLOCK)]
+    gens = [_stream(seed, block0 + b, (0, 0, 0, 0)) for b in range(len(sizes))]
+    features = _FeatureTable(store, n, rows)
+    lam = np.ascontiguousarray(lam0.T)
+    paths = incs = None
+    if keep_paths:
+        paths = np.empty((rows, steps + 1, n))
+        paths[:, 0] = lam0
+        incs = np.empty((rows, steps, n))
+    z, db = np.empty((2, rows, n))  # the main draws, and the step's noise
+    draws = [z[b * _BLOCK : b * _BLOCK + size] for b, size in enumerate(sizes)]
+    pi_stats = np.empty((2, steps + 1, 3, len(sizes)))  # per slot: mean and M2 of pi_0..pi_2 in each block
+    pi_stats[:, :, 0] = np.array([n, 0.0])[:, None, None]  # pi_0 is n in every replica
+    noise_stats = np.empty((2, steps, len(sizes)))  # per step: mean and M2 of the noise in each block
+    sqrt2dt = math.sqrt(2.0 * dt)
+    order_guard = pot.beta >= 1.0 and n > 1
+    rejected = substepped = 0
+
+    def row_draw(r, d, j):
+        """Normals of row r of this range for draw number d of step j."""
+        b, i = divmod(int(r), _BLOCK)
+        return _stream(seed, block0 + b, (0, 1 + i, d, j)).standard_normal(n)
+
+    def record_pi(j, lam_now):
+        _block_moments(features.slot(j, lam_now)[1:3], _BLOCK, pi_stats[0, j, 1:], pi_stats[1, j, 1:])
+
+    for j in range(steps):
+        drift = _drift(pot, lam)
+        for gen, out in zip(gens, draws):
+            _main_draw(gen, j, out)
+        np.multiply(z, sqrt2dt, out=db)
+        prop = lam + db.T + drift * dt
+        if order_guard:
+            bad = np.flatnonzero(np.any(np.diff(prop, axis=0) < GAP_MIN, axis=0))
+            for retry in range(1, _MAX_RETRIES + 1):
+                if not bad.size:
+                    break
+                rejected += bad.size
+                for r in bad:
+                    db[r] = sqrt2dt * row_draw(r, retry, j)
+                prop[:, bad] = lam[:, bad] + db[bad].T + drift[:, bad] * dt
+                bad = bad[np.any(np.diff(prop[:, bad], axis=0) < GAP_MIN, axis=0)]
+            for r in bad:
+                prop[:, r], db[r], rej = _substep(pot, lam[:, r], dt, j, lambda s: row_draw(r, _MAX_RETRIES + s, j))
+                rejected += rej
+            substepped += bad.size
+        if not np.all(np.isfinite(prop)):
+            raise FloatingPointError(f"non-finite positions at step {j}")
+
+        _block_moments(db.reshape(1, -1), _BLOCK * n, noise_stats[0, j : j + 1], noise_stats[1, j : j + 1])
+        if keep_paths:
+            incs[:, j] = db
+            paths[:, j + 1] = prop.T
+        record_pi(j, lam)  # after the step's own work, so the stack is still in cache for its features
+        features.step(j, db, lam, prop, drift)
+        lam = prop
+
+    record_pi(steps, lam)
+    # equal counts per step: the block's M2 is the steps' M2s plus the scatter of their means
+    step_mean, step_m2 = np.ascontiguousarray(noise_stats.transpose(0, 2, 1))  # (blocks, steps) each
+    noise_mean = step_mean.mean(axis=1)
+    noise_m2 = step_m2.sum(axis=1) + np.multiply(sizes, n) * np.square(step_mean - noise_mean[:, None]).sum(axis=1)
+    return {
+        "sizes": sizes,
+        "pi": pi_stats.transpose(3, 0, 1, 2),  # (blocks, 2, slots, 3)
+        "noise": np.stack([noise_mean, noise_m2], axis=1),  # (blocks, 2)
+        "funcs": features.finish(steps),
+        "paths": paths,
+        "incs": incs,
+        "rejected": rejected,
+        "substepped": substepped,
+    }
+
+
 def simulate_dbm(
     pot: Potential,
     n: int,
@@ -371,12 +536,15 @@ def simulate_dbm(
     seed: int = 0,
     functionals: dict | None = None,
     keep_paths: bool = False,
+    workers: int = 1,
 ) -> Ensemble:
     """Euler-Maruyama simulation of the interacting Langevin dynamics.
 
     Steps violating the strict particle ordering (or closing a pair gap
-    below GAP_MIN) are rejected and redrawn with fresh counter-keyed noise;
-    a terminal rejection rate >= 1% raises RejectionRateError.
+    below GAP_MIN) are rejected: the rejected rows, and only they, are
+    redrawn with fresh counter-keyed noise, up to 12 times, and a row still
+    out of order then advances by adaptive sub-steps.  A terminal rejection
+    rate >= 1% raises RejectionRateError.
 
     ``functionals`` maps names to dicts of per-slot weights, {kind: {key:
     weights}} with weights of length steps+1; each name accumulates the
@@ -416,114 +584,74 @@ def simulate_dbm(
     sum or a sum over slots, where :func:`slin_increment` and the
     stored-path post-processors weight each term and take libm powers: the
     functionals agree with them to rounding, not bit for bit.  The
-    trajectories, ``pi_sum``, ``pi_sumsq``, the noise sums and the counters
-    do not depend on the functionals.
+    trajectories, the pi and noise statistics and the counters do not
+    depend on the functionals.
+
+    Blocks and noise: the replicas fall into blocks of 500, the last one
+    possibly shorter, and block b draws from Philox keyed by (seed, b).
+    Step j's main draw of a block is one standard_normal((rows, n)) from
+    counter (0, 0, 0, j); retry r of the block's row i draws
+    standard_normal(n) from (0, 1 + i, r, j), and its s-th sub-step draw
+    comes from (0, 1 + i, 12 + s, j).  So a row's noise does not depend on
+    which other rows were rejected, and with a start that does not depend
+    on m (equispaced or explicit) the first rows of a run are those of every
+    longer run with the same seed.
+
+    Workers: ``workers`` processes step contiguous ranges of blocks.  With
+    one the run stays in this process; with more it runs on a fork-context
+    process pool (spawn would import numpy again in every worker).  A worker
+    steps its blocks as one array and returns per-block partials: the
+    two-pass mean and M2 of pi_0..pi_2 per slot, those of the noise (per
+    step, then over the steps), and its rows' functional samples, paths and
+    counters.  The means and M2s are merged by Chan's formula and the rest
+    is joined, both in block order, so every output depends on (seed, m)
+    and not on ``workers``.  ``pi_mean``/``pi_se`` and the noise statistics
+    read the merged values.
 
     The state is particle-major, (n, m): a sum over particles is n - 1
-    contiguous row adds, and the stack feeds ``pi_sum`` and ``pi_sumsq``
-    (pi_0..pi_2) and the features.  Noise is drawn, retried and summed as
-    (m, n) blocks; ``paths`` (m, steps+1, n) and ``incs`` (m, steps, n)
-    stay replica-major.  For n <= 7 these row adds equal numpy's
-    replica-major sum over axis 1 bit for bit; for n >= 8 that sum is
-    pairwise and the last bits of the outputs may differ from it.
+    contiguous row adds, and the stack feeds the pi statistics (pi_0..pi_2)
+    and the features.  Noise is drawn and retried as (m, n) rows;
+    ``paths`` (m, steps+1, n) and ``incs`` (m, steps, n) stay
+    replica-major.  For n <= 7 these row adds equal numpy's replica-major
+    sum over axis 1 bit for bit; for n >= 8 that sum is pairwise and the
+    last bits of the outputs may differ from it.
     """
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     init = init or InitSpec()
-    dt = grid.dt
-    steps = grid.steps
-    features = _FeatureTable(functionals or {}, pot, n, grid, m)
-    lam = np.ascontiguousarray(np.sort(init.positions(pot, n, m), axis=1).T)
+    store = _weight_store(functionals or {}, pot, n, grid)
+    lam0 = np.sort(init.positions(pot, n, m), axis=1)
+    blocks = -(-m // _BLOCK)
+    workers = min(int(workers), blocks)
+    edges = [blocks * w // workers * _BLOCK for w in range(workers + 1)]
+    jobs = [(pot, n, grid, seed, lo // _BLOCK, lam0[lo:hi], store, keep_paths) for lo, hi in zip(edges, edges[1:])]
+    if workers == 1:
+        parts = [_run_blocks(*jobs[0])]
+    else:
+        import multiprocessing  # here: a run on one worker does not load the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            parts = [future.result() for future in [pool.submit(_run_blocks, *job) for job in jobs]]
+
+    def joined(arrays):
+        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
     ens = Ensemble(pot, n, grid, m, seed, init)
+    sizes = [size for part in parts for size in part["sizes"]]
+    pi = joined([part["pi"] for part in parts])
+    ens.pi_avg, ens.pi_m2 = _chan_merge(sizes, pi[:, 0], pi[:, 1])
+    noise = joined([part["noise"] for part in parts])
+    ens.noise_count = m * grid.steps * n
+    mean, m2 = _chan_merge([size * grid.steps * n for size in sizes], noise[:, 0], noise[:, 1])
+    ens.noise_mean, ens.noise_m2 = float(mean), float(m2)
+    ens.functional_samples = {name: joined([part["funcs"][name] for part in parts]) for name in store[0]}
     if keep_paths:
-        ens.paths = np.empty((m, steps + 1, n))
-        ens.paths[:, 0] = lam.T
-        ens.incs = np.empty((m, steps, n))
-    ens.pi_sum, ens.pi_sumsq = np.zeros((2, steps + 1, 3))
-
-    def record_pi(j, lam_now):
-        pis = features.slot(j, lam_now)
-        ens.pi_sum[j] += pis[:3].sum(axis=1)
-        ens.pi_sumsq[j] += (pis[:3] ** 2).sum(axis=1)
-
-    order_guard = pot.beta >= 1.0 and n > 1
-    sqrt2dt = math.sqrt(2.0 * dt)
-
-    def substep(lam_bad, j):
-        """Resolve near-collision replicas by adaptive refined sub-steps.
-
-        A deterministic drift overshoot cannot be fixed by redrawing the
-        noise (the pair force beta/d exceeds d for gaps below ~sqrt(beta dt)),
-        so the stuck rows advance through sub-steps whose size shrinks with
-        the current minimum gap; this preserves the weak order and keeps the
-        noise counter-keyed (seed, step, running counter).  Works on
-        replica-major rows (m_bad, n), the layout the noise is drawn in."""
-        lam_s = lam_bad.copy()
-        db_tot = np.zeros_like(lam_bad)
-        t_left = np.full(lam_bad.shape[0], float(dt))  # an int dt would make t_left an int array
-        ctr = _SUBSTEP_CTR0
-        guard = 0
-        while np.any(t_left > 0):
-            guard += 1
-            if guard > 500_000:
-                raise RejectionRateError(f"step {j}: collision unresolved after {guard} sub-steps")
-            act = t_left > 0
-            dr = _drift(pot, lam_s[act].T).T
-            gap = np.min(np.diff(lam_s[act], axis=1), axis=1)
-            h = np.minimum.reduce(
-                [t_left[act], np.full(gap.shape, dt / 8.0), np.maximum(gap**2 / (8.0 * max(pot.beta, 1e-12)), dt * 1e-9)]
-            )
-            for _ in range(40):
-                ctr += 1
-                if ctr >= _SUBSTEP_CTR_END:
-                    raise RejectionRateError(f"step {j}: sub-step noise keys exhausted (would alias step {j + 16})")
-                dbs = np.sqrt(2.0 * h)[:, None] * _gauss(seed, j, ctr, lam_s[act].shape)
-                prop_s = lam_s[act] + dbs + dr * h[:, None]
-                bad_s = np.any(np.diff(prop_s, axis=1) < GAP_MIN, axis=1)
-                if not np.any(bad_s):
-                    break
-                ens.rejected += int(bad_s.sum())
-                h = np.where(bad_s, h / 2.0, h)
-            else:
-                raise RejectionRateError(f"step {j}: sub-step rejection did not terminate")
-            idx = np.where(act)[0]
-            lam_s[idx] = prop_s
-            db_tot[idx] += dbs
-            t_left[idx] -= h
-        return lam_s, db_tot
-
-    for j in range(steps):
-        drift = _drift(pot, lam)
-        db = sqrt2dt * _gauss(seed, j, 0, (m, n))
-        prop = lam + db.T + drift * dt
-        if order_guard:
-            bad = np.any(np.diff(prop, axis=0) < GAP_MIN, axis=0)
-            retry = 0
-            while np.any(bad) and retry < _MAX_RETRIES:
-                retry += 1
-                ens.rejected += int(bad.sum())
-                fresh = sqrt2dt * _gauss(seed, j, retry, (m, n))
-                db[bad] = fresh[bad]
-                prop[:, bad] = lam[:, bad] + db[bad].T + drift[:, bad] * dt
-                bad = np.any(np.diff(prop, axis=0) < GAP_MIN, axis=0)
-            if np.any(bad):
-                ens.substepped += int(bad.sum())
-                lam_s, db[bad] = substep(lam[:, bad].T, j)
-                prop[:, bad] = lam_s.T
-        if not np.all(np.isfinite(prop)):
-            raise FloatingPointError(f"non-finite positions at step {j}")
-
-        ens.noise_sum += db.sum()
-        ens.noise_sumsq += (db**2).sum()
-        ens.noise_count += db.size
-        if keep_paths:
-            ens.incs[:, j] = db
-            ens.paths[:, j + 1] = prop.T
-        record_pi(j, lam)  # after the step's own work, so the stack is still in cache for its features
-        features.step(j, db, lam, prop, drift)
-        lam = prop
-
-    record_pi(steps, lam)
-    ens.functional_samples = features.finish(steps)
+        ens.paths, ens.incs = joined([part["paths"] for part in parts]), joined([part["incs"] for part in parts])
+    ens.rejected = sum(part["rejected"] for part in parts)
+    ens.substepped = sum(part["substepped"] for part in parts)
     if ens.rejection_rate >= 0.01:
         raise RejectionRateError(f"rejection rate {ens.rejection_rate:.3%} >= 1%")
     return ens

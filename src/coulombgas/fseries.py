@@ -22,16 +22,11 @@ import numpy as np
 __all__ = [
     "TruncSeries",
     "WindowOverflowError",
-    "DEFAULT_KMAX",
     "mul",
     "differentiate",
     "split",
     "residue_pair",
 ]
-
-#: Mode cutoff used by the identity suites; windows of +-(DEFAULT_KMAX + 2)
-#: are enough for every acceptance test to close.
-DEFAULT_KMAX = 12
 
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")

@@ -81,6 +81,29 @@ def test_tracer_counts_online_run_as_unstored():
     assert values["dyson.postproc.bytes_read"] == 0
 
 
+def test_tracer_counts_a_run_on_worker_processes():
+    """With workers=2 the tracer wraps simulate_dbm in this process and reads
+    the merged Ensemble: its replica steps and rejections are the Ensemble's,
+    and every wrapped name is restored.  The workers step the blocks and run
+    no traced function."""
+    tracer = _load("tracer")
+    t = tracer.Tracer("contract-workers")
+    t.install()
+    try:
+        grid = boson.TimeGrid(5e-3, 100)
+        init = dyson.InitSpec("equispaced", halfwidth=1.0)
+        ens = dyson.simulate_dbm(HERMITE2, 5, grid, 1100, init, seed=3, workers=2)
+        values = t.layer_metrics({}, 0)
+    finally:
+        restored = t.uninstall()
+    assert restored is True
+    assert values["dyson.simulate_dbm.calls"] == 1
+    assert values["dyson.simulate_dbm.replica_steps"] == ens.m * grid.steps == 1100 * 100
+    assert values["dyson.simulate_dbm.rejected"] == ens.rejected > 0
+    assert values["dyson.simulate_dbm.substepped"] == ens.substepped
+    assert "_run_blocks" not in tracer.TRACED["dyson"]
+
+
 @pytest.mark.parametrize("workload", ["langevin-online", "langevin-stored", "operator-algebra", "gibbs-loop"])
 def test_workload_scenarios_validate(workload):
     worker = _load("worker")

@@ -170,6 +170,7 @@ LANGEVIN_CONFIG_ERRORS = {
     "npoint Gaussian b_1 negative": _mutated("npoint", b={"1": -1.0}),
     "sv-algebra constraint_mc Gaussian b_1 negative": _mutated("sv-algebra", constraint_mc__b={"1": -1.0}),
     "npoint seed 2**63": _mutated("npoint", seed=2**63),
+    "dbm-moments init sweeps 0": _mutated("dbm-moments", init={"kind": "equilibrium", "sweeps": 0}),
 }
 
 #: The start of the message a config gets, where the test asserts it: the key path at fault.
@@ -181,6 +182,7 @@ MALFORMED_MESSAGES = {
     "malformed: case not an object": "cases[0] must be an object",
     "npoint seed 2**63": f"seed must be < {2**63}",
     "threads -3": "threads must be >= 1",
+    "dbm-moments init sweeps 0": "init.sweeps must be >= 1",
 }
 
 #: Configs with a key no suite reads, by the start of their message.
@@ -425,6 +427,55 @@ def _small_scenario(suite):
     elif suite == "hermite-example":
         scn.update(dts=[0.02, 0.01])
     return scn
+
+
+def _report_and_tables(out, suite) -> tuple:
+    """The report with its wall-clock check values masked, and the CSV bytes."""
+    report = json.loads((out / f"{suite}.json").read_text())
+    for c in report["checks"]:
+        if c["name"] in TIMED_CHECKS:
+            c["value"] = None
+    return report, {f.name: f.read_bytes() for f in out.glob("*.csv")}
+
+
+@pytest.mark.parametrize("suite", ["dbm-moments", "npoint", "girsanov", "sv-algebra"])
+def test_threads_do_not_change_reports(tmp_path, suite):
+    """--threads 1 and --threads 2 write the same checks and CSVs; only
+    scenario.threads differs.  1 200 replicas make blocks of 500, 500 and
+    200, so the two workers get unequal shares and the last block is short."""
+    scn = _small_scenario(suite)
+    if suite == "sv-algebra":
+        scn.update(potentials={})
+        scn["constraint_mc"]["replicas"] = 1200
+    else:
+        scn["replicas"] = 1200
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(scn))
+    runs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        assert main(["run", str(cfg), "--threads", str(threads), "--out", str(out)]) in (0, 1)
+        report, tables = _report_and_tables(out, suite)
+        assert report["scenario"].pop("threads") == threads and tables
+        runs.append((report, tables))
+    assert runs[0] == runs[1]
+
+
+def test_engine_error_in_a_worker_writes_failed_report(tmp_path, monkeypatch, capsys):
+    """A RejectionRateError raised in a worker process reaches main as the
+    engine report and exit 1.  With a minimum gap no step can keep, the first
+    row of each worker's range fails its sub-steps; only a worker steps rows."""
+    monkeypatch.setattr("coulombgas.dyson.GAP_MIN", 1e3)  # the forked workers inherit it
+    scn = _small_scenario("npoint")
+    scn["replicas"] = 600
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(scn))
+    assert main(["run", str(cfg), "--threads", "2", "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["engine error: RejectionRateError: step 0: sub-step rejection did not terminate"]
+    report = json.loads((tmp_path / "r" / "npoint.json").read_text())
+    (row,) = report["checks"]
+    assert report["passed"] is False and row["name"] == "npoint/engine" and row["error"] == err[0].removeprefix("engine error: ")
 
 
 def test_reports_bitwise_reproducible(tmp_path):

@@ -78,7 +78,7 @@ def test_hermite_pi1_decay():
 def test_noise_variance_convention():
     grid = TimeGrid(1e-3, 200)
     ens = simulate_dbm(HERMITE2, 5, grid, 2000, seed=1)
-    var = ens.noise_sumsq / ens.noise_count - (ens.noise_sum / ens.noise_count) ** 2
+    var = ens.noise_m2 / ens.noise_count
     se = var * math.sqrt(2.0 / (ens.noise_count - 1))
     assert abs(var - 2 * grid.dt) < 4 * se
 
@@ -101,31 +101,84 @@ def test_ordering_preserved_and_reproducible():
 
 
 def test_noise_keys_never_alias():
-    """Main draws, ordering retries and every sub-step draw below the cap get
-    distinct Philox keys across steps; the first counter past the cap would
-    reuse the main-draw key of step j + 16."""
+    """Main, retry and sub-step draws take distinct (key, counter) pairs across
+    blocks, rows, draws and steps; a main draw of the widest block leaves the
+    words that tell the draws apart alone; and the engine draws from these
+    pairs: every stored increment is its row's main draw, or one of its retry
+    draws, but for the sub-stepped rows."""
     from coulombgas import dyson
 
-    counters = np.concatenate(
-        [np.arange(dyson._MAX_RETRIES + 1), np.arange(dyson._SUBSTEP_CTR0 + 1, dyson._SUBSTEP_CTR_END)]
+    blocks, rows, steps = range(3), range(dyson._BLOCK), range(4)
+    draws = range(1, dyson._MAX_RETRIES + 4)  # retries, then the first sub-step draws
+    pairs = [(b, 0, 0, j) for b in blocks for j in steps]  # (block, counter words 1..3) of the main draws
+    pairs += [(b, 1 + i, d, j) for b in blocks for i in rows for d in draws for j in steps]
+    assert len(set(pairs)) == len(pairs)
+    gen = dyson._stream(2**63 - 1, 7, (0, 0, 0, 5))
+    gen.standard_normal((dyson._BLOCK, 64))
+    assert gen.bit_generator.state["state"]["counter"][1:].tolist() == [0, 0, 5]
+
+    grid, seed, sqrt2dt = TimeGrid(5e-3, 200), 3, math.sqrt(2 * 5e-3)
+    ens = simulate_dbm(HERMITE2, 5, grid, 600, InitSpec("equispaced", halfwidth=1.0), seed=seed, keep_paths=True)
+    main = np.concatenate(  # (600, steps, 5): the main draws of block 0 (500 rows) and block 1 (100 rows)
+        [
+            np.stack([sqrt2dt * dyson._stream(seed, b, (0, 0, 0, j)).standard_normal((size, 5)) for j in range(grid.steps)], axis=1)
+            for b, size in ((0, 500), (1, 100))
+        ]
     )
-    keys = ((np.arange(40, dtype=np.int64)[:, None] << 16) + counters).ravel()
-    assert np.unique(keys).size == keys.size
-    assert (3 << 16) + dyson._SUBSTEP_CTR_END == ((3 + 16) << 16) + 0
+    retried = unmatched = 0
+    for r, j in zip(*np.nonzero(np.any(ens.incs != main, axis=2))):
+        b, i = divmod(r, dyson._BLOCK)
+        retry = [sqrt2dt * dyson._stream(seed, b, (0, 1 + i, d, j)).standard_normal(5) for d in range(1, dyson._MAX_RETRIES + 1)]
+        if any(np.array_equal(ens.incs[r, j], x) for x in retry):
+            retried += 1
+        else:
+            unmatched += 1
+    assert retried > 0 and ens.rejected >= retried
+    assert unmatched == ens.substepped > 0
 
 
-def test_substep_counter_cap_raises(monkeypatch):
-    """A sub-step sequence that would reach the aliasing counter raises
-    instead of reusing another step's noise; the start counter is moved next
-    to the cap, so no 48k draws are needed."""
+def test_substep_cap_raises(monkeypatch):
+    """A row that needs more than _MAX_SUBSTEPS sub-steps in one step raises
+    RejectionRateError; the cap is lowered to 1 here, and every sub-stepped
+    row needs 8 or more."""
     from coulombgas import dyson
 
     grid = TimeGrid(5e-3, 200)
     init = InitSpec("equispaced", halfwidth=1.0)
     assert simulate_dbm(HERMITE2, 5, grid, 200, init, seed=3).substepped > 0
-    monkeypatch.setattr(dyson, "_SUBSTEP_CTR0", dyson._SUBSTEP_CTR_END - 3)
-    with pytest.raises(dyson.RejectionRateError, match="alias"):
+    monkeypatch.setattr(dyson, "_MAX_SUBSTEPS", 1)
+    with pytest.raises(dyson.RejectionRateError, match="unresolved after 2 sub-steps"):
         simulate_dbm(HERMITE2, 5, grid, 200, init, seed=3)
+
+
+def test_first_block_does_not_depend_on_m():
+    """The first 500 replicas form block 0 whatever m is: their paths and
+    increments are the same at m = 600 and at m = 1 100."""
+    grid = TimeGrid(1e-3, 100)
+    init = InitSpec("equispaced", shift=0.3)
+    short, long = (simulate_dbm(HERMITE2, 5, grid, m, init, seed=8, keep_paths=True) for m in (600, 1100))
+    assert np.array_equal(short.paths[:500], long.paths[:500])
+    assert np.array_equal(short.incs[:500], long.incs[:500])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_merged_moments_match_two_pass_oracle(workers):
+    """The block-merged mean and standard error of pi_0..pi_2 per slot, and
+    the merged noise mean and M2, agree with two passes over the stored
+    paths and increments to 1e-12 of their scale; 1 200 replicas make three
+    blocks, the last one short."""
+    grid = TimeGrid(1e-3, 100)
+    ens = simulate_dbm(HERMITE2, 5, grid, 1200, InitSpec("equispaced", shift=0.3), seed=9, keep_paths=True, workers=workers)
+    for k in range(3):
+        x = linear_statistics(ens, k)
+        mean = x.mean(axis=0)
+        se = np.sqrt(np.mean((x - mean) ** 2, axis=0) / (ens.m - 1))
+        assert np.max(np.abs(ens.pi_mean(k) - mean)) <= 1e-12 * np.max(np.abs(mean))
+        assert np.max(np.abs(ens.pi_se(k) - se)) <= 1e-12 * np.max(se)
+    db = ens.incs.ravel()
+    assert ens.noise_count == db.size
+    assert abs(ens.noise_mean - db.mean()) <= 1e-12 * db.std()
+    assert abs(ens.noise_m2 - np.sum((db - db.mean()) ** 2)) <= 1e-12 * ens.noise_m2
 
 
 def test_exchange_symmetry_of_linear_statistics():
@@ -429,7 +482,7 @@ def test_pi_functional_beyond_the_moments():
     ens = simulate_dbm(HERMITE2, 5, grid, 50, seed=4, functionals={"pi9": {"pi": {9: w}}}, keep_paths=True)
     want = linear_statistics(ens, 9) @ w
     assert np.max(np.abs(ens.functional_samples["pi9"] - want)) <= 1e-13 * np.max(np.abs(want))
-    assert ens.pi_sum.shape == (grid.nslots, 3)
+    assert ens.pi_avg.shape == (grid.nslots, 3)
 
 
 @pytest.mark.parametrize(
@@ -594,9 +647,15 @@ def test_equilibrium_init_draws_the_stationary_pi2(m):
     assert abs(pi2.mean() - stationary_pi2(HERMITE2, 5)) < 4 * se, (pi2.mean(), se)
 
 
+def test_init_sweeps_below_one_raise():
+    """InitSpec.sweeps counts sweeps per chain; fewer than one is an error."""
+    with pytest.raises(ValueError, match="sweeps must be >= 1"):
+        InitSpec("equilibrium", sweeps=0)
+
+
 def test_equilibrium_initial_condition():
     grid = TimeGrid(1e-3, 40)
-    init = InitSpec("equilibrium", sweeps=20000, seed=5)
+    init = InitSpec("equilibrium", sweeps=200, seed=5)
     ens = simulate_dbm(HERMITE2, 3, grid, 2000, init, seed=11)
     # starting in equilibrium, <pi_2> stays at the stationary value
     want = stationary_pi2(HERMITE2, 3)

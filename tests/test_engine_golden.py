@@ -68,6 +68,12 @@ def _run(name):
             GENERIC1, 4, TimeGrid(1e-3, 300), 150, InitSpec("explicit", values=(-2.0, -0.5, 0.5, 2.0)), seed=14,
             keep_paths=True,
         )
+    if name == "blocks":  # three blocks, the last one short: the merged accumulators
+        grid = TimeGrid(2e-3, 150)
+        return simulate_dbm(
+            HERMITE2, 4, grid, 1100, InitSpec("equispaced", shift=0.3), seed=15,
+            functionals=moment_functionals(HERMITE2, grid, (1, 2)), keep_paths=False,
+        )
     if name == "substeps":
         grid = TimeGrid(5e-3, 200)
         return simulate_dbm(
@@ -95,9 +101,9 @@ def ensemble_digests(ens) -> tuple:
 
     put("paths", ens.paths)
     put("incs", ens.incs)
-    put("pi_sum", ens.pi_sum[:, :3])
-    put("pi_sumsq", ens.pi_sumsq[:, :3])
-    put("noise", np.array([ens.noise_sum, ens.noise_sumsq], dtype=np.float64))
+    put("pi_avg", ens.pi_avg)
+    put("pi_m2", ens.pi_m2)
+    put("noise", np.array([ens.noise_mean, ens.noise_m2], dtype=np.float64))
     put("counts", np.array([ens.noise_count, ens.rejected, ens.substepped], dtype=np.int64))
     funcs = ens.functional_samples
     residuals = sorted(name for name in funcs if name.startswith("residual"))
@@ -115,34 +121,41 @@ def ensemble_digests(ens) -> tuple:
 # name -> (sha256 of the trajectories and accumulators, sha256 of the
 # functional samples, sha256 of the moment residuals, rejected, substepped)
 GOLDEN = {
-    "functionals": (
-        "f5eba389ea14efdf6fd955269f90675105e6e62cf734839ef830d7758f590aa4",
-        "0413d48ccf30ec2435b483af2e78c839ac89ab2e2408ec2e03f7060c663365a1",
-        None,
+    "blocks": (
+        "2f057530817d01c8d96a503438b0240dd5416c8be5158d318d791dac4e44e724",
+        "afa1729997a37e3c306357089db258daa0407eec5a149b1434dd45d6fd9d64cc",
+        "c22ae462e2ed35fbe7e96fb1d1807b69cba959d3cd1e5c14c41f68e6dccddcc3",
         0,
+        0,
+    ),
+    "functionals": (
+        "d47afc12d507af9155a49856661585136938e5bef701deaa004abb7f1244ac66",
+        "994e6d3bbb7fe64cf359a9210b59ac00e0c1e72738f6bf6e98220d2a791b42f0",
+        None,
+        1,
         0,
     ),
     "moment-residual": (
-        "43687154be87622c8a54c375f5c32f2af6e85fcf6db0d00046dcb511be02354c",
-        "bcb50e015fdccd154117f6c12f384f8078f5e1118046bd51b497d9fc98f60110",
-        "c39f9844bd7d280079217e01b78c73d1163e3fd28e2241d352d132c0ec7274f7",
-        0,
+        "2760c0b9d1acad5998203ec8ee8dd2c805da25e33a0996b281d7b1302a95a32f",
+        "3c37dd424a4d632ece3857916f28c1c2d0f9dc04a183fa94c8ead216f9b4c72e",
+        "c309868df5251373843b1f5b6f5d3b7bfe8599de75c781a1c50b4bac985bae3d",
+        1,
         0,
     ),
     "reweight-constraint": (
-        "f227d94adca541eccac43d654c461414a89d71358912ad43d20d73a790e615d4",
-        "28f6ce959c846130b957657272736ac6617a696e717d6519928302e1b3fc3acd",
+        "d9c1bf88501f8d84c07fa2ce8bc5582585a765f16ca2149889e3834fc86eb38c",
+        "92945cc39badae71ac20b1d57ef7cd7702f3d3820eef47d431290c965fb3ebfd",
         None,
-        0,
+        1,
         0,
     ),
-    "stored-paths": ("94e248c34d5202330cc2468c0eac1802bc1fa6b3476abf7724bc4ff0dcec6347", None, None, 21, 0),
+    "stored-paths": ("219c1188b05989b45f75c51e3c9858a1527d690ec464132fbd708a57f6de821d", None, None, 20, 0),
     "substeps": (
-        "d95c87b4fc29d510e2e198cb904e6a9235d2ae95e2bb4ba30ee247ba03fbe76d",
-        "6645638550868ecca9428163c037175eef3b35e09fba83ca2b9e8d64b8b221c4",
-        "58ad5ff664bf5c0fa8727b5644da12737d5e3d5ff123797b514543db0f86f364",
-        198,
-        11,
+        "9b111211ed10621733eb1ffbe39a3c93d29d2efc05f2154c308516aafc707d8b",
+        "45da236f3ededc4f8b481f271ee216401de59687fda3d46001914160d246524c",
+        "c8e95ef455856ad7efdf6cfab23e187b4fc23fdd217c2be0ab4d818a640f6a88",
+        116,
+        4,
     ),
 }
 
