@@ -171,6 +171,10 @@ def _drift(pot: Potential, lam: np.ndarray) -> np.ndarray:
 _BLOCK = 500  # replicas per block; every value defines another noise stream
 _MAX_RETRIES = 12
 _MAX_SUBSTEPS = 500_000  # sub-steps of one row in one step
+# A worker keeps the noise of this many bytes' worth of steps (at least one),
+# with their pi_1 and pi_2 rows, and reduces their block statistics once per
+# window; small, so that the window stays in cache and the peak memory barely moves.
+_WINDOW_BYTES = 1 << 17
 
 
 def _stream(seed: int, block: int, counter) -> np.random.Generator:
@@ -178,30 +182,31 @@ def _stream(seed: int, block: int, counter) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=np.array(counter, dtype=np.uint64)))
 
 
-def _main_draw(gen: np.random.Generator, j: int, out: np.ndarray):
-    """Fill out with step j's main draw of a block's stream gen, which serves
-    the main draws only: its counter moves on to (0, 0, 0, j), and the draw
-    equals that of ``_stream(seed, block, (0, 0, 0, j))``."""
-    bits = gen.bit_generator
-    now = int.from_bytes(bits.state["state"]["counter"].tobytes(), "little")
-    if now != j << 192:
-        bits.advance((j << 192) - now)
+def _main_draw(gen: np.random.Generator, state: dict, j: int, out: np.ndarray):
+    """Fill out with step j's main draw of a block's stream gen.  state is
+    the state of gen at counter (0, 0, 0, 0), with an empty buffer; its
+    counter moves to (0, 0, 0, j) and is written back in one assignment, so
+    the draw equals that of ``_stream(seed, block, (0, 0, 0, j))``."""
+    state["state"]["counter"][3] = j
+    gen.bit_generator.state = state
     gen.standard_normal(out=out)
 
 
 def _block_moments(x: np.ndarray, width: int, mean: np.ndarray, m2: np.ndarray):
     """Two-pass mean and M2 of each run of ``width`` columns in every row of x
     (rows, cols), the last run possibly shorter, into mean and m2 (rows,
-    runs).  Each run is reduced as one contiguous row, so its values depend
-    neither on the other runs nor on the other rows of x."""
+    runs); x is left holding the deviations from its run means.  Each run is
+    reduced as one contiguous row, so its values depend neither on the other
+    runs nor on the other rows of x: a window of steps stacked as rows gives
+    every step the values of its own call."""
     cut = x.shape[1] - x.shape[1] % width
     for v, runs in ((x[:, :cut], slice(0, cut // width)), (x[:, cut:], slice(cut // width, None))):
-        if v.shape[1]:
+        if v.size:
             v = v.reshape(len(x), -1, min(width, v.shape[1]))
             mu = mean[:, runs]
             np.divide(np.add.reduce(v, axis=2, out=mu), v.shape[2], out=mu)
-            dev = v - mu[:, :, None]
-            np.einsum("ijk,ijk->ij", dev, dev, out=m2[:, runs])
+            np.subtract(v, mu[:, :, None], out=v)
+            np.einsum("ijk,ijk->ij", v, v, out=m2[:, runs])
 
 
 def _chan_merge(counts, means, m2s) -> tuple:
@@ -411,6 +416,14 @@ class _FeatureTable:
             self.pending = False
 
 
+def _at_step(exc: Exception, j: int, stage: int) -> Exception:
+    """exc, marked with where it stops the step loop: step j, at stage 0 (the
+    sub-steps) or 1 (the finiteness check), which :func:`simulate_dbm` reads
+    to raise the error that one process stepping every block meets first."""
+    exc.where = (j, stage)
+    return exc
+
+
 def _substep(pot: Potential, lam: np.ndarray, dt: float, j: int, draw) -> tuple:
     """Advance one row lam (n,) that no retry could order through step j by
     adaptive sub-steps; ``draw(s)`` gives the row's s-th sub-step normals.
@@ -425,7 +438,7 @@ def _substep(pot: Potential, lam: np.ndarray, dt: float, j: int, draw) -> tuple:
     while t_left > 0:
         substeps += 1
         if substeps > _MAX_SUBSTEPS:
-            raise RejectionRateError(f"step {j}: collision unresolved after {substeps} sub-steps")
+            raise _at_step(RejectionRateError(f"step {j}: collision unresolved after {substeps} sub-steps"), j, 0)
         dr = _drift(pot, lam[:, None])[:, 0]
         gap = float(np.min(np.diff(lam)))
         h = min(t_left, dt / 8.0, max(gap**2 / (8.0 * max(pot.beta, 1e-12)), dt * 1e-9))
@@ -438,7 +451,7 @@ def _substep(pot: Potential, lam: np.ndarray, dt: float, j: int, draw) -> tuple:
             rejected += 1
             h /= 2.0
         else:
-            raise RejectionRateError(f"step {j}: sub-step rejection did not terminate")
+            raise _at_step(RejectionRateError(f"step {j}: sub-step rejection did not terminate"), j, 0)
         lam = prop
         db_tot += dbs
         t_left -= h
@@ -448,13 +461,14 @@ def _substep(pot: Potential, lam: np.ndarray, dt: float, j: int, draw) -> tuple:
 def _run_blocks(pot: Potential, n: int, grid: TimeGrid, seed: int, block0: int, lam0: np.ndarray, store: tuple, keep_paths: bool) -> dict:
     """Step the replica blocks block0, block0 + 1, ... from the sorted initial
     positions lam0 (rows, n) as one particle-major array.  Returns their
-    partials: per block the two-pass (mean, M2) of pi_0..pi_2 per slot and of
+    partials: per block the two-pass (mean, M2) of pi_1, pi_2 per slot and of
     the noise, and over the rows the functional samples, the stored paths and
     the counters."""
     dt, steps = grid.dt, grid.steps
     rows = lam0.shape[0]
     sizes = [min(_BLOCK, rows - lo) for lo in range(0, rows, _BLOCK)]
     gens = [_stream(seed, block0 + b, (0, 0, 0, 0)) for b in range(len(sizes))]
+    seeks = [(gen, gen.bit_generator.state, slice(lo, lo + _BLOCK)) for gen, lo in zip(gens, range(0, rows, _BLOCK))]
     features = _FeatureTable(store, n, rows)
     lam = np.ascontiguousarray(lam0.T)
     paths = incs = None
@@ -462,11 +476,13 @@ def _run_blocks(pot: Potential, n: int, grid: TimeGrid, seed: int, block0: int, 
         paths = np.empty((rows, steps + 1, n))
         paths[:, 0] = lam0
         incs = np.empty((rows, steps, n))
-    z, db = np.empty((2, rows, n))  # the main draws, and the step's noise
-    draws = [z[b * _BLOCK : b * _BLOCK + size] for b, size in enumerate(sizes)]
-    pi_stats = np.empty((2, steps + 1, 3, len(sizes)))  # per slot: mean and M2 of pi_0..pi_2 in each block
-    pi_stats[:, :, 0] = np.array([n, 0.0])[:, None, None]  # pi_0 is n in every replica
+    # rings of the last `window` steps: the noise (one row of rows * n per
+    # step, viewed as the step's (rows, n) noise) and pi_1, pi_2 per slot
+    window = max(1, min(steps, _WINDOW_BYTES // (rows * n * 8)))
+    noise_ring, pi_ring = np.empty((window, rows * n)), np.empty((window, 2, rows))
+    pi_stats = np.empty((2, 2 * (steps + 1), len(sizes)))  # rows 2j, 2j+1: mean and M2 of pi_1, pi_2 of slot j in each block
     noise_stats = np.empty((2, steps, len(sizes)))  # per step: mean and M2 of the noise in each block
+    gaps, low = np.empty((n - 1, rows)), np.empty((n - 1, rows), dtype=bool)
     sqrt2dt = math.sqrt(2.0 * dt)
     order_guard = pot.beta >= 1.0 and n > 1
     rejected = substepped = 0
@@ -476,17 +492,22 @@ def _run_blocks(pot: Potential, n: int, grid: TimeGrid, seed: int, block0: int, 
         b, i = divmod(int(r), _BLOCK)
         return _stream(seed, block0 + b, (0, 1 + i, d, j)).standard_normal(n)
 
-    def record_pi(j, lam_now):
-        _block_moments(features.slot(j, lam_now)[1:3], _BLOCK, pi_stats[0, j, 1:], pi_stats[1, j, 1:])
+    def reduce_window(j0, pi_slots, noise_steps):
+        """Block statistics of the first pi_slots slots and noise_steps steps
+        of the rings, which hold slots and steps j0, j0 + 1, ..."""
+        _block_moments(pi_ring[:pi_slots].reshape(-1, rows), _BLOCK, *pi_stats[:, 2 * j0 : 2 * (j0 + pi_slots)])
+        _block_moments(noise_ring[:noise_steps], _BLOCK * n, *noise_stats[:, j0 : j0 + noise_steps])
 
     for j in range(steps):
+        w = j % window
+        db = noise_ring[w].reshape(rows, n)
         drift = _drift(pot, lam)
-        for gen, out in zip(gens, draws):
-            _main_draw(gen, j, out)
-        np.multiply(z, sqrt2dt, out=db)
+        for gen, state, block in seeks:
+            _main_draw(gen, state, j, db[block])
+        np.multiply(db, sqrt2dt, out=db)
         prop = lam + db.T + drift * dt
-        if order_guard:
-            bad = np.flatnonzero(np.any(np.diff(prop, axis=0) < GAP_MIN, axis=0))
+        if order_guard and np.less(np.subtract(prop[1:], prop[:-1], out=gaps), GAP_MIN, out=low).any():
+            bad = np.flatnonzero(low.any(axis=0))
             for retry in range(1, _MAX_RETRIES + 1):
                 if not bad.size:
                     break
@@ -500,24 +521,28 @@ def _run_blocks(pot: Potential, n: int, grid: TimeGrid, seed: int, block0: int, 
                 rejected += rej
             substepped += bad.size
         if not np.all(np.isfinite(prop)):
-            raise FloatingPointError(f"non-finite positions at step {j}")
+            raise _at_step(FloatingPointError(f"non-finite positions at step {j}"), j, 1)
 
-        _block_moments(db.reshape(1, -1), _BLOCK * n, noise_stats[0, j : j + 1], noise_stats[1, j : j + 1])
         if keep_paths:
             incs[:, j] = db
             paths[:, j + 1] = prop.T
-        record_pi(j, lam)  # after the step's own work, so the stack is still in cache for its features
+        # after the step's own work, so the stack is still in cache for its features
+        np.copyto(pi_ring[w], features.slot(j, lam)[1:3])
         features.step(j, db, lam, prop, drift)
         lam = prop
+        if w == window - 1:
+            reduce_window(j + 1 - window, window, window)
 
-    record_pi(steps, lam)
+    last = steps % window  # steps of the short last window, if any, then the last slot
+    np.copyto(pi_ring[last], features.slot(steps, lam)[1:3])
+    reduce_window(steps - last, last + 1, last)
     # equal counts per step: the block's M2 is the steps' M2s plus the scatter of their means
     step_mean, step_m2 = np.ascontiguousarray(noise_stats.transpose(0, 2, 1))  # (blocks, steps) each
     noise_mean = step_mean.mean(axis=1)
     noise_m2 = step_m2.sum(axis=1) + np.multiply(sizes, n) * np.square(step_mean - noise_mean[:, None]).sum(axis=1)
     return {
         "sizes": sizes,
-        "pi": pi_stats.transpose(3, 0, 1, 2),  # (blocks, 2, slots, 3)
+        "pi": pi_stats.reshape(2, steps + 1, 2, len(sizes)).transpose(3, 0, 1, 2),  # (blocks, 2, slots, 2)
         "noise": np.stack([noise_mean, noise_m2], axis=1),  # (blocks, 2)
         "funcs": features.finish(steps),
         "paths": paths,
@@ -601,15 +626,20 @@ def simulate_dbm(
     one the run stays in this process; with more it runs on a fork-context
     process pool (spawn would import numpy again in every worker).  A worker
     steps its blocks as one array and returns per-block partials: the
-    two-pass mean and M2 of pi_0..pi_2 per slot, those of the noise (per
+    two-pass mean and M2 of pi_1, pi_2 per slot, those of the noise (per
     step, then over the steps), and its rows' functional samples, paths and
-    counters.  The means and M2s are merged by Chan's formula and the rest
-    is joined, both in block order, so every output depends on (seed, m)
-    and not on ``workers``.  ``pi_mean``/``pi_se`` and the noise statistics
-    read the merged values.
+    counters.  A worker keeps the noise and the pi_1, pi_2 rows of a window
+    of steps (``_WINDOW_BYTES`` of noise, at least one step) and reduces
+    the window's block statistics in one call; each (block, step) run is
+    still reduced alone, so the values are those of a reduction per step.
+    The means and M2s are merged by Chan's formula and the rest is joined,
+    both in block order, so every output depends on (seed, m) and not on
+    ``workers``; pi_0 is n with M2 0, as that merge would give.  A run that
+    fails in a worker raises the error that one worker would meet first.
+    ``pi_mean``/``pi_se`` and the noise statistics read the merged values.
 
     The state is particle-major, (n, m): a sum over particles is n - 1
-    contiguous row adds, and the stack feeds the pi statistics (pi_0..pi_2)
+    contiguous row adds, and the stack feeds the pi statistics (pi_1, pi_2)
     and the features.  Noise is drawn and retried as (m, n) rows;
     ``paths`` (m, steps+1, n) and ``incs`` (m, steps, n) stay
     replica-major.  For n <= 7 these row adds equal numpy's replica-major
@@ -634,7 +664,11 @@ def simulate_dbm(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            parts = [future.result() for future in [pool.submit(_run_blocks, *job) for job in jobs]]
+            futures = [pool.submit(_run_blocks, *job) for job in jobs]
+            failed = [exc for exc in (future.exception() for future in futures) if exc is not None]
+            if failed:  # the earliest in the step loop, as with one worker; any other error first
+                raise min(failed, key=lambda exc: getattr(exc, "where", (-1, 0)))
+            parts = [future.result() for future in futures]
 
     def joined(arrays):
         return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
@@ -642,7 +676,9 @@ def simulate_dbm(
     ens = Ensemble(pot, n, grid, m, seed, init)
     sizes = [size for part in parts for size in part["sizes"]]
     pi = joined([part["pi"] for part in parts])
-    ens.pi_avg, ens.pi_m2 = _chan_merge(sizes, pi[:, 0], pi[:, 1])
+    ens.pi_avg, ens.pi_m2 = np.empty((2, grid.nslots, 3))
+    ens.pi_avg[:, 0], ens.pi_m2[:, 0] = n, 0.0  # pi_0 is n in every replica: what merging n's and zeros gives
+    ens.pi_avg[:, 1:], ens.pi_m2[:, 1:] = _chan_merge(sizes, pi[:, 0], pi[:, 1])
     noise = joined([part["noise"] for part in parts])
     ens.noise_count = m * grid.steps * n
     mean, m2 = _chan_merge([size * grid.steps * n for size in sizes], noise[:, 0], noise[:, 1])

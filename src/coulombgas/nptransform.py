@@ -215,25 +215,6 @@ class GeneratorSum:
     def __add__(self, other):
         return GeneratorSum(self.terms + other.terms)
 
-    def to_json(self):
-        return [
-            {
-                "coeff": c,
-                "n": g.n,
-                "adot": list(g.adot.coeffs),
-                "tail": [{"power": k, "adot": list(a.coeffs)} for k, a in g.tail.letters],
-            }
-            for c, g in self.terms
-        ]
-
-    @classmethod
-    def from_json(cls, data):
-        terms = []
-        for d in data:
-            tail = IIWord(tuple((int(x["power"]), TimePoly(x["adot"])) for x in d["tail"]))
-            terms.append((d["coeff"], NPGenerator(int(d["n"]), TimePoly(d["adot"]), tail)))
-        return cls(terms)
-
 
 def elementary_bracket(n1: int, a1: TimePoly, n2: int, a2: TimePoly) -> GeneratorSum:
     """Closed bracket of two elementary generators (empty tails):

@@ -181,6 +181,70 @@ def test_merged_moments_match_two_pass_oracle(workers):
     assert abs(ens.noise_m2 - np.sum((db - db.mean()) ** 2)) <= 1e-12 * ens.noise_m2
 
 
+def test_block_moments_of_stacked_rows_equal_single_row_calls():
+    """_block_moments of k rows stacked as one (k, cols) array gives each row
+    the bits of its own single-row call, the short last run included, as
+    the step loop needs to reduce a window of steps at once."""
+    from coulombgas.dyson import _block_moments
+
+    rng = np.random.default_rng(5)
+    for k, cols, width in ((6, 2500, 2500), (4, 5500, 2500), (7, 1100, 500), (3, 300, 500)):
+        x = 3.0 + rng.standard_normal((k, cols)) * 1e-2
+        runs = -(-cols // width)
+        stacked = np.empty((2, k, runs))
+        _block_moments(x.copy(), width, *stacked)
+        single = np.empty((2, k, runs))
+        for r in range(k):
+            _block_moments(x[r : r + 1].copy(), width, *single[:, r : r + 1])
+        assert stacked.tobytes() == single.tobytes()
+
+
+def _outputs(ens) -> dict:
+    """Every array, accumulator and counter of an Ensemble, as bytes."""
+    out = {name: np.ascontiguousarray(getattr(ens, name)).tobytes() for name in ("paths", "incs", "pi_avg", "pi_m2")}
+    out.update({f"functional:{name}": v.tobytes() for name, v in ens.functional_samples.items()})
+    out["scalars"] = (ens.noise_count, ens.noise_mean, ens.noise_m2, ens.rejected, ens.substepped)
+    return out
+
+
+def test_window_of_block_statistics_keeps_every_bit(monkeypatch):
+    """The block statistics of a window of steps are reduced together; a
+    window of one step, one that divides the 150 steps (3) and one that
+    leaves a short last window (4) give the same Ensemble, bit for bit, on
+    three blocks of which the last is short (1 100 replicas, N = 4)."""
+    from coulombgas import dyson
+
+    grid, m, n = TimeGrid(2e-3, 150), 1100, 4
+    funcs = moment_functionals(HERMITE2, grid, (1, 2))
+    runs = {}
+    for window in (1, 3, 4):
+        monkeypatch.setattr(dyson, "_WINDOW_BYTES", window * m * n * 8)
+        ens = simulate_dbm(HERMITE2, n, grid, m, InitSpec("equispaced", shift=0.3), seed=15, functionals=funcs, keep_paths=True)
+        runs[window] = _outputs(ens)
+    assert grid.steps % 3 == 0 and grid.steps % 4 != 0
+    assert runs[3] == runs[1] and runs[4] == runs[1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_non_finite_positions_name_the_first_step(workers):
+    """With beta = 0 the ordering guard is off, and the force +lam^2 blows
+    every row up in finite time: the run stops with FloatingPointError at
+    the first step that leaves a non-finite position, and a run that ends
+    just before it stays finite.  Block 1 (replicas 500..999) overflows
+    before block 0, so with two workers the second worker's error is the
+    one raised."""
+    pot, init = Potential(0.0, {2: -1.0}), InitSpec("explicit", values=(1.0,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match=r"non-finite positions at step \d+$") as first:
+            simulate_dbm(pot, 1, TimeGrid(0.01, 400), 1000, init, seed=0, workers=workers)
+        with pytest.raises(FloatingPointError) as block0:
+            simulate_dbm(pot, 1, TimeGrid(0.01, 400), 500, init, seed=0)
+        step = int(str(first.value).rsplit(" ", 1)[1])
+        assert int(str(block0.value).rsplit(" ", 1)[1]) > step
+        ens = simulate_dbm(pot, 1, TimeGrid(0.01, step), 1000, init, seed=0, keep_paths=True, workers=workers)
+    assert np.all(np.isfinite(ens.paths))
+
+
 def test_exchange_symmetry_of_linear_statistics():
     grid = TimeGrid(1e-3, 60)
     ens = simulate_dbm(HERMITE2, 4, grid, 30, seed=9, keep_paths=True)

@@ -3,7 +3,6 @@ import pytest
 
 from coulombgas.kernel import Potential
 from coulombgas.nptransform import (
-    GeneratorSum,
     IIWord,
     NPGenerator,
     SampledPath,
@@ -342,14 +341,6 @@ def test_non_monotone_reparam_rejected():
     path = smooth_path(101)
     with pytest.raises(ValueError):
         finite_sv_transform("time-reparam", path, phi=TimePoly([0.0, -1.0]))
-
-
-def test_generator_json_roundtrip():
-    g = GeneratorSum([(1.5, NPGenerator(1, poly_t(2).deriv(1), IIWord(((2, TimePoly([1.0, 1.0])),))))])
-    data = g.to_json()
-    back = GeneratorSum.from_json(data)
-    path = smooth_path(301)
-    assert np.max(np.abs(g.variation(path) - back.variation(path))) < 1e-14
 
 
 def test_shuffle_associative_on_word_multisets():
