@@ -61,8 +61,6 @@ __all__ = [
     "loop_equation_residual",
     "npoint_vs_kernel",
     "npoint_functionals",
-    "dump_paths",
-    "load_paths",
 ]
 
 GAP_MIN = 1e-8
@@ -149,16 +147,37 @@ class Ensemble:
         return np.sqrt(self.pi_m2[:, k] / self.m / max(self.m - 1, 1))
 
 
-def _drift(pot: Potential, lam: np.ndarray) -> np.ndarray:
-    """beta sum_{j!=i} 1/(lam_i-lam_j) - V'(lam_i) for particle-major lam (n, m)."""
-    out = -pot.vprime(lam)
-    if pot.beta != 0.0:
-        # contiguous row updates per pair: faster than (n, n, m) broadcasts or gathers
-        for i in range(lam.shape[0]):
-            for jx in range(i + 1, lam.shape[0]):
-                inv = pot.beta / (lam[i] - lam[jx])
-                out[i] += inv
-                out[jx] -= inv
+def _drift(pot: Potential, lam: np.ndarray, out: np.ndarray | None = None, pairs: np.ndarray | None = None) -> np.ndarray:
+    """beta sum_{j!=i} 1/(lam_i-lam_j) - V'(lam_i) for particle-major lam (n, m),
+    into out (n, m) if given; pairs (n(n-1)/2, m), if given, holds the pair terms.
+
+    -V' is 0 + b_l lam^l summed over l in the order of pot.b, then negated.
+    The differences lam_i - lam_{i+k} are packed one block per offset k and
+    inverted in one call; particle i then takes its lower partners i' < i in
+    ascending i' (subtracting beta/(lam_i' - lam_i)), then its upper ones in
+    ascending order (adding beta/(lam_i - lam_i')): the order of terms of the
+    double loop over pairs (i < i'), so the bits are that loop's."""
+    n, m = lam.shape
+    if out is None:
+        out = np.empty((n, m))
+    out[...] = 0.0
+    for l, bl in pot.b.items():
+        out += bl * lam**l
+    np.negative(out, out=out)
+    if pot.beta == 0.0:
+        return out
+    if pairs is None:
+        pairs = np.empty((n * (n - 1) // 2, m))
+    blocks, lo = [], 0
+    for k in range(1, n):
+        blocks.append(pairs[lo : lo + n - k])  # rows i = 0..n-k-1: lam_i - lam_{i+k}
+        np.subtract(lam[:-k], lam[k:], out=blocks[-1])
+        lo += n - k
+    np.divide(pot.beta, pairs, out=pairs)
+    for k in range(n - 1, 0, -1):
+        out[k:] -= blocks[k - 1]
+    for k in range(1, n):
+        out[:-k] += blocks[k - 1]
     return out
 
 
@@ -469,8 +488,13 @@ def _run_blocks(pot: Potential, n: int, grid: TimeGrid, seed: int, block0: int, 
     sizes = [min(_BLOCK, rows - lo) for lo in range(0, rows, _BLOCK)]
     gens = [_stream(seed, block0 + b, (0, 0, 0, 0)) for b in range(len(sizes))]
     seeks = [(gen, gen.bit_generator.state, slice(lo, lo + _BLOCK)) for gen, lo in zip(gens, range(0, rows, _BLOCK))]
+    row_states = [gen.bit_generator.state for gen in gens]  # a second copy, whose counter the row draws move
     features = _FeatureTable(store, n, rows)
-    lam = np.ascontiguousarray(lam0.T)
+    # the step's buffers: the state and the proposal, swapped after each step,
+    # the drift with its packed pair terms, drift * dt and the finiteness mask
+    lam, prop = np.array(lam0.T, order="C"), np.empty((n, rows))
+    drift, pairs, drift_dt = np.empty((n, rows)), np.empty((n * (n - 1) // 2, rows)), np.empty((n, rows))
+    finite = np.empty((n, rows), dtype=bool)
     paths = incs = None
     if keep_paths:
         paths = np.empty((rows, steps + 1, n))
@@ -490,7 +514,10 @@ def _run_blocks(pot: Potential, n: int, grid: TimeGrid, seed: int, block0: int, 
     def row_draw(r, d, j):
         """Normals of row r of this range for draw number d of step j."""
         b, i = divmod(int(r), _BLOCK)
-        return _stream(seed, block0 + b, (0, 1 + i, d, j)).standard_normal(n)
+        state = row_states[b]
+        state["state"]["counter"][1:] = (1 + i, d, j)
+        gens[b].bit_generator.state = state
+        return gens[b].standard_normal(n)
 
     def reduce_window(j0, pi_slots, noise_steps):
         """Block statistics of the first pi_slots slots and noise_steps steps
@@ -501,11 +528,11 @@ def _run_blocks(pot: Potential, n: int, grid: TimeGrid, seed: int, block0: int, 
     for j in range(steps):
         w = j % window
         db = noise_ring[w].reshape(rows, n)
-        drift = _drift(pot, lam)
+        _drift(pot, lam, drift, pairs)
         for gen, state, block in seeks:
             _main_draw(gen, state, j, db[block])
         np.multiply(db, sqrt2dt, out=db)
-        prop = lam + db.T + drift * dt
+        np.add(np.add(lam, db.T, out=prop), np.multiply(drift, dt, out=drift_dt), out=prop)
         if order_guard and np.less(np.subtract(prop[1:], prop[:-1], out=gaps), GAP_MIN, out=low).any():
             bad = np.flatnonzero(low.any(axis=0))
             for retry in range(1, _MAX_RETRIES + 1):
@@ -520,7 +547,7 @@ def _run_blocks(pot: Potential, n: int, grid: TimeGrid, seed: int, block0: int, 
                 prop[:, r], db[r], rej = _substep(pot, lam[:, r], dt, j, lambda s: row_draw(r, _MAX_RETRIES + s, j))
                 rejected += rej
             substepped += bad.size
-        if not np.all(np.isfinite(prop)):
+        if not np.isfinite(prop, out=finite).all():
             raise _at_step(FloatingPointError(f"non-finite positions at step {j}"), j, 1)
 
         if keep_paths:
@@ -529,7 +556,7 @@ def _run_blocks(pot: Potential, n: int, grid: TimeGrid, seed: int, block0: int, 
         # after the step's own work, so the stack is still in cache for its features
         np.copyto(pi_ring[w], features.slot(j, lam)[1:3])
         features.step(j, db, lam, prop, drift)
-        lam = prop
+        lam, prop = prop, lam
         if w == window - 1:
             reduce_window(j + 1 - window, window, window)
 
@@ -620,7 +647,9 @@ def simulate_dbm(
     comes from (0, 1 + i, 12 + s, j).  So a row's noise does not depend on
     which other rows were rejected, and with a start that does not depend
     on m (equispaced or explicit) the first rows of a run are those of every
-    longer run with the same seed.
+    longer run with the same seed.  Each block keeps one generator: a draw
+    writes its counter into a kept copy of the generator's state and sets
+    that state in one assignment, so no draw seeds a generator of its own.
 
     Workers: ``workers`` processes step contiguous ranges of blocks.  With
     one the run stays in this process; with more it runs on a fork-context
@@ -640,7 +669,11 @@ def simulate_dbm(
 
     The state is particle-major, (n, m): a sum over particles is n - 1
     contiguous row adds, and the stack feeds the pi statistics (pi_1, pi_2)
-    and the features.  Noise is drawn and retried as (m, n) rows;
+    and the features.  The step reuses its buffers, allocated once per
+    worker: the drift with its packed pair terms (see :func:`_drift`),
+    drift * dt, the finiteness mask and the proposal, which is swapped with
+    the state after each step and still formed as (lam + dB) + drift * dt.
+    Noise is drawn and retried as (m, n) rows;
     ``paths`` (m, steps+1, n) and ``incs`` (m, steps, n) stay
     replica-major.  For n <= 7 these row adds equal numpy's replica-major
     sum over axis 1 bit for bit; for n >= 8 that sum is pairwise and the
@@ -1064,26 +1097,3 @@ def npoint_vs_kernel(e: Ensemble, k: int):
         float(np.std(diff, ddof=1) / np.sqrt(e.m)),
     )
 
-
-# ----------------------------------------------------------------------
-# raw-path binary record
-
-
-def dump_paths(e: Ensemble, path):
-    """Flat little-endian binary record: int64 N, T, M, float64 dt, then the
-    paths as float64 in C order (M, T+1, N)."""
-    if e.paths is None:
-        raise ValueError("no stored paths to dump")
-    with open(path, "wb") as fh:
-        np.array([e.n, e.grid.steps, e.m], dtype="<i8").tofile(fh)
-        np.array([e.grid.dt], dtype="<f8").tofile(fh)
-        e.paths.astype("<f8").tofile(fh)
-
-
-def load_paths(path):
-    """Inverse of :func:`dump_paths`: returns (n, steps, m, dt, paths)."""
-    with open(path, "rb") as fh:
-        n, steps, m = np.fromfile(fh, dtype="<i8", count=3)
-        dt = float(np.fromfile(fh, dtype="<f8", count=1)[0])
-        paths = np.fromfile(fh, dtype="<f8").reshape(int(m), int(steps) + 1, int(n))
-    return int(n), int(steps), int(m), dt, paths

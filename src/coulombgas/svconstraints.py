@@ -149,6 +149,12 @@ def integrated_psi_weight(weight: TruncSeries, coeffs, pot, n_particles, grid, k
 
     The residue picks psi-mode p per weight power z^p (p >= 0): mode 0 is the
     scalar -sqrt(beta) N, modes p >= 1 the kernel-convolved derivatives.
+
+    Mode p adds sqrt(beta) c_j K_{p,l}((j - j') dt) to d[l, j'] for every
+    slot j >= j' with c_j = coeffs[j] up dt; the terms are added one lag
+    L = j - j' at a time, so every entry takes them in ascending j.  A slot
+    with c_j = 0 adds +-0, which leaves d as it is (d starts at +0 and
+    never reaches -0).
     """
     op = BosonOperator(grid, k_max)
     coeffs = np.asarray(coeffs, dtype=float)
@@ -162,12 +168,15 @@ def integrated_psi_weight(weight: TruncSeries, coeffs, pot, n_particles, grid, k
             continue
         if p > k_max:
             raise ValueError(f"weight power {p} outside the mode window")
-        for j in range(grid.nslots):
-            c = coeffs[j] * up * dt
-            if c == 0.0:
-                continue
-            vids, vals = op.convolved_derivative(ktable, p, j)
-            op.add_d_vec(vids, sb * c * vals)
+        c = coeffs * up * dt
+        live = np.flatnonzero(c)
+        if not live.size:
+            continue
+        top = live[-1]
+        scale = sb * c[: top + 1]
+        d = op._ensure("d").reshape(k_max, grid.nslots)  # d[l - 1, j'] = d/dx[l, j']
+        for lag in range(top + 1):
+            d[:, : top + 1 - lag] += ktable[lag, p, 1:, None] * scale[lag:]
     return op
 
 

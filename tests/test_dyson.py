@@ -7,12 +7,10 @@ from coulombgas.boson import TimeGrid
 from coulombgas.dyson import (
     InitSpec,
     action_terms,
-    dump_paths,
     girsanov_functionals,
     girsanov_logweight,
     girsanov_quadratic_correction,
     linear_statistics,
-    load_paths,
     loop_equation_residual,
     moment_functionals,
     npoint_functionals,
@@ -199,6 +197,43 @@ def test_block_moments_of_stacked_rows_equal_single_row_calls():
         assert stacked.tobytes() == single.tobytes()
 
 
+def _drift_pair_loop(pot, lam):
+    """The pair force as a double loop over pairs i < i' (the reference for
+    the order of terms that the packed drift keeps)."""
+    out = -pot.vprime(lam)
+    if pot.beta != 0.0:
+        for i in range(lam.shape[0]):
+            for ix in range(i + 1, lam.shape[0]):
+                inv = pot.beta / (lam[i] - lam[ix])
+                out[i] += inv
+                out[ix] -= inv
+    return out
+
+
+def test_packed_drift_equals_the_pair_loop_bit_for_bit():
+    """_drift packs the pair differences by offset and keeps each particle's
+    order of terms, so it equals the double loop byte for byte: N = 1..9,
+    beta 0, 1, 2, a one- and a three-term force, 1, 7 and 500 replicas,
+    with fresh buffers, with caller buffers used twice, and for a transposed
+    (non-contiguous) input."""
+    from coulombgas.dyson import _drift
+
+    rng = np.random.default_rng(8)
+    for n in range(1, 10):
+        for m in (1, 7, 500):
+            lam_rm = np.sort(rng.standard_normal((m, n)) * 2.0, axis=1)  # replica-major, as the tests pass it
+            for beta in (0.0, 1.0, 2.0):
+                for b in ({1: 1.0}, {1: 0.5, 2: 0.3, 3: -0.2}):
+                    pot = Potential(beta, b)
+                    ref = _drift_pair_loop(pot, lam_rm.T).tobytes()
+                    assert _drift(pot, lam_rm.T).tobytes() == ref
+                    lam = np.ascontiguousarray(lam_rm.T)
+                    out, pairs = np.full((n, m), np.nan), np.full((n * (n - 1) // 2, m), np.nan)
+                    for _ in range(2):
+                        assert _drift(pot, lam, out, pairs) is out
+                        assert out.tobytes() == ref
+
+
 def _outputs(ens) -> dict:
     """Every array, accumulator and counter of an Ensemble, as bytes."""
     out = {name: np.ascontiguousarray(getattr(ens, name)).tobytes() for name in ("paths", "incs", "pi_avg", "pi_m2")}
@@ -261,16 +296,6 @@ def test_linear_statistics_trivial_values():
     assert np.all(linear_statistics(ens, 0) == 3.0)
     assert linear_statistics(ens, 1)[0, 0] == pytest.approx(6.0)
     assert linear_statistics(ens, 2)[0, 0] == pytest.approx(14.0)
-
-
-def test_paths_binary_roundtrip(tmp_path):
-    grid = TimeGrid(0.01, 5)
-    ens = simulate_dbm(HERMITE2, 2, grid, 4, seed=2, keep_paths=True)
-    f = tmp_path / "paths.bin"
-    dump_paths(ens, f)
-    n, steps, m, dt, paths = load_paths(f)
-    assert (n, steps, m) == (2, 5, 4) and dt == grid.dt
-    assert np.array_equal(paths, ens.paths)
 
 
 # ------------------------------------------------------------- equilibrium

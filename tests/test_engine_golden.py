@@ -30,6 +30,7 @@ from coulombgas.timefunc import bump
 
 HERMITE2 = Potential(2.0, {1: 1.0})
 GENERIC1 = Potential(1.0, {1: 0.5, 2: 0.3})
+QUARTIC4 = Potential(4.0, {1: 1.0, 3: 0.1})
 
 
 def _npoint_funcs(pot, grid):
@@ -73,6 +74,12 @@ def _run(name):
         return simulate_dbm(
             HERMITE2, 4, grid, 1100, InitSpec("equispaced", shift=0.3), seed=15,
             functionals=moment_functionals(HERMITE2, grid, (1, 2)), keep_paths=False,
+        )
+    if name == "seven-particles":  # N = 7 and beta = 4: the pair force beyond the other cases' N <= 5
+        grid = TimeGrid(5e-3, 200)
+        return simulate_dbm(
+            QUARTIC4, 7, grid, 300, InitSpec("equispaced", halfwidth=2.0, shift=0.2), seed=16,
+            functionals=moment_functionals(QUARTIC4, grid, (1, 2)), keep_paths=True,
         )
     if name == "substeps":
         grid = TimeGrid(5e-3, 200)
@@ -147,6 +154,13 @@ GOLDEN = {
         "92945cc39badae71ac20b1d57ef7cd7702f3d3820eef47d431290c965fb3ebfd",
         None,
         1,
+        0,
+    ),
+    "seven-particles": (
+        "6b166bdbece08fd70990bd8c5228b03341c42fe8f2fdd1e886fcd31b2d3d737a",
+        "2da5aebb3c371b1d853ffbd05cb4d12c298e39ebfd16f20770587e7a2ddc3f5e",
+        "7820d665397d6f8706d182105d6ac92cb744b45185d029366beca055a2112edf",
+        4,
         0,
     ),
     "stored-paths": ("219c1188b05989b45f75c51e3c9858a1527d690ec464132fbd708a57f6de821d", None, None, 20, 0),

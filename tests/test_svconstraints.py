@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from coulombgas.boson import TimeGrid, commutator, kernel_table, time_derivation
+from coulombgas.boson import BosonOperator, TimeGrid, commutator, kernel_table, time_derivation
+from coulombgas.fseries import TruncSeries
 from coulombgas.kernel import Potential
 from coulombgas.svconstraints import (
     ConstraintOp,
@@ -14,6 +15,7 @@ from coulombgas.svconstraints import (
     hermite_cancellation_pairs,
     hermite_lin_quadr_bracket,
     hermite_pieces_total_operator,
+    integrated_psi_weight,
     quadr_core,
     verify_sv_algebra_linear,
     verify_sv_algebra_quadratic,
@@ -137,6 +139,56 @@ def test_constraint_support_guard():
     grid = _grid()
     with pytest.raises(ValueError):
         build_dynamical_constraint(-1, poly_t(1), HERMITE2, 1.0, grid, 4)
+
+
+def _psi_weight_slot_loop(weight, coeffs, pot, n_particles, grid, k_max, ktable):
+    """integrated_psi_weight one slot at a time, each slot's kernel-convolved
+    derivative added by np.add.at: the reference for the by-lag assembly."""
+    op = BosonOperator(grid, k_max)
+    coeffs = np.asarray(coeffs, dtype=float)
+    sb = np.sqrt(pot.beta)
+    for p, up in weight.items():
+        if p == 0:
+            op.add_const(-sb * n_particles * up * float(np.sum(coeffs)) * grid.dt)
+            continue
+        for j in range(grid.nslots):
+            c = coeffs[j] * up * grid.dt
+            if c != 0.0:
+                vids, vals = op.convolved_derivative(ktable, p, j)
+                op.add_d_vec(vids, sb * c * vals)
+    return op
+
+
+@pytest.mark.parametrize("steps, k_max", [(7, 3), (50, 4), (1000, 8)])
+def test_psi_weight_by_lag_equals_the_slot_loop(steps, k_max):
+    """integrated_psi_weight adds its terms one lag at a time and keeps each
+    entry's order of terms, so d and the constant equal the slot-by-slot
+    loop byte for byte: three potentials, weights with several powers (the
+    constant mode, zero coefficients between powers), coefficient profiles
+    with zero slots, and all-zero coefficients, which leave d None."""
+    grid = TimeGrid(1.0 / steps, steps)
+    t = grid.times
+    weights = [
+        TruncSeries.from_dict({0: 0.7, 1: -1.3, 3: 0.4}),
+        TruncSeries(1, 3, [1.0, 0.0, -2.5]),
+        TruncSeries.from_dict({2: 0.25}),
+    ]
+    hole = np.where((t > 0.3) & (t < 0.45), 0.0, 1.0 + t**2)  # zero slots inside the window
+    profiles = [bump(0.0, t[-1], 4)(t), hole, 0.3 - t, np.zeros(grid.nslots)]
+    for pot in (HERMITE2, Potential(1.0, {1: 0.5, 3: 0.2}), Potential(4.0, {1: 1.0, 2: 0.3})):
+        ktable = kernel_table(pot, grid, k_max)
+        for weight in weights:
+            for coeffs in profiles:
+                got = integrated_psi_weight(weight, coeffs, pot, 5, grid, k_max, ktable)
+                want = _psi_weight_slot_loop(weight, coeffs, pot, 5, grid, k_max, ktable)
+                assert np.float64(got.const).tobytes() == np.float64(want.const).tobytes()
+                if want.d is None:
+                    assert got.d is None
+                else:
+                    assert got.d.tobytes() == want.d.tobytes()
+                assert (got.x, got.xd, got.dd) == (None, None, None)
+        zero = integrated_psi_weight(weights[1], profiles[3], pot, 5, grid, k_max, ktable)
+        assert zero.d is None and zero.const == 0.0
 
 
 # ----------------------------------------------------------- bracket suites
