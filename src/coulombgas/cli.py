@@ -31,10 +31,6 @@ import numpy as np
 SCHEMA_VERSION = "1.0.0"
 
 
-def report_schema_version() -> str:
-    return SCHEMA_VERSION
-
-
 def check(name, anchor, value, tolerance, passed=None, **extra):
     if passed is None:
         passed = bool(abs(value) <= tolerance)
@@ -52,6 +48,11 @@ def _ratio_check(name, anchor, coarse, fine, low, high):
 def _std_error(samples) -> float:
     """The standard error of the mean of independent samples."""
     return float(samples.std(ddof=1) / math.sqrt(samples.size))
+
+
+def _max_gap(pairs) -> float:
+    """The largest entry gap max |a - b| over the (a, b) array pairs; nan if any gap is."""
+    return float(np.max([np.max(np.abs(a - b)) for a, b in pairs]))
 
 
 # ----------------------------------------------------------------------
@@ -133,29 +134,17 @@ def run_kernel_identities(scn):
     t0 = time.perf_counter()
     for name in ("quadratic-force", "mixed-force"):
         pot = pots[name]
-        worst = 0.0
-        for t in scn["times"]:
-            ka = propagator(pot, t, k_max).entries
-            kb = kernel_beta2_closed(pot.b, t, k_max).entries
-            worst = max(worst, float(np.max(np.abs(ka - kb))))
+        worst = _max_gap((propagator(pot, t, k_max).entries, kernel_beta2_closed(pot.b, t, k_max).entries) for t in scn["times"])
         checks.append(check(f"route-equivalence/{name}", "exp(tA) vs characteristics", worst, tol["route_equivalence"]))
     elapsed = time.perf_counter() - t0
     checks.append(check("route-equivalence/runtime", "wall clock seconds", elapsed, tol["route_runtime_s"]))
 
-    worst = 0.0
-    for t in (0.25, 0.5, 1.0):
-        k = propagator(pots["hermite"], t, k_max).entries
-        want = np.diag([math.exp(-kk * t) for kk in range(k_max + 1)])
-        worst = max(worst, float(np.max(np.abs(k - want))))
+    worst = _max_gap((propagator(pots["hermite"], t, k_max).entries, np.diag([math.exp(-kk * t) for kk in range(k_max + 1)])) for t in (0.25, 0.5, 1.0))
     checks.append(check("hermite-diagonal", "K_kl = delta e^{-kt/s^2}", worst, tol["hermite_diagonal"]))
 
     for name in ("hermite-beta1", "hermite-beta4"):
         pot = pots[name]
-        worst = 0.0
-        for t in (0.2, 0.5, 1.0):
-            ka = propagator(pot, t, k_max).entries
-            kb = hermite_kernel(1.0, pot.beta, t, k_max).entries
-            worst = max(worst, float(np.max(np.abs(ka - kb))))
+        worst = _max_gap((propagator(pot, t, k_max).entries, hermite_kernel(1.0, pot.beta, t, k_max).entries) for t in (0.2, 0.5, 1.0))
         checks.append(
             check(
                 f"hermite-closed/{name}",
@@ -169,33 +158,13 @@ def run_kernel_identities(scn):
     for name in ("hermite", "generic-beta1", "generic-beta4"):
         pot = pots[name]
         rep = verify_kernel_identities(pot, tuple(scn["identity_times"]), k_max)
-        checks.append(
-            check(
-                f"semigroup/{name}",
-                "K(t-t')K(t'-t'')=K(t-t''), relative to the kernel scale",
-                rep["semigroup_rel"],
-                tol["semigroup"],
-                absolute=rep["semigroup"],
-            )
-        )
-        checks.append(
-            check(
-                f"kolmogorov-forward/{name}",
-                "dK/dt = (generator) K, relative",
-                rep["kolmogorov_forward_rel"],
-                tol["kolmogorov"],
-                absolute=rep["kolmogorov_forward"],
-            )
-        )
-        checks.append(
-            check(
-                f"kolmogorov-backward/{name}",
-                "dK/dt = K (generator), relative",
-                rep["kolmogorov_backward_rel"],
-                tol["kolmogorov"],
-                absolute=rep["kolmogorov_backward"],
-            )
-        )
+        for identity, tol_key, anchor in (
+            ("semigroup", "semigroup", "K(t-t')K(t'-t'')=K(t-t''), relative to the kernel scale"),
+            ("kolmogorov-forward", "kolmogorov", "dK/dt = (generator) K, relative"),
+            ("kolmogorov-backward", "kolmogorov", "dK/dt = K (generator), relative"),
+        ):
+            key = identity.replace("-", "_")
+            checks.append(check(f"{identity}/{name}", anchor, rep[f"{key}_rel"], tol[tol_key], absolute=rep[key]))
         lem = rep["technical_lemma"]
         checks.append(
             check(
@@ -251,29 +220,21 @@ def run_boson_commutators(scn):
         g0 = retarded_propagator_modes(pot, 0.0, k_max)
         worst_psi = worst_cross = worst_delta = worst_plus = worst_phiphi = 0.0
         for k in range(1, k_max + 1):
+            psi_k = dynamic_boson(k, j, pot, n_part, grid, k_max, tab)  # commutator only reads its operands
+            phi_k = static_boson(k, j, pot.beta, grid, k_max)
             for l in range(1, k_max + 1):
-                c = commutator(
-                    dynamic_boson(k, j, pot, n_part, grid, k_max, tab),
-                    dynamic_boson(-l, jp, pot, n_part, grid, k_max, tab),
-                )
+                phi_l = static_boson(-l, jp, pot.beta, grid, k_max)
+                c = commutator(psi_k, dynamic_boson(-l, jp, pot, n_part, grid, k_max, tab))
                 worst_psi = max(worst_psi, abs(c.const - g.entries[k, l]))
-                c2 = commutator(
-                    dynamic_boson(k, j, pot, n_part, grid, k_max, tab),
-                    static_boson(-l, jp, pot.beta, grid, k_max),
-                )
-                worst_cross = max(worst_cross, abs(c2.const - g.entries[k, l]))
-                c3 = commutator(static_boson(k, j, pot.beta, grid, k_max), static_boson(-l, j, pot.beta, grid, k_max))
+                worst_cross = max(worst_cross, abs(commutator(psi_k, phi_l).const - g.entries[k, l]))
+                c3 = commutator(phi_k, static_boson(-l, j, pot.beta, grid, k_max))
                 want = (l / grid.dt) if k == l else 0.0
                 worst_delta = max(worst_delta, abs(c3.const - want))
-                c4 = commutator(static_boson(k, j, pot.beta, grid, k_max), static_boson(-l, jp, pot.beta, grid, k_max))
-                worst_phiphi = max(worst_phiphi, c4.field_max_abs())
+                worst_phiphi = max(worst_phiphi, commutator(phi_k, phi_l).field_max_abs())
                 rows.append((name, k, l, c.const, g.entries[k, l]))
             d = dynamic_boson(-k, 3, pot, n_part, grid, k_max, tab) - static_boson(-k, 3, pot.beta, grid, k_max)
             worst_plus = max(worst_plus, d.field_max_abs())
-            ceq = commutator(
-                dynamic_boson(k, j, pot, n_part, grid, k_max, tab),
-                static_boson(-k, j, pot.beta, grid, k_max),
-            )
+            ceq = commutator(psi_k, static_boson(-k, j, pot.beta, grid, k_max))
             worst_cross = max(worst_cross, abs(ceq.const - g0.entries[k, k]))
         checks.append(check(f"psi-psi-retarded/{name}", "[psi_k(t), psi_-l(t')] = l K_kl(t-t')", worst_psi, tol))
         checks.append(check(f"psi-phi/{name}", "[psi_k(t), phi_-l(t')] = l K_kl, incl. equal-time", worst_cross, tol))
@@ -328,7 +289,7 @@ def run_sv_algebra(scn):
             grid = TimeGrid(gspec["dt"], gspec["steps"])
             tmax = grid.dt * grid.steps
             f = bump(0.0, tmax, 4)
-            g = bump(0.0, tmax, 4) * poly_t(1)
+            g = f * poly_t(1)
             tab = kernel_table(pot, grid, scn["k_max"])
             family = {}  # the family members of this (potential, grid), built once for both checks
             reps = verify_sv_algebra_quadratic(
@@ -470,31 +431,31 @@ def run_dbm_moments(scn):
     ens = simulate_dbm(pot, n_part, grid, scn["replicas"], InitSpec(**scn["init"]), scn["seed"], funcs, workers=scn["threads"])
     elapsed = time.perf_counter() - t0
 
-    pi1_0 = ens.pi_mean(1)[0]
+    pi1, se1, pi2, se2 = ens.pi_mean(1), ens.pi_se(1), ens.pi_mean(2), ens.pi_se(2)
     for t in scn["pi1_times"]:
         j = int(round(t / grid.dt))
-        want = pi1_0 * math.exp(-t / pot.sigma**2)
+        want = pi1[0] * math.exp(-t / pot.sigma**2)
         checks.append(
             check(
                 f"pi1-decay/t={t}",
                 "E pi_1(t) = pi_1(0) e^{-t/sigma^2}",
-                ens.pi_mean(1)[j] - want,
-                tol["sigmas"] * ens.pi_se(1)[j],
-                mean=float(ens.pi_mean(1)[j]),
+                pi1[j] - want,
+                tol["sigmas"] * se1[j],
+                mean=float(pi1[j]),
                 expected=want,
             )
         )
     j0, j1 = (int(round(x / grid.dt)) for x in scn["pi2_window"])
-    window = ens.pi_mean(2)[j0 : j1 + 1]
-    se_w = float(np.mean(ens.pi_se(2)[j0 : j1 + 1]))  # correlated in time: no 1/sqrt(T) gain claimed
+    mean = float(np.mean(pi2[j0 : j1 + 1]))
+    se_w = float(np.mean(se2[j0 : j1 + 1]))  # correlated in time: no 1/sqrt(T) gain claimed
     want = pot.sigma**2 * (pot.beta * n_part * (n_part - 1) / 2.0 + n_part)
     checks.append(
         check(
             "pi2-longtime",
             "<pi_2> relaxes to sigma^2 (beta N(N-1)/2 + N)",
-            float(np.mean(window)) - want,
+            mean - want,
             tol["sigmas"] * se_w,
-            mean=float(np.mean(window)),
+            mean=mean,
             expected=want,
         )
     )
@@ -506,14 +467,14 @@ def run_dbm_moments(scn):
     rows = []
     for k in scn["moment_ks"]:
         r = ens.functional_samples[f"residual{k}"]
-        se = _std_error(r)
+        mean, se = float(r.mean()), _std_error(r)
         bias = tol["bias_per_dt"] * (1 + k * k) * grid.dt
-        rows.append((k, float(r.mean()), se, bias))
+        rows.append((k, mean, se, bias))
         checks.append(
             check(
                 f"moment-hierarchy/k={k}",
                 "time-averaged residual of the averaged evolution identity",
-                float(r.mean()),
+                mean,
                 tol["sigmas"] * se + bias,
                 se=se,
                 bias_bound=bias,
@@ -536,7 +497,7 @@ def run_dbm_moments(scn):
     tables["pi_moments"] = (
         ("t", "pi1_mean", "pi1_se", "pi2_mean", "pi2_se"),
         [
-            (float(grid.times[j]), float(ens.pi_mean(1)[j]), float(ens.pi_se(1)[j]), float(ens.pi_mean(2)[j]), float(ens.pi_se(2)[j]))
+            (float(grid.times[j]), float(pi1[j]), float(se1[j]), float(pi2[j]), float(se2[j]))
             for j in range(0, grid.steps + 1, max(1, grid.steps // 100))
         ],
     )
@@ -687,13 +648,9 @@ def run_np_brackets(scn):
             worst = max(worst, rel)
     checks.append(check("elementary-bracket", "closed bracket vs 4-point stencil, eps-Richardson", worst, tol["bracket_rel"]))
 
-    gens = [
-        NPGenerator(-1, poly_t(2).deriv(1)),
-        NPGenerator(0, TimePoly([0.0, 1.0, 0.4]).deriv(1)),
-        NPGenerator(1, poly_t(3).deriv(1)),
-    ]
-    labels = [poly_t(2), TimePoly([0.0, 1.0, 0.4]), poly_t(3)]
     ns = [-1, 0, 1]
+    labels = [poly_t(2), TimePoly([0.0, 1.0, 0.4]), poly_t(3)]
+    gens = [NPGenerator(n, label.deriv(1)) for n, label in zip(ns, labels)]
     total = np.zeros_like(path.values)
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         inner = elementary_bracket(ns[i], labels[i], ns[j], labels[j])
@@ -727,10 +684,9 @@ def run_np_brackets(scn):
     checks.append(check("delayed-force-closed-family", "equal time shifts kill the delayed term for n in {-1, 0}", worst_delay, 1e-12))
 
     kind, lbl = sv_bracket("Y", TimePoly([1.0]), "X", poly_t(1))
-    err = float(np.max(np.abs(lbl.coeffs - np.array([-0.5]))))
     kind2, lbl2 = sv_bracket("X", poly_t(1), "X", TimePoly([1.0]))
-    err = max(err, float(np.max(np.abs(lbl2.coeffs - np.array([1.0])))))
     kind3, _ = sv_bracket("Y", poly_t(1), "Y", poly_t(2))
+    err = _max_gap(((lbl.coeffs, np.array([-0.5])), (lbl2.coeffs, np.array([1.0]))))
     checks.append(
         check(
             "sv-bracket-exact",
@@ -765,10 +721,10 @@ def run_hermite_example(scn):
     sigma, n_part = scn["sigma"], scn["n_particles"]
     rows = []
     rels = {}
+    f = bump(0.0, scn["t_max"], 3)
+    g = f * poly_t(1)
     for dt in scn["dts"]:
         grid = TimeGrid(dt, int(round(scn["t_max"] / dt)))
-        f = bump(0.0, scn["t_max"], 3)
-        g = bump(0.0, scn["t_max"], 3) * poly_t(1)
         rep = hermite_cancellation_pairs(f, g, sigma, n_part, grid, scn["k_max"])
         for name, v in rep.items():
             rels.setdefault(name, []).append(v["relative"])
@@ -788,10 +744,10 @@ def run_hermite_example(scn):
             )
     pot = Potential(2.0, {1: 1.0 / sigma**2})
     consts = []
+    f = bump(0.0, scn["linquadr_t_max"], 4)
+    g = f * poly_t(1)
     for dt in scn["dts"]:
         grid = TimeGrid(dt, int(round(scn["linquadr_t_max"] / dt)))
-        f = bump(0.0, scn["linquadr_t_max"], 4)
-        g = bump(0.0, scn["linquadr_t_max"], 4) * poly_t(1)
         rep = hermite_lin_quadr_bracket(f, g, pot, n_part, grid, scn["k_max"])
         consts.append(rep["const_minus_analytic"])
         checks.append(
@@ -884,8 +840,8 @@ NAMED_KEYS = {"potentials": None, "b": 1, "tau": 2}
 
 #: Lower bounds by key name, on its value or on each entry of its list.  The
 #: standard errors are the scatter across replicas or chains, so 2 are needed;
-#: np-brackets leaves out 10 grid points at each end; NP exponents start at -1.
-BOUNDS = {"dt": (">", 0), "dts": (">", 0), "sigma": (">", 0), "t_max": (">", 0), "steps": (">=", 2), "replicas": (">=", 2)}
+#: np-brackets leaves out 10 grid points at each end and divides by eps; NP exponents start at -1.
+BOUNDS = {"dt": (">", 0), "dts": (">", 0), "sigma": (">", 0), "t_max": (">", 0), "eps": (">", 0), "steps": (">=", 2), "replicas": (">=", 2)}
 BOUNDS |= {"chains": (">=", 2), "n_particles": (">=", 1), "threads": (">=", 1), "sweeps": (">=", 1), "grid_points": (">=", 20), "exponents": (">=", -1), "seed": (">=", 0)}
 BOUNDS |= dict.fromkeys(("beta", "times", "identity_times", "orders", "moment_ks", "modes", "pi1_times", "pi2_window"), (">=", 0))
 
@@ -940,8 +896,8 @@ def _check_value(value, ref, path, key=None):
             _check_value(v, ref[k], f"{path}.{k}" if path else k, k)
 
 
-#: The potentials run_kernel_identities reads by name.
-KERNEL_IDENTITY_POTENTIALS = ("quadratic-force", "mixed-force", "hermite", "hermite-beta1", "hermite-beta4", "generic-beta1", "generic-beta4")
+#: The potentials run_kernel_identities reads by name: those of its default scenario.
+KERNEL_IDENTITY_POTENTIALS = tuple(SUITE_TABLE["kernel-identities"][1]["potentials"])
 
 
 def _spread_defined(spec, init) -> bool:

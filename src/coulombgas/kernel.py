@@ -447,8 +447,13 @@ def technical_lemma_residual(pot: Potential, t: float, tp: float, s: float, k_ma
 def verify_kernel_identities(pot: Potential, times, k_max: int) -> dict:
     """Residuals of semigroup, Kolmogorov, and contour-lemma identities.
 
-    ``times`` is a strictly decreasing triple (t, t', t'').  Returns a dict
-    of max-abs residuals; callers decide pass/fail against their tolerances.
+    ``times`` is a strictly decreasing triple (t, t', t'').  Returns the
+    max-abs residuals ``semigroup``, ``kolmogorov_forward`` and
+    ``kolmogorov_backward``, each over the kernel scale max(1, max|K(t-t'')|)
+    as ``<name>_rel``, and ``technical_lemma``, the
+    :func:`technical_lemma_residual` reports for u = 1 and u = z.  The
+    Kolmogorov rows compare A K(t - t'') with the sums spelled out from b.
+    Callers decide pass/fail against their tolerances.
     """
     t, tp, ts = times
     if not (t > tp > ts >= 0):
@@ -468,13 +473,6 @@ def verify_kernel_identities(pot: Potential, times, k_max: int) -> dict:
     bwd = _kolmogorov_backward_sum(pot, k_t_ts, k_max)
     kolmogorov_forward = float(np.max(np.abs(kd - fwd)))
     kolmogorov_backward = float(np.max(np.abs(kd - bwd)))
-    commute = float(np.max(np.abs(a @ k_t_ts - k_t_ts @ a)))
-
-    # non-circular cross-check of the exact derivative, finite-difference only
-    h = 1e-4
-    fd = (expm_tol((t - ts + h) * a) - expm_tol((t - ts - h) * a)) / (2 * h)
-    fd2 = (expm_tol((t - ts + h / 2) * a) - expm_tol((t - ts - h / 2) * a)) / h
-    kolmogorov_fd = float(np.max(np.abs((4.0 * fd2 - fd) / 3.0 - kd)))
 
     lemma = {}
     for p, name in ((0, "u=1"), (1, "u=z")):
@@ -487,9 +485,6 @@ def verify_kernel_identities(pot: Potential, times, k_max: int) -> dict:
         "semigroup_rel": semigroup / kscale,
         "kolmogorov_forward_rel": kolmogorov_forward / kscale,
         "kolmogorov_backward_rel": kolmogorov_backward / kscale,
-        "kernel_scale": kscale,
-        "generator_commutation": commute,
-        "kolmogorov_fd_crosscheck": kolmogorov_fd,
         "technical_lemma": lemma,
     }
 

@@ -16,7 +16,6 @@ from coulombgas.cli import (
     SUITES,
     default_scenario,
     main,
-    report_schema_version,
     run_suite,
     validate_scenario,
     write_report,
@@ -28,7 +27,7 @@ CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(
 
 
 def test_schema_version_constant():
-    assert report_schema_version() == "1.0.0"
+    assert cli.SCHEMA_VERSION == "1.0.0"
     for suite in SUITES:
         assert default_scenario(suite)["schema_version"] == "1.0.0"
 
@@ -119,6 +118,7 @@ OPERATOR_CONFIG_ERRORS = {
     "np-brackets exponent -2": _mutated("np-brackets", exponents=[-2, 0]),
     "np-brackets grid_points 10": _mutated("np-brackets", grid_points=10),
     "np-brackets t_max 0": _mutated("np-brackets", t_max=0.0),
+    "np-brackets eps 0": _mutated("np-brackets", eps=0.0),
     "hermite-example sigma 0": _mutated("hermite-example", sigma=0.0),
     "malformed: boson-commutators potential without b": _mutated("boson-commutators", potentials__hermite={"beta": 2.0}),
     "malformed: npoint b as a list": _mutated("npoint", b=[1.0]),
@@ -261,12 +261,9 @@ def _key_paths(node, prefix=()):
 RETYPED = (None, True, "x", [], {}, 0, -1, 0.5, float("nan"), [1.0], {"1": 1.0}, {"beta": 2.0})
 
 
-@settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@given(st.data())
-def test_validate_mutated_defaults_returns_or_raises_value_error(data):
-    """Default configs with keys dropped, renamed, retyped or negated either
-    validate or raise ValueError, never another exception."""
-    scn = default_scenario(data.draw(st.sampled_from(SUITES)))
+def _mutated_by(data, scn):
+    """scn with one to three key paths dropped, renamed, retyped or negated,
+    as drawn from the hypothesis data."""
     for _ in range(data.draw(st.integers(1, 3))):
         *parents, leaf = data.draw(st.sampled_from(list(_key_paths(scn))))
         target = scn
@@ -281,10 +278,38 @@ def test_validate_mutated_defaults_returns_or_raises_value_error(data):
             target[leaf] = copy.deepcopy(data.draw(st.sampled_from(RETYPED)))
         elif mutation == "negate" and type(target[leaf]) in (int, float):
             target[leaf] = -target[leaf]
+    return scn
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_validate_mutated_defaults_returns_or_raises_value_error(data):
+    """Default configs with keys dropped, renamed, retyped or negated either
+    validate or raise ValueError, never another exception."""
+    scn = _mutated_by(data, default_scenario(data.draw(st.sampled_from(SUITES))))
     try:
         validate_scenario(scn)
     except ValueError:
         pass
+
+
+#: The suites the running fuzz drives: the operator suites and the Metropolis
+#: loop, whose small scenarios run in about a second or less.
+RUN_FUZZ_SUITES = ("kernel-identities", "boson-commutators", "sv-algebra", "np-brackets", "hermite-example", "equilibrium-loop")
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_run_mutated_small_configs_exit_0_1_or_2(tmp_path_factory, data):
+    """Small configs with keys dropped, renamed, retyped or negated run
+    through main to exit 0, 1 or 2; no exception escapes."""
+    scn = _small_scenario(data.draw(st.sampled_from(RUN_FUZZ_SUITES)))
+    if scn["suite"] == "equilibrium-loop":
+        scn.update(sweeps=100, chains=4)
+    scn = _mutated_by(data, scn)
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "cfg.json").write_text(json.dumps(scn))
+    assert main(["run", str(tmp / "cfg.json"), "--out", str(tmp / "out")]) in (0, 1, 2)
 
 
 def test_validation_imports_no_engine():
@@ -478,10 +503,129 @@ def test_engine_error_in_a_worker_writes_failed_report(tmp_path, monkeypatch, ca
     assert report["passed"] is False and row["name"] == "npoint/engine" and row["error"] == err[0].removeprefix("engine error: ")
 
 
+#: The ordered (name, anchor) of every check row that each suite's _small_scenario
+#: writes.  It holds no float, so it holds on any host; a runner that drops,
+#: renames or reorders a row fails test_reports_bitwise_reproducible.
+CHECK_LAYOUT = {
+    "kernel-identities": [
+        ("route-equivalence/quadratic-force", "exp(tA) vs characteristics"),
+        ("route-equivalence/mixed-force", "exp(tA) vs characteristics"),
+        ("route-equivalence/runtime", "wall clock seconds"),
+        ("hermite-diagonal", "K_kl = delta e^{-kt/s^2}"),
+        ("hermite-closed/hermite-beta1", "re-derived coefficients k!/(m!(k-2m)!) f^m e^{-(k-2m)t}"),
+        ("hermite-closed/hermite-beta4", "re-derived coefficients k!/(m!(k-2m)!) f^m e^{-(k-2m)t}"),
+        ("semigroup/hermite", "K(t-t')K(t'-t'')=K(t-t''), relative to the kernel scale"),
+        ("kolmogorov-forward/hermite", "dK/dt = (generator) K, relative"),
+        ("kolmogorov-backward/hermite", "dK/dt = K (generator), relative"),
+        ("technical-lemma/u=1/hermite", "d/dt' contour pair sum, weight ub'-u'b"),
+        ("technical-lemma/u=z/hermite", "d/dt' contour pair sum, weight ub'-u'b (+ second-derivative band correction off the transport line)"),
+        ("semigroup/generic-beta1", "K(t-t')K(t'-t'')=K(t-t''), relative to the kernel scale"),
+        ("kolmogorov-forward/generic-beta1", "dK/dt = (generator) K, relative"),
+        ("kolmogorov-backward/generic-beta1", "dK/dt = K (generator), relative"),
+        ("technical-lemma/u=1/generic-beta1", "d/dt' contour pair sum, weight ub'-u'b"),
+        ("technical-lemma/u=z/generic-beta1", "d/dt' contour pair sum, weight ub'-u'b (+ second-derivative band correction off the transport line)"),
+        ("semigroup/generic-beta4", "K(t-t')K(t'-t'')=K(t-t''), relative to the kernel scale"),
+        ("kolmogorov-forward/generic-beta4", "dK/dt = (generator) K, relative"),
+        ("kolmogorov-backward/generic-beta4", "dK/dt = K (generator), relative"),
+        ("technical-lemma/u=1/generic-beta4", "d/dt' contour pair sum, weight ub'-u'b"),
+        ("technical-lemma/u=z/generic-beta4", "d/dt' contour pair sum, weight ub'-u'b (+ second-derivative band correction off the transport line)"),
+    ],
+    "boson-commutators": [
+        ("psi-psi-retarded/hermite", "[psi_k(t), psi_-l(t')] = l K_kl(t-t')"),
+        ("psi-phi/hermite", "[psi_k(t), phi_-l(t')] = l K_kl, incl. equal-time"),
+        ("phi-phi-delta/hermite", "[phi_k, phi_-l] = (l/dt) delta_kl delta_jj'"),
+        ("phi-phi-unequal/hermite", "[phi(t), phi(t')] = 0 for t != t'"),
+        ("psi-plus-equals-phi-plus/hermite", "multiplier halves coincide exactly"),
+        ("psi-psi-retarded/generic-beta1", "[psi_k(t), psi_-l(t')] = l K_kl(t-t')"),
+        ("psi-phi/generic-beta1", "[psi_k(t), phi_-l(t')] = l K_kl, incl. equal-time"),
+        ("phi-phi-delta/generic-beta1", "[phi_k, phi_-l] = (l/dt) delta_kl delta_jj'"),
+        ("phi-phi-unequal/generic-beta1", "[phi(t), phi(t')] = 0 for t != t'"),
+        ("psi-plus-equals-phi-plus/generic-beta1", "multiplier halves coincide exactly"),
+    ],
+    "sv-algebra": [
+        ("bracket-ratio/hermite/quadr [0,0] -> 0-type", "first-order dt trend of the bracket residual"),
+        ("bracket-ratio/hermite/quadr [-1,0] -> -1-type", "first-order dt trend of the bracket residual"),
+        ("bracket-ratio/hermite/quadr [-1,-1] -> 0", "first-order dt trend of the bracket residual"),
+        ("bracket-ratio/hermite/linear [0,0] -> 0-type", "first-order dt trend of the bracket residual"),
+        ("bracket-ratio/hermite/linear [-1,0] -> -1-type", "first-order dt trend of the bracket residual"),
+        ("bracket-ratio/hermite/linear [-1,-1] -> 0", "first-order dt trend of the bracket residual"),
+        ("bracket-ratio/generic/quadr [0,0] -> 0-type", "first-order dt trend of the bracket residual"),
+        ("bracket-ratio/generic/quadr [-1,0] -> -1-type", "first-order dt trend of the bracket residual"),
+        ("bracket-ratio/generic/quadr [-1,-1] -> 0", "first-order dt trend of the bracket residual"),
+        ("bracket-ratio/generic/linear [0,0] -> 0-type", "first-order dt trend of the bracket residual"),
+        ("bracket-ratio/generic/linear [-1,0] -> -1-type", "first-order dt trend of the bracket residual"),
+        ("bracket-ratio/generic/linear [-1,-1] -> 0", "first-order dt trend of the bracket residual"),
+        ("sv-algebra/runtime", "wall clock seconds"),
+        ("constraint-order0/n=-1", "dynamical constraint annihilates the generating functional at order tau^0"),
+        ("constraint-order0/n=0", "dynamical constraint annihilates the generating functional at order tau^0"),
+    ],
+    "equilibrium-loop": [
+        ("loop-equation/N=2/beta=1.0/n=0", "integration-by-parts moment identity"),
+        ("loop-equation/N=2/beta=1.0/n=1", "integration-by-parts moment identity"),
+        ("loop-equation/N=2/beta=1.0/n=2", "integration-by-parts moment identity"),
+        ("pi2-stationary/N=2/beta=1.0", "<pi_2> = sigma^2 (beta N(N-1)/2 + N)"),
+        ("loop-equation/N=2/beta=2.0/n=0", "integration-by-parts moment identity"),
+        ("loop-equation/N=2/beta=2.0/n=1", "integration-by-parts moment identity"),
+        ("loop-equation/N=2/beta=2.0/n=2", "integration-by-parts moment identity"),
+        ("pi2-stationary/N=2/beta=2.0", "<pi_2> = sigma^2 (beta N(N-1)/2 + N)"),
+        ("loop-equation/N=5/beta=1.0/n=0", "integration-by-parts moment identity"),
+        ("loop-equation/N=5/beta=1.0/n=1", "integration-by-parts moment identity"),
+        ("loop-equation/N=5/beta=1.0/n=2", "integration-by-parts moment identity"),
+        ("pi2-stationary/N=5/beta=1.0", "<pi_2> = sigma^2 (beta N(N-1)/2 + N)"),
+        ("loop-equation/N=5/beta=2.0/n=0", "integration-by-parts moment identity"),
+        ("loop-equation/N=5/beta=2.0/n=1", "integration-by-parts moment identity"),
+        ("loop-equation/N=5/beta=2.0/n=2", "integration-by-parts moment identity"),
+        ("pi2-stationary/N=5/beta=2.0", "<pi_2> = sigma^2 (beta N(N-1)/2 + N)"),
+    ],
+    "dbm-moments": [
+        ("pi1-decay/t=0.5", "E pi_1(t) = pi_1(0) e^{-t/sigma^2}"),
+        ("pi1-decay/t=1.0", "E pi_1(t) = pi_1(0) e^{-t/sigma^2}"),
+        ("pi2-longtime", "<pi_2> relaxes to sigma^2 (beta N(N-1)/2 + N)"),
+        ("noise-variance", "Var(dB) = 2 dt"),
+        ("moment-hierarchy/k=1", "time-averaged residual of the averaged evolution identity"),
+        ("action-density-mean/k=1", "E S_k(t) = 0 (martingale density)"),
+        ("moment-hierarchy/k=2", "time-averaged residual of the averaged evolution identity"),
+        ("action-density-mean/k=2", "E S_k(t) = 0 (martingale density)"),
+        ("moment-hierarchy/k=3", "time-averaged residual of the averaged evolution identity"),
+        ("action-density-mean/k=3", "E S_k(t) = 0 (martingale density)"),
+        ("moment-hierarchy/k=4", "time-averaged residual of the averaged evolution identity"),
+        ("action-density-mean/k=4", "E S_k(t) = 0 (martingale density)"),
+        ("dbm-moments/runtime", "wall clock seconds"),
+        ("rejection-rate", "step rejections below the weak-order budget"),
+    ],
+    "girsanov": [
+        ("full-weight-mean", "E[exp(logweight + quadratic correction)] = 1"),
+        ("reweighted-vs-direct", "tilt by the stored weight = drift shift -2 d(sum tau_k pi_k)"),
+    ],
+    "npoint": [
+        ("npoint/k=1", "int f <pi_k> = kernel convolution of the action-density source (+ initial term)"),
+        ("npoint/k=2", "int f <pi_k> = kernel convolution of the action-density source (+ initial term)"),
+    ],
+    "np-brackets": [
+        ("elementary-bracket", "closed bracket vs 4-point stencil, eps-Richardson"),
+        ("jacobi", "cyclic bracket sum vanishes"),
+        ("shuffle-identity", "product of iterated integrals = shuffle sum (exact polynomial path)"),
+        ("delayed-force-closed-family", "equal time shifts kill the delayed term for n in {-1, 0}"),
+        ("sv-bracket-exact", "[X_f,X_g]=X_{f'g-fg'}, [Y_f,X_g]=Y_{f'g-fg'/2}, [Y,Y]=0"),
+    ],
+    "hermite-example": [
+        ("cancellation/C11+C4", "paired contributions cancel"),
+        ("cancellation-trend/C11+C4", "pair residual shrinks at first order in dt"),
+        ("cancellation/C12+C3", "paired contributions cancel"),
+        ("cancellation/C13+C2", "paired contributions cancel"),
+        ("cancellation/C5+C6", "paired contributions cancel"),
+        ("cancellation-trend/C5+C6", "pair residual shrinks at first order in dt"),
+        ("linquadr-analytic/dt=0.02", "scalar part equals N * total-derivative quadrature (= 0)"),
+        ("linquadr-analytic/dt=0.01", "scalar part equals N * total-derivative quadrature (= 0)"),
+        ("linquadr-trend", "total-derivative cancellation at first order in dt"),
+    ],
+}
+
+
 def test_reports_bitwise_reproducible(tmp_path):
-    """Two runs of every suite write identical report bytes; only the measured
-    seconds of the three wall-clock runtime checks are masked (their bounds
-    and verdicts are kept)."""
+    """Two runs of every suite write identical report bytes, with the check rows
+    of CHECK_LAYOUT; only the measured seconds of the three wall-clock runtime
+    checks are masked (their bounds and verdicts are kept)."""
     for suite in SUITES:
         scn = _small_scenario(suite)
         validate_scenario(scn)
@@ -493,6 +637,7 @@ def test_reports_bitwise_reproducible(tmp_path):
                     c["value"] = None
             dirs.append(tmp_path / suite / run)
             write_report(rep, tab, dirs[-1])
+        assert [(c["name"], c["anchor"]) for c in rep["checks"]] == CHECK_LAYOUT[suite]
         files = sorted(f.name for f in dirs[0].iterdir())
         assert files and files == sorted(f.name for f in dirs[1].iterdir())
         for name in files:

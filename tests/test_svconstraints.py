@@ -16,6 +16,7 @@ from coulombgas.svconstraints import (
     hermite_lin_quadr_bracket,
     hermite_pieces_total_operator,
     integrated_psi_weight,
+    lin_core,
     quadr_core,
     verify_sv_algebra_linear,
     verify_sv_algebra_quadratic,
@@ -414,6 +415,25 @@ def test_hermite_lin_quadr_total_derivative():
         assert abs(rep["analytic_total_derivative"]) < 1e-9
         vals.append(rep["const_minus_analytic"])
     assert 1.6 <= vals[0] / vals[1] <= 2.4
+
+
+@pytest.mark.parametrize("sigma", [1.0, 1.5])
+@pytest.mark.parametrize("dt", [0.02, 0.01])
+def test_hermite_lin_quadr_affine_equals_full_bracket(sigma, dt):
+    """The bracket's scalar part from affine quadratic parts equals, bit for
+    bit, the scalar of the full bracket: both commutators of operators with
+    every field built, subtracted as operators."""
+    pot = Potential(2.0, {1: 1.0 / sigma**2})
+    grid = TimeGrid(dt, int(round(1.0 / dt)))
+    f = bump(0.0, 1.0, 4)
+    g = f * poly_t(1)
+    ktable = kernel_table(pot, grid, 6)
+    lin = lambda fn: lin_core(0, fn.deriv(2), fn, pot, 5, grid, 6, ktable)
+    quadr = {fn: quadr_core(0, fn.deriv(1), fn, pot, 5, grid, 6, ktable, parts="full") for fn in (f, g)}
+    assert all(q.xd is not None for q in quadr.values())
+    full = commutator(lin(f), quadr[g]) - commutator(lin(g), quadr[f])
+    rep = hermite_lin_quadr_bracket(f, g, pot, 5, grid, 6)
+    assert rep["const_minus_analytic"] == abs(full.const - rep["analytic_total_derivative"])
 
 
 # ------------------------------------------------ MC residual plumbing
