@@ -123,7 +123,7 @@ class PolyFunctional:
 
     def max_abs_diff(self, other) -> float:
         keys = set(self.terms) | set(other.terms)
-        return max((abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) for k in keys), default=0.0)
+        return float(np.max([abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) for k in keys], initial=0.0))
 
 
 class BosonOperator:
@@ -227,18 +227,23 @@ class BosonOperator:
         if self.grid != other.grid or self.k_max != other.k_max:
             raise ValueError("operators live on different grids or mode windows")
 
-    def __add__(self, other):
+    def __iadd__(self, other):
+        """Add other in place: the additions of ``self + other``, in its order."""
         self._compatible(other)
-        out = self.copy()
-        out.const += other.const
+        self.const += other.const
         for f in ("x", "d", "xd", "dd"):
             v = getattr(other, f)
             if v is not None:
-                cur = getattr(out, f)
+                cur = getattr(self, f)
                 if cur is None:
-                    setattr(out, f, v.copy())
+                    setattr(self, f, v.copy())
                 else:
                     cur += v
+        return self
+
+    def __add__(self, other):
+        out = self.copy()
+        out += other
         return out
 
     def __sub__(self, other):
@@ -267,7 +272,7 @@ class BosonOperator:
             v = getattr(self, f)
             if v is not None:
                 vals.append(np.max(np.abs(v if mask is None else v[np.ix_(mask, mask)])))
-        return float(max(vals))
+        return float(np.max(vals))
 
     def interior_mask(self, mode_max: int, j_lo: int, j_hi: int) -> np.ndarray:
         mask = np.zeros(self.nvar, dtype=bool)

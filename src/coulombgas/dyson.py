@@ -58,6 +58,7 @@ __all__ = [
     "slin_increment",
     "girsanov_functionals",
     "moment_functionals",
+    "mean_se",
     "loop_equation_residual",
     "npoint_vs_kernel",
     "npoint_functionals",
@@ -742,8 +743,7 @@ class EqSamples:
     tau: dict = field(default_factory=dict)
 
     def pi_mean_se(self, k: int):
-        cm = self.chain_means[k]
-        return float(np.mean(cm)), float(np.std(cm, ddof=1) / np.sqrt(cm.size))
+        return mean_se(self.chain_means[k])
 
 
 def _log_gibbs_delta(pot, tau, pair, others):
@@ -997,6 +997,11 @@ def action_terms(e: Ensemble, tau) -> tuple[np.ndarray, np.ndarray]:
 # residual diagnostics
 
 
+def mean_se(samples):
+    """(mean, standard error) of independent samples, the error std(ddof=1) / sqrt(n)."""
+    return float(np.mean(samples)), float(np.std(samples, ddof=1) / np.sqrt(samples.size))
+
+
 def loop_equation_residual(s: EqSamples, n: int, pot: Potential):
     """Loop-equation residual at order n from equilibrium samples:
 
@@ -1022,9 +1027,7 @@ def loop_equation_residual(s: EqSamples, n: int, pot: Potential):
         per_chain = per_chain - k * tk * chain_pi(k + n)
     for q in range(0, n + 1):
         per_chain = per_chain + (pot.beta / 2.0) * (chain_pair(q, n - q) - chain_pi(n))
-    mean = float(np.mean(per_chain))
-    se = float(np.std(per_chain, ddof=1) / np.sqrt(per_chain.size))
-    return mean, se
+    return mean_se(per_chain)
 
 
 # ----------------------------------------------------------------------
@@ -1089,11 +1092,5 @@ def npoint_vs_kernel(e: Ensemble, k: int):
         rhs_r = e.functional_samples[f"npoint{k}:rhs"]
     except KeyError as exc:
         raise ValueError("ensemble lacks the n-point functionals; register npoint_functionals at simulate time") from exc
-    diff = lhs_r - rhs_r
-    return (
-        float(np.mean(lhs_r)),
-        float(np.mean(rhs_r)),
-        float(np.mean(diff)),
-        float(np.std(diff, ddof=1) / np.sqrt(e.m)),
-    )
+    return (float(np.mean(lhs_r)), float(np.mean(rhs_r)), *mean_se(lhs_r - rhs_r))
 

@@ -33,7 +33,6 @@ from .fseries import TruncSeries, mul
 __all__ = [
     "Potential",
     "KernelMatrix",
-    "PropagatorModes",
     "generator_matrix",
     "propagator",
     "propagator_table",
@@ -128,19 +127,6 @@ class KernelMatrix:
         if e.shape != (n, n):
             raise ValueError("entries must be (K_max+1) x (K_max+1)")
         object.__setattr__(self, "entries", e)
-
-    def __getitem__(self, kl):
-        return self.entries[kl]
-
-
-@dataclass(frozen=True)
-class PropagatorModes:
-    """Retarded propagator modes: entry (k, l) = l * K_{kl}(t)."""
-
-    t: float
-    k_max: int
-    entries: np.ndarray
-    retarded: bool = True
 
     def __getitem__(self, kl):
         return self.entries[kl]
@@ -334,11 +320,11 @@ def heat_action(pi0: TruncSeries, t: float) -> TruncSeries:
     return out
 
 
-def retarded_propagator_modes(pot: Potential, t: float, k_max: int) -> PropagatorModes:
+def retarded_propagator_modes(pot: Potential, t: float, k_max: int) -> KernelMatrix:
     """Mode form of the retarded propagator: entry (k, l) = l * K_{kl}(t)."""
     k = propagator(pot, t, k_max)
     l_weights = np.arange(k_max + 1, dtype=float)
-    return PropagatorModes(t, k_max, k.entries * l_weights[None, :], retarded=True)
+    return KernelMatrix(t, k_max, k.entries * l_weights[None, :])
 
 
 # ----------------------------------------------------------------------

@@ -45,7 +45,7 @@ from .boson import (
 )
 from .fseries import TruncSeries, differentiate, mul
 from .kernel import Potential
-from .timefunc import TimePoly
+from .timefunc import TimePoly, bump, poly_t
 
 __all__ = [
     "ConstraintOp",
@@ -207,10 +207,10 @@ def quadr_core(v_power, c_psi: TimePoly, c_mix: TimePoly, pot, n_particles, grid
     cp = c_psi(t)
     cm = c_mix(t)
     op = integrated_quadratic("dynamic", _v_series(v_power), -0.5 * cp, pot, n_particles, grid, k_max, ktable, parts)
-    op = op + integrated_quadratic(
+    op += integrated_quadratic(
         "dynamic", weight_quadr_mix(pot, v_power), -0.5 * cm, pot, n_particles, grid, k_max, ktable, parts
     )
-    op = op + integrated_quadratic("static", _v_series(v_power), -0.5 * cm, pot, n_particles, grid, k_max, ktable, parts)
+    op += integrated_quadratic("static", _v_series(v_power), -0.5 * cm, pot, n_particles, grid, k_max, ktable, parts)
     return op
 
 
@@ -222,7 +222,7 @@ def quadr_family_op(v_power, f: TimePoly, pot, n_particles, grid, k_max, ktable)
     """
     op = quadr_core(v_power, f.deriv(2), f.deriv(1), pot, n_particles, grid, k_max, ktable)
     if v_power == 1:
-        op = op + (-2.0) * time_derivation(f, grid, k_max)
+        op += (-2.0) * time_derivation(f, grid, k_max)
     return op
 
 
@@ -240,7 +240,7 @@ def lin_core(v_power, c_top: TimePoly, c_w: TimePoly, pot, n_particles, grid, k_
     t = grid.times
     sb_inv = 1.0 / np.sqrt(pot.beta)
     op = sb_inv * integrated_psi_weight(_int_v(v_power), c_top(t), pot, n_particles, grid, k_max, ktable)
-    op = op + (-sb_inv) * integrated_psi_weight(weight_lin(pot, v_power), c_w(t), pot, n_particles, grid, k_max, ktable)
+    op += (-sb_inv) * integrated_psi_weight(weight_lin(pot, v_power), c_w(t), pot, n_particles, grid, k_max, ktable)
     if v_power == 1:
         cdot = c_w.deriv(1)(t)
         op.add_const((pot.beta / 2.0 - 1.0) * n_particles * float(np.sum(cdot)) * grid.dt)
@@ -273,7 +273,7 @@ class ConstraintOp:
     def total(self) -> BosonOperator:
         out = self.lin + self.quadr
         if self.diff is not None:
-            out = out + self.diff
+            out += self.diff
         return out
 
 
@@ -329,19 +329,8 @@ def weak_probe_profiles(grid: TimeGrid, mode_int: int):
     """Degree <= 2 probe functionals: interior modes times smooth compactly
     supported time profiles (measure dt included)."""
     tmax = grid.dt * grid.steps
-    t = grid.times
-    shapes = [bump_profile(t, tmax, 0), bump_profile(t, tmax, 1), bump_profile(t, tmax, 2)]
+    shapes = [(bump(0.0, tmax, 2) * poly_t(p))(grid.times) for p in range(3)]
     return [(k, s) for k in range(1, mode_int + 1) for s in shapes]
-
-
-def bump_profile(t, tmax, power):
-    p = TimePoly([0.0, 1.0])  # t
-    w = TimePoly([1.0])
-    for _ in range(power):
-        w = w * p
-    from .timefunc import bump as _bump
-
-    return (_bump(0.0, tmax, 2) * w)(t)
 
 
 def weak_field_score(op: BosonOperator, probes) -> float:
@@ -381,14 +370,14 @@ def weak_field_score(op: BosonOperator, probes) -> float:
                 vals.append(abs(float(u @ xd_w[i])) / dt)
             if dd_w is not None:
                 vals.append(abs(float(u @ dd_w[i])))
-    return float(max(vals))
+    return float(np.max(vals))
 
 
 def _relation_report(name, lhs, rhs_displayed, probes):
     rhs = BRACKET_ORIENTATION * rhs_displayed
     diff = lhs - rhs
     resid = weak_field_score(diff, probes)
-    scale = max(weak_field_score(lhs, probes), weak_field_score(rhs, probes), 1e-30)
+    scale = float(np.max([weak_field_score(lhs, probes), weak_field_score(rhs, probes), 1e-30]))
     return {"relation": name, "residual": resid, "scale": scale, "relative": resid / scale}
 
 
@@ -565,7 +554,7 @@ def hermite_cancellation_pairs(f, g, sigma, n_particles, grid: TimeGrid, k_max: 
     mag = dict.fromkeys(("C11+C4", "C12+C3", "C13+C2", "C5+C6"), 1e-30)
 
     def fold(acc, name, *arrays):
-        acc[name] = max(acc[name], *(np.max(np.abs(a)) for a in arrays))
+        acc[name] = np.max([acc[name], *(np.max(np.abs(a)) for a in arrays)])
 
     for k in range(3, k_max + 1):
         # c* of the (f, g) direction, d* of (g, f); the a* are antisymmetrized
@@ -654,10 +643,9 @@ def constraint_residual_mc(cop: ConstraintOp, ensemble, name: str):
     with S the linearized per-replica action densities; the sum is the
     functional :func:`constraint_functional` that the ensemble accumulated
     under ``name``.  The standard error is the replica scatter of the same
-    combination.  Returns (mean, se).
+    combination.  Returns (mean, se), with se 0.0 for a single replica.
     """
+    from .dyson import mean_se  # here, so that the Gaussian-case checks do not load the engine
+
     per_rep = cop.total().const + ensemble.functional_samples[name]
-    m_rep = per_rep.size
-    mean = float(np.mean(per_rep))
-    se = float(np.std(per_rep, ddof=1) / np.sqrt(m_rep)) if m_rep > 1 else 0.0
-    return mean, se
+    return mean_se(per_rep) if per_rep.size > 1 else (float(np.mean(per_rep)), 0.0)

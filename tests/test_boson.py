@@ -411,3 +411,25 @@ def test_accumulate_quadratic_slot_guards():
             accumulate_quadratic(op, "static", w, slots, scales, HERMITE2, 1.0)
     accumulate_quadratic(op, "dynamic", w, [], [], HERMITE2, 1.0)
     assert op.const == 0.0 and all(getattr(op, f) is None for f in ("x", "d", "xd", "dd"))
+
+
+def _field_bytes(op):
+    return [None if getattr(op, f) is None else np.asarray(getattr(op, f)).tobytes() for f in ("const", "x", "d", "xd", "dd")]
+
+
+def test_iadd_matches_add_bit_for_bit():
+    """a += b makes the additions of a + b in place: every field has the same
+    bits, b is left as it was, and a read-only left operand refuses."""
+    pot = Potential(1.0, {1: 0.5, 2: 0.3})
+    quad = normal_ordered_quadratic("dynamic", TruncSeries.from_dict({0: 0.3, 1: -0.2, 2: 1.1}), 4, pot, 2.0, GRID, 5)
+    # a field the left operand lacks is copied in; one it has is added to
+    for a, b in ((dynamic_boson(2, 3, pot, 2.0, GRID, 5), quad), (quad.copy(), 0.7 * time_derivation(bump(0.0, 0.6, 2), GRID, 5))):
+        b_bytes = _field_bytes(b)
+        want = a + b
+        a += b
+        assert _field_bytes(a) == _field_bytes(want)
+        assert _field_bytes(b) == b_bytes
+    frozen = quad.copy()
+    frozen.xd.flags.writeable = False
+    with pytest.raises(ValueError):
+        frozen += quad

@@ -1,9 +1,11 @@
 import copy
+import importlib
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +115,7 @@ OPERATOR_CONFIG_ERRORS = {
     "hermite-example k_max 2": _mutated("hermite-example", k_max=2),
     "kernel-identities no times": _mutated("kernel-identities", times=[]),
     "kernel-identities time below 0": _mutated("kernel-identities", times=[-0.1, 0.3]),
+    "kernel-identities time 10": _mutated("kernel-identities", times=[0.1, 10.0]),
     "kernel-identities identity_times not decreasing": _mutated("kernel-identities", identity_times=[0.3, 0.2, 0.2]),
     "kernel-identities two identity_times": _mutated("kernel-identities", identity_times=[0.2, 0.1]),
     "np-brackets exponent -2": _mutated("np-brackets", exponents=[-2, 0]),
@@ -181,6 +184,7 @@ MALFORMED_MESSAGES = {
     "malformed: girsanov tau key not an integer": "tau: key 'two' must be an integer",
     "malformed: case not an object": "cases[0] must be an object",
     "npoint seed 2**63": f"seed must be < {2**63}",
+    "kernel-identities time 10": "times[1] must be < 10",
     "threads -3": "threads must be >= 1",
     "dbm-moments init sweeps 0": "init.sweeps must be >= 1",
 }
@@ -293,20 +297,28 @@ def test_validate_mutated_defaults_returns_or_raises_value_error(data):
         pass
 
 
-#: The suites the running fuzz drives: the operator suites and the Metropolis
-#: loop, whose small scenarios run in about a second or less.
-RUN_FUZZ_SUITES = ("kernel-identities", "boson-commutators", "sv-algebra", "np-brackets", "hermite-example", "equilibrium-loop")
+def _tiny_scenario(suite):
+    """_small_scenario with the Langevin runs cut to 20 replicas of 50 steps
+    and the Metropolis loop to 100 sweeps of 4 chains."""
+    scn = _small_scenario(suite)
+    tiny = {"replicas": 20, "grid": {"dt": 1e-3, "steps": 50}}
+    if suite == "sv-algebra":
+        scn["constraint_mc"].update(tiny)
+    elif suite == "equilibrium-loop":
+        scn.update(sweeps=100, chains=4)
+    elif suite == "dbm-moments":
+        scn.update(tiny, pi1_times=[0.02, 0.04], pi2_window=[0.03, 0.05])
+    elif suite in ("girsanov", "npoint"):
+        scn.update(tiny)
+    return scn
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(st.data())
 def test_run_mutated_small_configs_exit_0_1_or_2(tmp_path_factory, data):
-    """Small configs with keys dropped, renamed, retyped or negated run
-    through main to exit 0, 1 or 2; no exception escapes."""
-    scn = _small_scenario(data.draw(st.sampled_from(RUN_FUZZ_SUITES)))
-    if scn["suite"] == "equilibrium-loop":
-        scn.update(sweeps=100, chains=4)
-    scn = _mutated_by(data, scn)
+    """Tiny configs of every suite with keys dropped, renamed, retyped or
+    negated run through main to exit 0, 1 or 2; no exception escapes."""
+    scn = _mutated_by(data, _tiny_scenario(data.draw(st.sampled_from(SUITES))))
     tmp = tmp_path_factory.mktemp("fuzz")
     (tmp / "cfg.json").write_text(json.dumps(scn))
     assert main(["run", str(tmp / "cfg.json"), "--out", str(tmp / "out")]) in (0, 1, 2)
@@ -419,6 +431,96 @@ def test_engine_failure_writes_failed_report(tmp_path, capsys):
     assert isinstance(row["value"], float) and isinstance(row["tolerance"], float)
 
 
+def test_kernel_times_past_the_ceiling_exit_2_at_once(tmp_path, capsys):
+    """A kernel time of 3000 is a config error within a second: the
+    characteristics route costs time linear in t, so the run would take minutes."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_mutated("kernel-identities", times=[0.1, 3000.0])))
+    t0 = time.perf_counter()
+    assert main(["run", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "config error: times[1] must be < 10" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def _nan_into_x(op, args):
+    """Allocate the multiplier field if need be and set one of its entries to nan."""
+    if op.x is None:
+        op.x = np.zeros(op.nvar)
+    op.x[op.vid(1, op.grid.steps // 2)] = np.nan
+
+
+def _nan_into_time_slot_3(op, args):
+    """The multiplier psi_{-k}(t_3) gets a nan at its own entry."""
+    k, j = args[:2]
+    if k < 0 and j == 3:
+        op.x[op.vid(-k, j)] = np.nan
+
+
+#: Where a nan enters each residual fold: (scenario, function, how its result
+#: is poisoned, the row that must fail).  With the builtin max every one of
+#: these rows passed, because max(worst, nan) keeps worst.
+NAN_SITES = {
+    "boson-commutators residual": (
+        default_scenario("boson-commutators"),
+        "coulombgas.kernel.retarded_propagator_modes",
+        lambda g, args: g.entries.__setitem__((1, 1), np.nan),
+        "psi-psi-retarded/hermite",
+    ),
+    "boson-commutators field_max_abs": (
+        default_scenario("boson-commutators"),
+        "coulombgas.boson.dynamic_boson",
+        _nan_into_time_slot_3,
+        "psi-plus-equals-phi-plus/hermite",
+    ),
+    "np-brackets elementary-bracket": (
+        default_scenario("np-brackets"),
+        "coulombgas.nptransform.numeric_commutator_richardson",
+        lambda num, args: num.__setitem__(num.size // 2, np.nan) if args[3] == 1e-2 else None,  # not the Jacobi calls at 2 eps
+        "elementary-bracket",
+    ),
+    "np-brackets delayed-force-closed-family": (
+        default_scenario("np-brackets"),
+        "coulombgas.nptransform.force_change",
+        lambda out, args: out["delay"].__setitem__(0, np.nan) if args[0] == -1 else None,
+        "delayed-force-closed-family",
+    ),
+    "sv-algebra weak_field_score": (
+        _mutated("sv-algebra", potentials={"hermite": {"beta": 2.0, "b": {"1": 1.0}}}, constraint_mc=None),
+        "coulombgas.svconstraints.commutator",
+        _nan_into_x,
+        "bracket-ratio/hermite/quadr [0,0] -> 0-type",
+    ),
+    "hermite-example cancellation fold": (
+        default_scenario("hermite-example"),
+        "coulombgas.svconstraints._hermite_mode_pieces",
+        lambda pieces, args: pieces[3].__setitem__((1, 0), np.nan) if args[2] == 3 else None,
+        "cancellation/C11+C4",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(NAN_SITES))
+def test_nan_residual_fails_its_row(tmp_path, monkeypatch, site):
+    """A nan that reaches a residual fold makes the row's value nan, the row
+    fails and the run exits 1."""
+    scn, target, poison, row = NAN_SITES[site]
+    module, name = target.rsplit(".", 1)
+    real = getattr(importlib.import_module(module), name)
+
+    def poisoned(*args, **kwargs):
+        out = real(*args, **kwargs)
+        poison(out, args)
+        return out
+
+    monkeypatch.setattr(target, poisoned)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(scn))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "r")]) == 1
+    checks = {c["name"]: c for c in json.loads((tmp_path / "r" / f"{scn['suite']}.json").read_text())["checks"]}
+    assert math.isnan(checks[row]["value"]) and checks[row]["pass"] is False
+
+
 def test_negative_control_exit_1(tmp_path, monkeypatch):
     """A wrong matrix exponential, the first-order step I + a, fails every
     semigroup row and the run exits 1."""
@@ -430,9 +532,6 @@ def test_negative_control_exit_1(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "r" / "kernel-identities.json").read_text())
     semis = [c for c in report["checks"] if c["name"].startswith("semigroup/")]
     assert semis and not any(c["pass"] for c in semis)
-
-
-TIMED_CHECKS = {"route-equivalence/runtime", "sv-algebra/runtime", "dbm-moments/runtime"}
 
 
 def _small_scenario(suite):
@@ -620,6 +719,9 @@ CHECK_LAYOUT = {
         ("linquadr-trend", "total-derivative cancellation at first order in dt"),
     ],
 }
+
+#: The rows whose value is measured seconds: masked where reports are compared.
+TIMED_CHECKS = {name for rows in CHECK_LAYOUT.values() for name, anchor in rows if anchor == "wall clock seconds"}
 
 
 def test_reports_bitwise_reproducible(tmp_path):

@@ -209,7 +209,6 @@ def test_retarded_modes_at_zero_plus():
     g = retarded_propagator_modes(Potential(1.0, {1: 0.5, 2: 0.3}), 0.0, 8)
     want = np.diag(np.arange(9.0))
     assert np.allclose(g.entries, want)
-    assert g.retarded
 
 
 def test_retarded_modes_hermite():
