@@ -912,11 +912,13 @@ VALUE_RULES = (
     (("equilibrium-loop",), lambda s: all(o <= 6 for o in s["orders"]), "orders must be <= 6: order n reads pi_(n+2), and the sampler tracks pi_k up to k = 8"),
     (("equilibrium-loop",), lambda s: len(s["cases"]) >= 1, "cases must hold one case or more"),
     (("girsanov",), lambda s: len(s["init_values"]) == s["n_particles"], "init_values must hold n_particles values"),
+    (("girsanov",), lambda s: len(set(s["init_values"])) == len(s["init_values"]), "init_values must be distinct: coincident particles have an infinite pair force"),
     (("dbm-moments",), lambda s: all(k <= 6 for k in s["moment_ks"]), "moment_ks must be <= 6"),
     (("dbm-moments",), lambda s: len(s["pi2_window"]) == 2 and s["pi2_window"][0] <= s["pi2_window"][1], "pi2_window must be [start, end] with start <= end"),
     (("dbm-moments",), lambda s: all(round(t / s["grid"]["dt"]) <= s["grid"]["steps"] for t in s["pi1_times"] + s["pi2_window"]), "pi1_times and pi2_window must lie within steps * dt: the runner reads slot round(t / dt)"),
     (("dbm-moments", "npoint"), lambda s: s["init"].get("kind", "equispaced") in INIT_KINDS, f"init.kind must be one of {', '.join(INIT_KINDS)}"),
     (("dbm-moments", "npoint"), lambda s: s["init"].get("kind") != "explicit" or len(s["init"].get("values", [])) == s["n_particles"], "an explicit init needs n_particles values"),
+    (("dbm-moments", "npoint"), lambda s: s["init"].get("kind") != "explicit" or len(set(s["init"]["values"])) == len(s["init"]["values"]), "init.values must be distinct: coincident particles have an infinite pair force"),
     (("npoint",), lambda s: s["init"].get("kind") != "equilibrium" or _confining(s), "an equilibrium init needs a confining force: the highest nonzero b_l must have odd l and b_l > 0"),
     (("npoint",), lambda s: all(k <= s["k_max"] for k in s["modes"]), "modes must be <= k_max"),
     (("npoint", "sv-algebra"), lambda s: _spread_defined(s, s["init"]) if s["suite"] == "npoint" else not s["constraint_mc"] or _spread_defined(s["constraint_mc"], {}), "a Gaussian force {1: b_1} needs b_1 > 0 for an equispaced init without halfwidth: the init spreads over sigma = b_1^(-1/2)"),

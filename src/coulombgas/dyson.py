@@ -34,7 +34,10 @@ Reweighting conventions (fixed by the 2 dt noise variance):
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +50,7 @@ __all__ = [
     "Ensemble",
     "EqSamples",
     "InitSpec",
+    "NoiseHelperError",
     "RejectionRateError",
     "simulate_dbm",
     "sample_equilibrium",
@@ -69,6 +73,10 @@ GAP_MIN = 1e-8
 
 class RejectionRateError(RuntimeError):
     """Step-rejection rate exceeded the weak-order-preserving budget."""
+
+
+class NoiseHelperError(RuntimeError):
+    """The forked helper that draws a worker's main noise ended early."""
 
 
 @dataclass(frozen=True)
@@ -195,6 +203,18 @@ _MAX_SUBSTEPS = 500_000  # sub-steps of one row in one step
 # with their pi_1 and pi_2 rows, and reduces their block statistics once per
 # window; small, so that the window stays in cache and the peak memory barely moves.
 _WINDOW_BYTES = 1 << 17
+# A worker with a core to spare has the main draws made ahead by a forked
+# helper, into a shared ring of this many bytes' worth of steps (at least one
+# step).  The worker reads every slot, so the ring adds its size to the peak
+# memory; at 2 500 replicas of 5 particles it still holds 2 steps of slack.
+_RING_BYTES = 1 << 18
+
+
+def _spare_core(workers: int) -> bool:
+    """Whether each of ``workers`` worker processes can have a second core
+    for a noise helper."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return 2 * workers <= cpus
 
 
 def _stream(seed: int, block: int, counter) -> np.random.Generator:
@@ -210,6 +230,97 @@ def _main_draw(gen: np.random.Generator, state: dict, j: int, out: np.ndarray):
     state["state"]["counter"][3] = j
     gen.bit_generator.state = state
     gen.standard_normal(out=out)
+
+
+class _NoiseFeed:
+    """The main noise of a worker's steps: ``take(j, out)``, called for j =
+    0, 1, ..., steps - 1 in turn, writes step j's main draws of every block,
+    from the blocks' generators ``gens`` at counter (0, 0, 0, 0) (see
+    :func:`_main_draw`), times ``scale`` into out (rows, n).
+
+    With ``ahead``, entering the feed forks a helper process that makes the
+    same draws in the same way into a ring of ``_RING_BYTES`` (one slot per
+    step, at least one slot) in memory shared with the worker, and take copies
+    step j out of its slot.  Two pipes carry one byte per filled and per freed
+    slot.  The helper calls no BLAS and ends with ``os._exit``: after its last
+    step, or when the worker closes its pipe ends.  Leaving the feed closes
+    them and waits for the helper, so no process outlives the feed.  A helper
+    that ends before it has drawn every step makes take raise
+    :class:`NoiseHelperError`.  Without ``ahead``, take draws in this process."""
+
+    def __init__(self, gens: list, rows: int, n: int, steps: int, scale: float, ahead: bool):
+        self.seeks = [(gen, gen.bit_generator.state, slice(lo, lo + _BLOCK)) for gen, lo in zip(gens, range(0, rows, _BLOCK))]
+        self.steps, self.scale = steps, scale
+        self.pid = self.filled = self.freed = None
+        self.ring = self.mem = None
+        if ahead:
+            self.slots = max(1, min(steps, _RING_BYTES // (rows * n * 8)))
+            self.mem = mmap.mmap(-1, self.slots * rows * n * 8)  # anonymous and shared
+            self.ring = np.frombuffer(self.mem).reshape(self.slots, rows, n)
+            self.ready = 0  # filled slots announced and not yet taken
+
+    def _draw(self, j: int, out: np.ndarray):
+        for gen, state, block in self.seeks:
+            _main_draw(gen, state, j, out[block])
+        np.multiply(out, self.scale, out=out)
+
+    def __enter__(self):
+        if self.ring is None:
+            return self
+        filled_r, filled_w = os.pipe()
+        freed_r, freed_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                os.close(filled_r)
+                os.close(freed_w)
+                self._draw_ahead(filled_w, freed_r)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(filled_w)
+        os.close(freed_r)
+        self.pid, self.filled, self.freed = pid, filled_r, freed_w
+        return self
+
+    def _draw_ahead(self, filled: int, freed: int):
+        """The helper: fill slot j % slots with step j once the slot is free."""
+        free = self.slots
+        for j in range(self.steps):
+            if not free:
+                free = len(os.read(freed, self.slots))
+                if not free:  # the worker closed its end: it stopped early
+                    return
+            self._draw(j, self.ring[j % self.slots])
+            os.write(filled, b"\0")
+            free -= 1
+
+    def take(self, j: int, out: np.ndarray):
+        if self.ring is None:
+            self._draw(j, out)
+            return
+        if not self.ready:
+            self.ready = len(os.read(self.filled, self.slots))
+            if not self.ready:  # end of file: the helper has ended
+                status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+                self.pid = None
+                raise NoiseHelperError(f"the noise helper ended before step {j} of {self.steps}, exit code {status}")
+        np.copyto(out, self.ring[j % self.slots])
+        self.ready -= 1
+        if j + self.slots < self.steps:  # the helper reuses the slot for step j + slots
+            with contextlib.suppress(BrokenPipeError):  # a helper that has ended shows at the next read
+                os.write(self.freed, b"\0")
+
+    def __exit__(self, *exc):
+        for fd in (self.filled, self.freed):
+            if fd is not None:
+                os.close(fd)
+        if self.pid is not None:
+            os.waitpid(self.pid, 0)
+        if self.mem is not None:
+            self.ring = None
+            self.mem.close()
 
 
 def _block_moments(x: np.ndarray, width: int, mean: np.ndarray, m2: np.ndarray):
@@ -478,17 +589,17 @@ def _substep(pot: Potential, lam: np.ndarray, dt: float, j: int, draw) -> tuple:
     return lam, db_tot, rejected
 
 
-def _run_blocks(pot: Potential, n: int, grid: TimeGrid, seed: int, block0: int, lam0: np.ndarray, store: tuple, keep_paths: bool) -> dict:
+def _run_blocks(pot: Potential, n: int, grid: TimeGrid, seed: int, block0: int, lam0: np.ndarray, store: tuple, keep_paths: bool, ahead: bool) -> dict:
     """Step the replica blocks block0, block0 + 1, ... from the sorted initial
-    positions lam0 (rows, n) as one particle-major array.  Returns their
-    partials: per block the two-pass (mean, M2) of pi_1, pi_2 per slot and of
-    the noise, and over the rows the functional samples, the stored paths and
-    the counters."""
+    positions lam0 (rows, n) as one particle-major array, with the main noise
+    drawn ahead by a helper process if ``ahead`` (see :class:`_NoiseFeed`).
+    Returns their partials: per block the two-pass (mean, M2) of pi_1, pi_2
+    per slot and of the noise, and over the rows the functional samples, the
+    stored paths and the counters."""
     dt, steps = grid.dt, grid.steps
     rows = lam0.shape[0]
     sizes = [min(_BLOCK, rows - lo) for lo in range(0, rows, _BLOCK)]
     gens = [_stream(seed, block0 + b, (0, 0, 0, 0)) for b in range(len(sizes))]
-    seeks = [(gen, gen.bit_generator.state, slice(lo, lo + _BLOCK)) for gen, lo in zip(gens, range(0, rows, _BLOCK))]
     row_states = [gen.bit_generator.state for gen in gens]  # a second copy, whose counter the row draws move
     features = _FeatureTable(store, n, rows)
     # the step's buffers: the state and the proposal, swapped after each step,
@@ -526,40 +637,39 @@ def _run_blocks(pot: Potential, n: int, grid: TimeGrid, seed: int, block0: int, 
         _block_moments(pi_ring[:pi_slots].reshape(-1, rows), _BLOCK, *pi_stats[:, 2 * j0 : 2 * (j0 + pi_slots)])
         _block_moments(noise_ring[:noise_steps], _BLOCK * n, *noise_stats[:, j0 : j0 + noise_steps])
 
-    for j in range(steps):
-        w = j % window
-        db = noise_ring[w].reshape(rows, n)
-        _drift(pot, lam, drift, pairs)
-        for gen, state, block in seeks:
-            _main_draw(gen, state, j, db[block])
-        np.multiply(db, sqrt2dt, out=db)
-        np.add(np.add(lam, db.T, out=prop), np.multiply(drift, dt, out=drift_dt), out=prop)
-        if order_guard and np.less(np.subtract(prop[1:], prop[:-1], out=gaps), GAP_MIN, out=low).any():
-            bad = np.flatnonzero(low.any(axis=0))
-            for retry in range(1, _MAX_RETRIES + 1):
-                if not bad.size:
-                    break
-                rejected += bad.size
+    with _NoiseFeed(gens, rows, n, steps, sqrt2dt, ahead) as feed:
+        for j in range(steps):
+            w = j % window
+            db = noise_ring[w].reshape(rows, n)
+            _drift(pot, lam, drift, pairs)
+            feed.take(j, db)
+            np.add(np.add(lam, db.T, out=prop), np.multiply(drift, dt, out=drift_dt), out=prop)
+            if order_guard and np.less(np.subtract(prop[1:], prop[:-1], out=gaps), GAP_MIN, out=low).any():
+                bad = np.flatnonzero(low.any(axis=0))
+                for retry in range(1, _MAX_RETRIES + 1):
+                    if not bad.size:
+                        break
+                    rejected += bad.size
+                    for r in bad:
+                        db[r] = sqrt2dt * row_draw(r, retry, j)
+                    prop[:, bad] = lam[:, bad] + db[bad].T + drift[:, bad] * dt
+                    bad = bad[np.any(np.diff(prop[:, bad], axis=0) < GAP_MIN, axis=0)]
                 for r in bad:
-                    db[r] = sqrt2dt * row_draw(r, retry, j)
-                prop[:, bad] = lam[:, bad] + db[bad].T + drift[:, bad] * dt
-                bad = bad[np.any(np.diff(prop[:, bad], axis=0) < GAP_MIN, axis=0)]
-            for r in bad:
-                prop[:, r], db[r], rej = _substep(pot, lam[:, r], dt, j, lambda s: row_draw(r, _MAX_RETRIES + s, j))
-                rejected += rej
-            substepped += bad.size
-        if not np.isfinite(prop, out=finite).all():
-            raise _at_step(FloatingPointError(f"non-finite positions at step {j}"), j, 1)
+                    prop[:, r], db[r], rej = _substep(pot, lam[:, r], dt, j, lambda s: row_draw(r, _MAX_RETRIES + s, j))
+                    rejected += rej
+                substepped += bad.size
+            if not np.isfinite(prop, out=finite).all():
+                raise _at_step(FloatingPointError(f"non-finite positions at step {j}"), j, 1)
 
-        if keep_paths:
-            incs[:, j] = db
-            paths[:, j + 1] = prop.T
-        # after the step's own work, so the stack is still in cache for its features
-        np.copyto(pi_ring[w], features.slot(j, lam)[1:3])
-        features.step(j, db, lam, prop, drift)
-        lam, prop = prop, lam
-        if w == window - 1:
-            reduce_window(j + 1 - window, window, window)
+            if keep_paths:
+                incs[:, j] = db
+                paths[:, j + 1] = prop.T
+            # after the step's own work, so the stack is still in cache for its features
+            np.copyto(pi_ring[w], features.slot(j, lam)[1:3])
+            features.step(j, db, lam, prop, drift)
+            lam, prop = prop, lam
+            if w == window - 1:
+                reduce_window(j + 1 - window, window, window)
 
     last = steps % window  # steps of the short last window, if any, then the last slot
     np.copyto(pi_ring[last], features.slot(steps, lam)[1:3])
@@ -651,10 +761,21 @@ def simulate_dbm(
     longer run with the same seed.  Each block keeps one generator: a draw
     writes its counter into a kept copy of the generator's state and sets
     that state in one assignment, so no draw seeds a generator of its own.
+    The main draws do not depend on the state, so a helper process may make
+    them ahead of the steps (see Workers); retries and sub-steps draw in the
+    worker.
 
     Workers: ``workers`` processes step contiguous ranges of blocks.  With
     one the run stays in this process; with more it runs on a fork-context
-    process pool (spawn would import numpy again in every worker).  A worker
+    process pool (spawn would import numpy again in every worker).  When
+    this process may run on at least 2 * workers cores, each worker forks
+    one helper process that makes the worker's main draws, times sqrt(2
+    dt), ahead of its steps into a shared ring of ``_RING_BYTES``, and each
+    step copies its noise out of the ring: a run then uses 2 * workers
+    processes.  With fewer cores a worker makes the same draws itself, so
+    the bits do not depend on the cores.  The helper ends with its worker's
+    steps, also when they raise; one that ends early makes the run raise
+    :class:`NoiseHelperError` (see :class:`_NoiseFeed`).  A worker
     steps its blocks as one array and returns per-block partials: the
     two-pass mean and M2 of pi_1, pi_2 per slot, those of the noise (per
     step, then over the steps), and its rows' functional samples, paths and
@@ -690,7 +811,8 @@ def simulate_dbm(
     blocks = -(-m // _BLOCK)
     workers = min(int(workers), blocks)
     edges = [blocks * w // workers * _BLOCK for w in range(workers + 1)]
-    jobs = [(pot, n, grid, seed, lo // _BLOCK, lam0[lo:hi], store, keep_paths) for lo, hi in zip(edges, edges[1:])]
+    ahead = _spare_core(workers)
+    jobs = [(pot, n, grid, seed, lo // _BLOCK, lam0[lo:hi], store, keep_paths, ahead) for lo, hi in zip(edges, edges[1:])]
     if workers == 1:
         parts = [_run_blocks(*jobs[0])]
     else:

@@ -505,14 +505,13 @@ def _hermite_F(f, sigma, t):
     return (1.0 / sigma**2) * f.deriv(1)(t) + f.deriv(2)(t)
 
 
-def _hermite_mode_pieces(f, g, k, sigma, grid):
+def _hermite_mode_pieces(f, g, k, sigma, grid, e1, e2):
     """Mode-k pieces (C1, C12, C13, C4) of the (f, g) direction, as
-    coefficient arrays [j, s] of tau_k(t_j) d_{k-2}(t_s).  C1 is the raw
-    double integral; the other two raw pieces are C2 = -C13 and C3 = -C12."""
+    coefficient arrays [j, s] of tau_k(t_j) d_{k-2}(t_s), given e1 and e2,
+    the :func:`_gauss_exp` matrices of exponents k - 1 and k - 2.  C1 is the
+    raw double integral; the other two raw pieces are C2 = -C13 and C3 = -C12."""
     t, dt = grid.times, grid.dt
     F, gd, gdd = _hermite_F(f, sigma, t), g.deriv(1)(t), g.deriv(2)(t)
-    e1 = _gauss_exp(k - 1, grid, sigma)
-    e2 = _gauss_exp(k - 2, grid, sigma)
     w = float(k * (k - 1))
     c1 = dt * dt * w * (((F[:, None] * gdd[None, :]) * e1) @ e2)
     c13 = -dt * dt * w * (((F[:, None] * gd[None, :] / sigma**2) * e1) @ e2)
@@ -521,13 +520,12 @@ def _hermite_mode_pieces(f, g, k, sigma, grid):
     return c1, c12, c13, c4
 
 
-def _hermite_zero_mode_pieces(f, g, n_particles, sigma, grid):
+def _hermite_zero_mode_pieces(f, g, n_particles, sigma, grid, e):
     """Zero-momentum pieces (C5, C6) of the (f, g) direction, as coefficient
-    arrays of tau_2(t_j)."""
+    arrays of tau_2(t_j), given e, the :func:`_gauss_exp` matrix of exponent 1."""
     t, dt = grid.times, grid.dt
     F, G = _hermite_F(f, sigma, t), _hermite_F(g, sigma, t)
-    e1 = _gauss_exp(1.0, grid, sigma)
-    strict = e1 - np.diag(np.diag(e1))
+    strict = e - np.diag(np.diag(e))
     return -2.0 * n_particles * dt * dt * F * (strict @ G), 2.0 * n_particles * dt * F * g.deriv(1)(t)
 
 
@@ -542,9 +540,11 @@ def hermite_cancellation_pairs(f, g, sigma, n_particles, grid: TimeGrid, k_max: 
     builders that :func:`hermite_pieces_total_operator` also uses.  C_11 is
     the raw double integral C_1 minus the displayed C_12, C_13 (so pair 1
     measures the discrete integration by parts), and pairs 2, 3 cancel
-    identically by construction (reported for completeness).  One mode's
-    pieces are held at a time; each pair's max-abs residual and magnitude
-    are running maxima, floored at 1e-30.  All residuals are O(dt).
+    identically by construction (reported for completeness).  Each
+    :func:`_gauss_exp` matrix is built once, for the zero mode or the lowest
+    mode that reads it, and kept for the next mode only.  One mode's pieces
+    are held at a time; each pair's max-abs residual and magnitude are
+    running maxima, floored at 1e-30.  All residuals are O(dt).
     """
     # tau_k d_{k-2} needs mode k-2 >= 1; the formal k = 2 terms carry the
     # absent zero-mode derivative and annihilate identically
@@ -556,10 +556,16 @@ def hermite_cancellation_pairs(f, g, sigma, n_particles, grid: TimeGrid, k_max: 
     def fold(acc, name, *arrays):
         acc[name] = np.max([acc[name], *(np.max(np.abs(a)) for a in arrays)])
 
+    # c* of the (f, g) direction, d* of (g, f); the a* are antisymmetrized
+    e2 = _gauss_exp(1, grid, sigma)
+    c5, c6 = _hermite_zero_mode_pieces(f, g, n_particles, sigma, grid, e2)
+    d5, d6 = _hermite_zero_mode_pieces(g, f, n_particles, sigma, grid, e2)
+    resid["C5+C6"] = float(np.max(np.abs((c5 - d5) + (c6 - d6))))
+    fold(mag, "C5+C6", c5, c6, d5, d6)
     for k in range(3, k_max + 1):
-        # c* of the (f, g) direction, d* of (g, f); the a* are antisymmetrized
-        c1, c12, c13, c4 = _hermite_mode_pieces(f, g, k, sigma, grid)
-        d1, d12, d13, d4 = _hermite_mode_pieces(g, f, k, sigma, grid)
+        e1 = _gauss_exp(k - 1, grid, sigma)  # mode k + 1 reads it as its e2
+        c1, c12, c13, c4 = _hermite_mode_pieces(f, g, k, sigma, grid, e1, e2)
+        d1, d12, d13, d4 = _hermite_mode_pieces(g, f, k, sigma, grid, e1, e2)
         a12, a13 = c12 - d12, c13 - d13
         c11 = (c1 - d1) - a12 - a13
         fold(resid, "C11+C4", c11 + (c4 - d4))
@@ -568,10 +574,7 @@ def hermite_cancellation_pairs(f, g, sigma, n_particles, grid: TimeGrid, k_max: 
         fold(mag, "C11+C4", c11, c4, d4)
         fold(mag, "C12+C3", c12, d12)
         fold(mag, "C13+C2", c13, d13)
-    c5, c6 = _hermite_zero_mode_pieces(f, g, n_particles, sigma, grid)
-    d5, d6 = _hermite_zero_mode_pieces(g, f, n_particles, sigma, grid)
-    resid["C5+C6"] = float(np.max(np.abs((c5 - d5) + (c6 - d6))))
-    fold(mag, "C5+C6", c5, c6, d5, d6)
+        e2 = e1
     return {name: {"residual": r, "magnitude": mag[name], "relative": r / mag[name]} for name, r in resid.items()}
 
 
@@ -584,14 +587,17 @@ def hermite_pieces_total_operator(f, g, sigma, n_particles, grid, k_max):
     formulas the report uses."""
     op = BosonOperator(grid, k_max)
     slots = np.arange(grid.nslots)
+    e2 = _gauss_exp(1, grid, sigma)
+    c5, c6 = _hermite_zero_mode_pieces(f, g, n_particles, sigma, grid, e2)
+    d5, d6 = _hermite_zero_mode_pieces(g, f, n_particles, sigma, grid, e2)
     for k in range(3, k_max + 1):
         # C1 + C2 + C3 + C4 with C2 = -C13 and C3 = -C12
-        c1, c12, c13, c4 = _hermite_mode_pieces(f, g, k, sigma, grid)
-        d1, d12, d13, d4 = _hermite_mode_pieces(g, f, k, sigma, grid)
+        e1 = _gauss_exp(k - 1, grid, sigma)
+        c1, c12, c13, c4 = _hermite_mode_pieces(f, g, k, sigma, grid, e1, e2)
+        d1, d12, d13, d4 = _hermite_mode_pieces(g, f, k, sigma, grid, e1, e2)
         block = (c1 - c13 - c12 + c4) - (d1 - d13 - d12 + d4)
         op.add_xd_block(op.vid(k, 0) + slots[:, None], op.vid(k - 2, 0) + slots[None, :], block)
-    c5, c6 = _hermite_zero_mode_pieces(f, g, n_particles, sigma, grid)
-    d5, d6 = _hermite_zero_mode_pieces(g, f, n_particles, sigma, grid)
+        e2 = e1
     op.add_x_vec(op.vid(2, 0) + slots, (c5 + c6) - (d5 + d6))
     return op
 

@@ -166,6 +166,9 @@ LANGEVIN_CONFIG_ERRORS = {
     "dbm-moments equilibrium init, force not confining": _mutated("dbm-moments", b={"2": 1.0}, init={"kind": "equilibrium"}),
     "npoint mode above k_max": _mutated("npoint", modes=[1, 5]),
     "npoint explicit init of the wrong length": _mutated("npoint", init={"kind": "explicit", "values": [0.0, 1.0]}),
+    "girsanov coincident init_values": _mutated("girsanov", init_values=[-4.0, -2.0, 0.0, 0.0, 4.0]),
+    "dbm-moments coincident explicit init": _mutated("dbm-moments", init={"kind": "explicit", "values": [-1.0, 0.0, 0.0, 1.0, 2.0]}),
+    "npoint coincident explicit init": _mutated("npoint", init={"kind": "explicit", "values": [0, 0, 1, 2, 3]}),
     "sv-algebra constraint_mc k_max 1": _mutated("sv-algebra", constraint_mc__k_max=1),
     "sv-algebra constraint_mc replicas 1": _mutated("sv-algebra", constraint_mc__replicas=1),
     "sv-algebra constraint_mc beta 0": _mutated("sv-algebra", constraint_mc__beta=0.0),
@@ -187,6 +190,9 @@ MALFORMED_MESSAGES = {
     "kernel-identities time 10": "times[1] must be < 10",
     "threads -3": "threads must be >= 1",
     "dbm-moments init sweeps 0": "init.sweeps must be >= 1",
+    "girsanov coincident init_values": "init_values must be distinct",
+    "dbm-moments coincident explicit init": "init.values must be distinct",
+    "npoint coincident explicit init": "init.values must be distinct",
 }
 
 #: Configs with a key no suite reads, by the start of their message.

@@ -1,4 +1,7 @@
+import contextlib
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -258,6 +261,73 @@ def test_window_of_block_statistics_keeps_every_bit(monkeypatch):
         runs[window] = _outputs(ens)
     assert grid.steps % 3 == 0 and grid.steps % 4 != 0
     assert runs[3] == runs[1] and runs[4] == runs[1]
+
+
+def _assert_no_child():
+    """This process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block once it has run for ``seconds``."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_noise_helpers_leave_no_process(monkeypatch, workers):
+    """With the noise helper forced on, in this process or in each of two
+    pool workers, no child process is left after a run, nor after a run that
+    raises at step 50 of 200 while its helper draws ahead."""
+    from coulombgas import dyson
+
+    monkeypatch.setattr(dyson, "_spare_core", lambda workers: True)
+    grid, init = TimeGrid(1e-3, 200), InitSpec("equispaced", shift=0.3)
+    _assert_no_child()
+    with _deadline(60):
+        simulate_dbm(HERMITE2, 5, grid, 1000, init, seed=4, workers=workers)
+    _assert_no_child()
+    step = dyson._FeatureTable.step
+
+    def failing_step(self, j, *args):
+        if j == 50:
+            raise RuntimeError("stopped at step 50")
+        step(self, j, *args)
+
+    monkeypatch.setattr(dyson._FeatureTable, "step", failing_step)
+    with _deadline(60), pytest.raises(RuntimeError, match="stopped at step 50"):
+        simulate_dbm(HERMITE2, 5, grid, 1000, init, seed=4, workers=workers)
+    _assert_no_child()
+
+
+def test_a_noise_helper_that_ends_early_raises(monkeypatch):
+    """A helper that fails at step 100 of 300 makes the run raise
+    NoiseHelperError at that step, without a hang, and leaves no process."""
+    from coulombgas import dyson
+
+    monkeypatch.setattr(dyson, "_spare_core", lambda workers: True)
+    draw = dyson._main_draw
+
+    def failing_draw(gen, state, j, out):
+        if j == 100:
+            raise RuntimeError("the helper fails")
+        draw(gen, state, j, out)
+
+    monkeypatch.setattr(dyson, "_main_draw", failing_draw)
+    with _deadline(60), pytest.raises(dyson.NoiseHelperError, match="ended before step 100 of 300, exit code 1$"):
+        simulate_dbm(HERMITE2, 5, TimeGrid(1e-3, 300), 200, seed=4)
+    _assert_no_child()
 
 
 @pytest.mark.parametrize("workers", [1, 2])

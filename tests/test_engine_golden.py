@@ -184,6 +184,30 @@ def test_engine_outputs_bitwise_golden(name):
         assert substepped > 0  # the sub-step path is really exercised
 
 
+#: The noise feeds, as (helper forced on, ring budget in bytes or None for
+#: the default): the main draws made in the worker, made ahead by a forked
+#: helper, and made ahead into a ring of one step, which wraps at every step.
+FEEDS = {"in-process": (False, None), "helper": (True, None), "one-step-ring": (True, 1)}
+
+
+@pytest.mark.parametrize("feed", sorted(FEEDS))
+@pytest.mark.parametrize("name", ["blocks", "substeps"])
+def test_every_noise_feed_keeps_the_golden_bits(name, feed, monkeypatch):
+    """Whoever draws the main noise, the Ensemble keeps every bit: "substeps"
+    has ordering retries and sub-steps, "blocks" three blocks, the last one
+    short."""
+    from coulombgas import dyson
+
+    ahead, ring_bytes = FEEDS[feed]
+    monkeypatch.setattr(dyson, "_spare_core", lambda workers: ahead)
+    if ring_bytes is not None:
+        monkeypatch.setattr(dyson, "_RING_BYTES", ring_bytes)
+    *digests, rejected, substepped = GOLDEN[name]
+    ens = _run(name)
+    assert (ens.rejected, ens.substepped) == (rejected, substepped)
+    assert ensemble_digests(ens) == tuple(digests)
+
+
 if __name__ == "__main__":
     for name in sorted(GOLDEN):
         ens = _run(name)
