@@ -359,44 +359,70 @@ def run_sv_algebra(scn):
     tolerances={"sigmas": 3.0},
 )
 def run_equilibrium_loop(scn):
+    """Check the loop equations and <pi_2> on Gibbs samples of each case.  The
+    cases run on min(cases, usable cores) processes, this one and the rest
+    forked (waited for before the runner ends), each with whole cases dealt
+    costliest first to the least loaded.  Rows return in case order and the
+    first failing case's error is raised, so neither depends on the cores."""
+    from .dyson import _cores
+
+    n = [case["n_particles"] for case in scn["cases"]]
+    shares = [[] for _ in range(min(len(n), _cores()))]
+    for i in sorted(range(len(n)), key=lambda i: -n[i]):  # a case costs ~N: sweeps and chains are shared
+        min(shares, key=lambda share: sum(n[j] for j in share)).append(i)
+    pids, pipes = [], []
+    try:
+        for share in shares[1:]:  # a forked process pickles its rows into a pipe and exits
+            r, w = os.pipe()
+            pids.append(os.fork())
+            if not pids[-1]:
+                try:
+                    with open(w, "wb") as fh:
+                        pickle.dump(_loop_cases(scn, share), fh)
+                finally:
+                    os._exit(0)  # not read: a child that fails sends no rows, and loading them raises
+            os.close(w)
+            pipes.append(open(r, "rb"))
+        parts = [_loop_cases(scn, shares[0])] + [pickle.load(fh) for fh in pipes]
+    finally:
+        for fh in pipes:
+            fh.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+    failed = [error for _, error in parts if error]
+    if failed:
+        raise min(failed, key=lambda error: error[0])[1]
+    done = sorted((case for rows, _ in parts for case in rows), key=lambda case: case[0])
+    table = (("n_particles", "beta", "order", "residual", "se"), [row for _, _, rows in done for row in rows])
+    return [row for _, checks, _ in done for row in checks], {"loop_residuals": table}
+
+
+def _loop_cases(scn, indices):
+    """Run the equilibrium-loop cases of the indices in order up to the first
+    that raises: ([(index, check rows, table rows)], None or (index, error));
+    the error is returned so that it leaves a forked process with its index."""
     from .dyson import loop_equation_residual, sample_equilibrium
     from .kernel import Potential
 
-    checks, tables = [], {}
-    sig = scn["tolerances"]["sigmas"]
-    rows = []
-    for case in scn["cases"]:
-        n_part, beta = case["n_particles"], case["beta"]
-        pot = Potential(beta, _forces(scn))
-        eq = sample_equilibrium(pot, n_part, scn["sweeps"], seed=scn["seed"], chains=scn["chains"])
-        for order in scn["orders"]:
-            res, se = loop_equation_residual(eq, order, pot)
-            rows.append((n_part, beta, order, res, se))
-            checks.append(
-                check(
-                    f"loop-equation/N={n_part}/beta={beta}/n={order}",
-                    "integration-by-parts moment identity",
-                    res,
-                    sig * se,
-                    se=se,
-                )
-            )
-        mean, mse = eq.pi_mean_se(2)
-        want = pot.sigma**2 * (beta * n_part * (n_part - 1) / 2.0 + n_part)
-        checks.append(
-            check(
-                f"pi2-stationary/N={n_part}/beta={beta}",
-                "<pi_2> = sigma^2 (beta N(N-1)/2 + N)",
-                mean - want,
-                sig * mse,
-                mean=mean,
-                expected=want,
-                acceptance=eq.acceptance,
-                tau_int=eq.autocorr_pi1,
-            )
-        )
-    tables["loop_residuals"] = (("n_particles", "beta", "order", "residual", "se"), rows)
-    return checks, tables
+    sig, done = scn["tolerances"]["sigmas"], []
+    for i in sorted(indices):
+        n_part, beta = scn["cases"][i]["n_particles"], scn["cases"][i]["beta"]
+        checks, rows = [], []
+        try:
+            pot = Potential(beta, _forces(scn))
+            eq = sample_equilibrium(pot, n_part, scn["sweeps"], seed=scn["seed"], chains=scn["chains"])
+            for order in scn["orders"]:
+                res, se = loop_equation_residual(eq, order, pot)
+                rows.append((n_part, beta, order, res, se))
+                checks.append(check(f"loop-equation/N={n_part}/beta={beta}/n={order}", "integration-by-parts moment identity", res, sig * se, se=se))
+            mean, mse = eq.pi_mean_se(2)
+            want = pot.sigma**2 * (beta * n_part * (n_part - 1) / 2.0 + n_part)
+            extra = {"mean": mean, "expected": want, "acceptance": eq.acceptance, "tau_int": eq.autocorr_pi1}
+            checks.append(check(f"pi2-stationary/N={n_part}/beta={beta}", "<pi_2> = sigma^2 (beta N(N-1)/2 + N)", mean - want, sig * mse, **extra))
+        except Exception as exc:  # carried to the runner, which raises it
+            return done, (i, exc)
+        done.append((i, checks, rows))
+    return done, None
 
 
 @_suite(
@@ -924,6 +950,9 @@ VALUE_RULES = (
     (("npoint", "sv-algebra"), lambda s: _spread_defined(s, s["init"]) if s["suite"] == "npoint" else not s["constraint_mc"] or _spread_defined(s["constraint_mc"], {}), "a Gaussian force {1: b_1} needs b_1 > 0 for an equispaced init without halfwidth: the init spreads over sigma = b_1^(-1/2)"),
 )
 
+#: Lists each of whose entries writes its own check rows, so no entry may repeat.
+DISTINCT_LISTS = {"equilibrium-loop": ("cases", "orders"), "dbm-moments": ("pi1_times", "moment_ks"), "npoint": ("modes",), "hermite-example": ("dts",)}
+
 
 def _holds(rule, message, scn) -> bool:
     """Whether the rule holds; a rule that cannot be evaluated on the config
@@ -940,6 +969,10 @@ def validate_scenario(scn: dict):
     if scn["suite"] not in SUITES:
         raise ValueError(f"unknown suite {scn['suite']!r}; choose from {', '.join(SUITES)}")
     _check_value(scn, SUITE_TABLE[scn["suite"]][1], "")
+    for key in DISTINCT_LISTS.get(scn["suite"], ()):
+        entries = [tuple(sorted(v.items())) if isinstance(v, dict) else v for v in scn[key]]
+        if len(set(entries)) < len(entries):
+            raise ValueError(f"{key} must not repeat an entry: each entry writes its own check rows")
     for suites, rule, message in VALUE_RULES:
         if scn["suite"] in suites and not _holds(rule, message, scn):
             raise ValueError(message)

@@ -210,11 +210,15 @@ _WINDOW_BYTES = 1 << 17
 _RING_BYTES = 1 << 18
 
 
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def _spare_core(workers: int) -> bool:
     """Whether each of ``workers`` worker processes can have a second core
     for a noise helper."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return 2 * workers <= cpus
+    return 2 * workers <= _cores()
 
 
 def _stream(seed: int, block: int, counter) -> np.random.Generator:

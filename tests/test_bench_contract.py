@@ -104,6 +104,28 @@ def test_tracer_counts_a_run_on_worker_processes():
     assert "_run_blocks" not in tracer.TRACED["dyson"]
 
 
+def test_tracer_counts_the_equilibrium_cases_of_this_process(monkeypatch):
+    """With equilibrium-loop's default cases split over two processes, this
+    one runs cases 0 and 2 (N = 2 and N = 5) and a forked one cases 1 and 3.
+    The tracer counts the sampler calls and site updates of this process
+    only, as a traced gibbs-loop run reports them, and restores every name."""
+    monkeypatch.setattr(dyson, "_cores", lambda: 2)
+    scn = cli.default_scenario("equilibrium-loop")
+    scn.update(sweeps=2000, chains=20)
+    tracer = _load("tracer")
+    t = tracer.Tracer("contract-split")
+    t.install()
+    try:
+        cli.run_suite(scn)
+        values = t.layer_metrics({}, 0)
+    finally:
+        restored = t.uninstall()
+    assert restored is True
+    assert values["dyson.sample_equilibrium.calls"] == 2
+    assert values["dyson.sample_equilibrium.site_updates"] == 20 * max(10, 2000 // 20) * (2 + 5)
+    assert values["dyson.loop_equation_residual.calls"] == 2 * len(scn["orders"])
+
+
 @pytest.mark.parametrize("workload", ["langevin-online", "langevin-stored", "operator-algebra", "gibbs-loop"])
 def test_workload_scenarios_validate(workload):
     worker = _load("worker")

@@ -113,6 +113,7 @@ OPERATOR_CONFIG_ERRORS = {
     "hermite-example dt leaves one step": _mutated("hermite-example", dts=[1.0, 0.5]),
     "hermite-example dt 0": _mutated("hermite-example", dts=[0.01, 0.0]),
     "hermite-example k_max 2": _mutated("hermite-example", k_max=2),
+    "hermite-example dts repeated": _mutated("hermite-example", dts=[0.02, 0.01, 0.01]),
     "kernel-identities no times": _mutated("kernel-identities", times=[]),
     "kernel-identities time below 0": _mutated("kernel-identities", times=[-0.1, 0.3]),
     "kernel-identities time 10": _mutated("kernel-identities", times=[0.1, 10.0]),
@@ -143,6 +144,8 @@ EQUILIBRIUM_CONFIG_ERRORS = {
     "n_particles 0": _mutated("equilibrium-loop", cases__3__n_particles=0),
     "n_particles 2.5": _mutated("equilibrium-loop", cases__0__n_particles=2.5),
     "no cases": _mutated("equilibrium-loop", cases=[]),
+    "orders repeated": _mutated("equilibrium-loop", orders=[0, 0]),
+    "cases repeated": _mutated("equilibrium-loop", cases=[{"n_particles": 2, "beta": 1.0}, {"beta": 1, "n_particles": 2}]),
     "b not confining": _mutated("equilibrium-loop", b={"2": 1.0}),
     "b not Gaussian": _mutated("equilibrium-loop", b={"1": 1, "3": 0.2}),
     "b_1 negative": _mutated("equilibrium-loop", b={"1": -1.0}),
@@ -165,6 +168,9 @@ LANGEVIN_CONFIG_ERRORS = {
     "dbm-moments b not Gaussian": _mutated("dbm-moments", b={"1": 1.0, "3": 0.1}),
     "dbm-moments equilibrium init, force not confining": _mutated("dbm-moments", b={"2": 1.0}, init={"kind": "equilibrium"}),
     "npoint mode above k_max": _mutated("npoint", modes=[1, 5]),
+    "npoint modes repeated": _mutated("npoint", modes=[1, 2, 1]),
+    "dbm-moments pi1_times repeated": _mutated("dbm-moments", pi1_times=[0.5, 0.5]),
+    "dbm-moments moment_ks repeated": _mutated("dbm-moments", moment_ks=[1, 2, 2]),
     "npoint explicit init of the wrong length": _mutated("npoint", init={"kind": "explicit", "values": [0.0, 1.0]}),
     "girsanov coincident init_values": _mutated("girsanov", init_values=[-4.0, -2.0, 0.0, 0.0, 4.0]),
     "dbm-moments coincident explicit init": _mutated("dbm-moments", init={"kind": "explicit", "values": [-1.0, 0.0, 0.0, 1.0, 2.0]}),
@@ -193,6 +199,12 @@ MALFORMED_MESSAGES = {
     "girsanov coincident init_values": "init_values must be distinct",
     "dbm-moments coincident explicit init": "init.values must be distinct",
     "npoint coincident explicit init": "init.values must be distinct",
+    "orders repeated": "orders must not repeat an entry",
+    "cases repeated": "cases must not repeat an entry",
+    "npoint modes repeated": "modes must not repeat an entry",
+    "dbm-moments pi1_times repeated": "pi1_times must not repeat an entry",
+    "dbm-moments moment_ks repeated": "moment_ks must not repeat an entry",
+    "hermite-example dts repeated": "dts must not repeat an entry",
 }
 
 #: Configs with a key no suite reads, by the start of their message.
@@ -591,6 +603,72 @@ def test_threads_do_not_change_reports(tmp_path, suite):
     assert runs[0] == runs[1]
 
 
+def test_equilibrium_loop_split_does_not_change_reports(tmp_path, monkeypatch):
+    """equilibrium-loop writes the same report and CSV bytes with its cases
+    split over two processes and run in this one, and leaves no child."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_small_scenario("equilibrium-loop")))
+    outs = []
+    for cores in (2, 1):
+        monkeypatch.setattr("coulombgas.dyson._cores", lambda cores=cores: cores)
+        outs.append(tmp_path / f"cores{cores}")
+        assert main(["run", str(cfg), "--out", str(outs[-1])]) == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    files = sorted(f.name for f in outs[0].iterdir())
+    assert files == sorted(f.name for f in outs[1].iterdir()) == ["equilibrium-loop.json", "equilibrium-loop_loop_residuals.csv"]
+    for name in files:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("failing, first", [((1, 2), 1), ((0, 3), 0)])
+def test_equilibrium_loop_raises_the_first_failing_case(monkeypatch, failing, first):
+    """With the default cases on two processes, this one runs cases 0 and 2
+    and a forked one cases 1 and 3.  When a case of each raises, the error
+    raised is that of the earlier case, as in a run on one process, and the
+    forked process has been joined."""
+    from coulombgas import dyson
+
+    scn = _small_scenario("equilibrium-loop")
+    cases = [(c["n_particles"], c["beta"]) for c in scn["cases"]]
+    sample = dyson.sample_equilibrium
+
+    def failing_sample(pot, n, sweeps, **kwargs):
+        i = cases.index((n, pot.beta))
+        if i in failing:
+            raise FloatingPointError(f"case {i} in {'this' if os.getpid() == here else 'a forked'} process")
+        return sample(pot, n, sweeps, **kwargs)
+
+    here = os.getpid()
+    monkeypatch.setattr(dyson, "sample_equilibrium", failing_sample)
+    monkeypatch.setattr(dyson, "_cores", lambda: 2)
+    with pytest.raises(FloatingPointError) as info:
+        run_suite(scn)
+    assert str(info.value) == f"case {first} in {'a forked' if first % 2 else 'this'} process"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_equilibrium_loop_raises_when_a_forked_process_dies(monkeypatch):
+    """A forked process that ends without sending its rows makes the runner
+    raise, after it has been waited for."""
+    from coulombgas import dyson
+
+    here, loop_cases = os.getpid(), cli._loop_cases
+
+    def dying(scn, indices):
+        if os.getpid() != here:
+            os._exit(3)
+        return loop_cases(scn, indices)
+
+    monkeypatch.setattr(cli, "_loop_cases", dying)
+    monkeypatch.setattr(dyson, "_cores", lambda: 2)
+    with pytest.raises(EOFError):
+        run_suite(_small_scenario("equilibrium-loop"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_engine_error_in_a_worker_writes_failed_report(tmp_path, monkeypatch, capsys):
     """A RejectionRateError raised in a worker process reaches main as the
     engine report and exit 1.  With a minimum gap no step can keep, the first
@@ -746,6 +824,8 @@ def test_reports_bitwise_reproducible(tmp_path):
             dirs.append(tmp_path / suite / run)
             write_report(rep, tab, dirs[-1])
         assert [(c["name"], c["anchor"]) for c in rep["checks"]] == CHECK_LAYOUT[suite]
+        names = [c["name"] for c in rep["checks"]]
+        assert len(set(names)) == len(names), suite
         files = sorted(f.name for f in dirs[0].iterdir())
         assert files and files == sorted(f.name for f in dirs[1].iterdir())
         for name in files:
