@@ -361,46 +361,24 @@ def run_sv_algebra(scn):
 def run_equilibrium_loop(scn):
     """Check the loop equations and <pi_2> on Gibbs samples of each case.  The
     cases run on min(cases, usable cores) processes, this one and the rest
-    forked (waited for before the runner ends), each with whole cases dealt
-    costliest first to the least loaded.  Rows return in case order and the
-    first failing case's error is raised, so neither depends on the cores."""
-    from .dyson import _cores
+    forked (see dyson._fork_map), each with whole cases dealt costliest first
+    to the least loaded.  Rows return in case order and the first failing
+    case's error is raised, so neither depends on the cores."""
+    from .dyson import _cores, _fork_map
 
     n = [case["n_particles"] for case in scn["cases"]]
     shares = [[] for _ in range(min(len(n), _cores()))]
     for i in sorted(range(len(n)), key=lambda i: -n[i]):  # a case costs ~N: sweeps and chains are shared
         min(shares, key=lambda share: sum(n[j] for j in share)).append(i)
-    pids, pipes = [], []
-    try:
-        for share in shares[1:]:  # a forked process pickles its rows into a pipe and exits
-            r, w = os.pipe()
-            pids.append(os.fork())
-            if not pids[-1]:
-                try:
-                    with open(w, "wb") as fh:
-                        pickle.dump(_loop_cases(scn, share), fh)
-                finally:
-                    os._exit(0)  # not read: a child that fails sends no rows, and loading them raises
-            os.close(w)
-            pipes.append(open(r, "rb"))
-        parts = [_loop_cases(scn, shares[0])] + [pickle.load(fh) for fh in pipes]
-    finally:
-        for fh in pipes:
-            fh.close()
-        for pid in pids:
-            os.waitpid(pid, 0)
-    failed = [error for _, error in parts if error]
-    if failed:
-        raise min(failed, key=lambda error: error[0])[1]
-    done = sorted((case for rows, _ in parts for case in rows), key=lambda case: case[0])
+    done = sorted((case for part in _fork_map(_loop_cases, [(scn, share) for share in shares]) for case in part), key=lambda case: case[0])
     table = (("n_particles", "beta", "order", "residual", "se"), [row for _, _, rows in done for row in rows])
     return [row for _, checks, _ in done for row in checks], {"loop_residuals": table}
 
 
 def _loop_cases(scn, indices):
-    """Run the equilibrium-loop cases of the indices in order up to the first
-    that raises: ([(index, check rows, table rows)], None or (index, error));
-    the error is returned so that it leaves a forked process with its index."""
+    """Run the equilibrium-loop cases of the indices in order: [(index, check
+    rows, table rows)].  An error is tagged ``where`` = (index,), so that a
+    split run raises the first failing case's error, as a serial run does."""
     from .dyson import loop_equation_residual, sample_equilibrium
     from .kernel import Potential
 
@@ -419,10 +397,11 @@ def _loop_cases(scn, indices):
             want = pot.sigma**2 * (beta * n_part * (n_part - 1) / 2.0 + n_part)
             extra = {"mean": mean, "expected": want, "acceptance": eq.acceptance, "tau_int": eq.autocorr_pi1}
             checks.append(check(f"pi2-stationary/N={n_part}/beta={beta}", "<pi_2> = sigma^2 (beta N(N-1)/2 + N)", mean - want, sig * mse, **extra))
-        except Exception as exc:  # carried to the runner, which raises it
-            return done, (i, exc)
+        except Exception as exc:
+            exc.where = (i,)
+            raise
         done.append((i, checks, rows))
-    return done, None
+    return done
 
 
 @_suite(
@@ -929,6 +908,7 @@ VALUE_RULES = (
     (("boson-commutators",), lambda s: s["grid"]["steps"] >= 3, "grid.steps must be >= 3: the checks pair slots steps - 1 and 2"),
     (("sv-algebra",), lambda s: 1 <= s["interior_modes"] <= s["k_max"], "interior_modes must lie in 1..k_max"),
     (("sv-algebra",), lambda s: len(s["grids"]) >= 2, "grids needs two entries for the dt-halving ratio"),
+    (("sv-algebra",), lambda s: math.isclose(2 * s["grids"][1]["dt"], s["grids"][0]["dt"]) and math.isclose(*(g["dt"] * g["steps"] for g in s["grids"][:2])), "grids[1] must halve the dt of grids[0] over the same span steps * dt: the bracket ratios read a dt-halving trend"),
     (("sv-algebra",), lambda s: not s["constraint_mc"] or s["constraint_mc"]["k_max"] >= max(2, 2 * _l_max(s["constraint_mc"])), "constraint_mc.k_max must be >= max(2, 2 L_max): the constraint weights reach mode 2 L_max"),
     (("sv-algebra",), lambda s: not s["constraint_mc"] or s["constraint_mc"]["beta"] > 0, "constraint_mc.beta must be > 0: the constraint's linear part scales by beta^(-1/2)"),
     (("hermite-example",), lambda s: len(s["dts"]) >= 2, "dts needs two entries for the dt-halving trends"),

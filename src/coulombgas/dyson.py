@@ -38,6 +38,7 @@ import contextlib
 import math
 import mmap
 import os
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,9 +217,47 @@ def _cores() -> int:
 
 
 def _spare_core(workers: int) -> bool:
-    """Whether each of ``workers`` worker processes can have a second core
-    for a noise helper."""
+    """Whether each of ``workers`` workers can have a second core for a noise helper."""
     return 2 * workers <= _cores()
+
+
+def _fork_map(fn, jobs: list) -> list:
+    """[fn(*job) for job in jobs], job 0 run in this process and each other in
+    a process forked for it, which pickles back its result or the Exception
+    it raised and ends with ``os._exit``; all are waited for.  Of the errors,
+    the least by ``where`` is raised (untagged first, then in job order): the
+    one a process running the jobs in turn would meet first.  A forked
+    process that sends no outcome makes this raise EOFError."""
+
+    def outcome(job):
+        try:
+            return True, fn(*job)
+        except Exception as exc:
+            return False, exc
+
+    pids, pipes = [], []
+    try:
+        for job in jobs[1:]:
+            r, w = os.pipe()
+            pids.append(os.fork())
+            if not pids[-1]:
+                try:
+                    with open(w, "wb") as fh:
+                        pickle.dump(outcome(job), fh)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            pipes.append(open(r, "rb"))
+        outcomes = [outcome(jobs[0])] + [pickle.load(fh) for fh in pipes]
+    finally:
+        for fh in pipes:
+            fh.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+    failed = [value for ok, value in outcomes if not ok]
+    if failed:
+        raise min(failed, key=lambda exc: getattr(exc, "where", ()))
+    return [value for _, value in outcomes]
 
 
 def _stream(seed: int, block: int, counter) -> np.random.Generator:
@@ -553,7 +592,7 @@ class _FeatureTable:
 
 def _at_step(exc: Exception, j: int, stage: int) -> Exception:
     """exc, marked with where it stops the step loop: step j, at stage 0 (the
-    sub-steps) or 1 (the finiteness check), which :func:`simulate_dbm` reads
+    sub-steps) or 1 (the finiteness check), which :func:`_fork_map` reads
     to raise the error that one process stepping every block meets first."""
     exc.where = (j, stage)
     return exc
@@ -769,28 +808,20 @@ def simulate_dbm(
     them ahead of the steps (see Workers); retries and sub-steps draw in the
     worker.
 
-    Workers: ``workers`` processes step contiguous ranges of blocks.  With
-    one the run stays in this process; with more it runs on a fork-context
-    process pool (spawn would import numpy again in every worker).  When
-    this process may run on at least 2 * workers cores, each worker forks
-    one helper process that makes the worker's main draws, times sqrt(2
-    dt), ahead of its steps into a shared ring of ``_RING_BYTES``, and each
-    step copies its noise out of the ring: a run then uses 2 * workers
-    processes.  With fewer cores a worker makes the same draws itself, so
-    the bits do not depend on the cores.  The helper ends with its worker's
-    steps, also when they raise; one that ends early makes the run raise
-    :class:`NoiseHelperError` (see :class:`_NoiseFeed`).  A worker
-    steps its blocks as one array and returns per-block partials: the
-    two-pass mean and M2 of pi_1, pi_2 per slot, those of the noise (per
-    step, then over the steps), and its rows' functional samples, paths and
-    counters.  A worker keeps the noise and the pi_1, pi_2 rows of a window
-    of steps (``_WINDOW_BYTES`` of noise, at least one step) and reduces
-    the window's block statistics in one call; each (block, step) run is
-    still reduced alone, so the values are those of a reduction per step.
-    The means and M2s are merged by Chan's formula and the rest is joined,
-    both in block order, so every output depends on (seed, m) and not on
-    ``workers``; pi_0 is n with M2 0, as that merge would give.  A run that
-    fails in a worker raises the error that one worker would meet first.
+    Workers: ``workers`` processes step contiguous ranges of blocks, this
+    one the first and a forked one each other (see :func:`_fork_map`), so a
+    run that fails raises the error that one worker would meet first.  When
+    this process may run on at least 2 * workers cores, each worker has a
+    forked helper make its main draws, times sqrt(2 dt), ahead of its steps
+    (see :class:`_NoiseFeed`): a run then uses 2 * workers processes.  With
+    fewer cores a worker makes the same draws itself, so the bits do not
+    depend on the cores.  A worker steps its blocks as one array and
+    returns per-block partials (see :func:`_run_blocks`), reducing the block
+    statistics once per window of steps (``_WINDOW_BYTES`` of noise, at
+    least one step) with the values of a reduction per (block, step).  The
+    means and M2s are merged by Chan's formula and the rest is joined, both
+    in block order, so every output depends on (seed, m) and not on
+    ``workers``; pi_0 is n with M2 0, as that merge would give.
     ``pi_mean``/``pi_se`` and the noise statistics read the merged values.
 
     The state is particle-major, (n, m): a sum over particles is n - 1
@@ -817,18 +848,7 @@ def simulate_dbm(
     edges = [blocks * w // workers * _BLOCK for w in range(workers + 1)]
     ahead = _spare_core(workers)
     jobs = [(pot, n, grid, seed, lo // _BLOCK, lam0[lo:hi], store, keep_paths, ahead) for lo, hi in zip(edges, edges[1:])]
-    if workers == 1:
-        parts = [_run_blocks(*jobs[0])]
-    else:
-        import multiprocessing  # here: a run on one worker does not load the pool machinery
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(_run_blocks, *job) for job in jobs]
-            failed = [exc for exc in (future.exception() for future in futures) if exc is not None]
-            if failed:  # the earliest in the step loop, as with one worker; any other error first
-                raise min(failed, key=lambda exc: getattr(exc, "where", (-1, 0)))
-            parts = [future.result() for future in futures]
+    parts = _fork_map(_run_blocks, jobs)
 
     def joined(arrays):
         return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)

@@ -103,6 +103,9 @@ OPERATOR_CONFIG_ERRORS = {
     "sv-algebra interior_modes > k_max": _mutated("sv-algebra", interior_modes=10),
     "sv-algebra one grid": _mutated("sv-algebra", grids=[{"dt": 0.02, "steps": 50}]),
     "sv-algebra grid steps 1": _mutated("sv-algebra", grids__0__steps=1),
+    "sv-algebra repeated grid": _mutated("sv-algebra", grids=[{"dt": 0.04, "steps": 25}, {"dt": 0.04, "steps": 25}]),
+    "sv-algebra grid dt not halved": _mutated("sv-algebra", grids=[{"dt": 0.02, "steps": 50}, {"dt": 0.005, "steps": 200}]),
+    "sv-algebra grid span changed": _mutated("sv-algebra", grids=[{"dt": 0.02, "steps": 50}, {"dt": 0.01, "steps": 50}]),
     "boson-commutators grid steps 1": _mutated("boson-commutators", grid__steps=1),
     "boson-commutators grid steps 2": _mutated("boson-commutators", grid__steps=2),
     "boson-commutators k_max < force support": _mutated("boson-commutators", k_max=1),
@@ -205,6 +208,9 @@ MALFORMED_MESSAGES = {
     "dbm-moments pi1_times repeated": "pi1_times must not repeat an entry",
     "dbm-moments moment_ks repeated": "moment_ks must not repeat an entry",
     "hermite-example dts repeated": "dts must not repeat an entry",
+    "sv-algebra repeated grid": "grids[1] must halve the dt of grids[0]",
+    "sv-algebra grid dt not halved": "grids[1] must halve the dt of grids[0]",
+    "sv-algebra grid span changed": "grids[1] must halve the dt of grids[0]",
 }
 
 #: Configs with a key no suite reads, by the start of their message.
@@ -670,10 +676,11 @@ def test_equilibrium_loop_raises_when_a_forked_process_dies(monkeypatch):
 
 
 def test_engine_error_in_a_worker_writes_failed_report(tmp_path, monkeypatch, capsys):
-    """A RejectionRateError raised in a worker process reaches main as the
-    engine report and exit 1.  With a minimum gap no step can keep, the first
-    row of each worker's range fails its sub-steps; only a worker steps rows."""
-    monkeypatch.setattr("coulombgas.dyson.GAP_MIN", 1e3)  # the forked workers inherit it
+    """A RejectionRateError raised in a worker reaches main as the engine
+    report and exit 1.  With a minimum gap no step can keep, the first row of
+    each worker's range fails its sub-steps at step 0, in this process and in
+    the forked one alike."""
+    monkeypatch.setattr("coulombgas.dyson.GAP_MIN", 1e3)  # the forked worker inherits it
     scn = _small_scenario("npoint")
     scn["replicas"] = 600
     cfg = tmp_path / "cfg.json"

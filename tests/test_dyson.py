@@ -285,11 +285,48 @@ def _deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.mark.parametrize(
+    "jobs, error",
+    [
+        ([("here",), ("forked",), ("forked too",)], None),
+        ([("here", True, (2,)), ("forked", True, (1,))], (ValueError, "forked")),
+        ([("here", True, (2,)), ("forked", True, (1,)), ("bare", True)], (ValueError, "bare")),
+        ([("here",), ("exit",)], (EOFError, None)),
+    ],
+    ids=["job order", "forked error first", "untagged error first", "forked exit"],
+)
+def test_fork_map_keeps_job_order_and_raises_the_first_error(jobs, error):
+    """dyson._fork_map returns the results in job order, job 0's from this
+    process; of the errors raised, it raises the least by ``where``, an
+    untagged one first, wherever it was raised; a forked job that ends
+    without an outcome makes it raise EOFError.  No case leaves a child."""
+    from coulombgas.dyson import _fork_map
+
+    here = os.getpid()
+
+    def job(label, raises=False, where=None):
+        if label == "exit":
+            os._exit(3)
+        if raises:
+            exc = ValueError(label)
+            if where:
+                exc.where = where
+            raise exc
+        return label, os.getpid() == here
+
+    if error is None:
+        assert _fork_map(job, jobs) == [("here", True), ("forked", False), ("forked too", False)]
+    else:
+        with pytest.raises(error[0], match=error[1]):
+            _fork_map(job, jobs)
+    _assert_no_child()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_noise_helpers_leave_no_process(monkeypatch, workers):
-    """With the noise helper forced on, in this process or in each of two
-    pool workers, no child process is left after a run, nor after a run that
-    raises at step 50 of 200 while its helper draws ahead."""
+    """With the noise helper forced on, for one worker or for two (this
+    process and a forked one), no child process is left after a run, nor
+    after a run that raises at step 50 of 200 while its helper draws ahead."""
     from coulombgas import dyson
 
     monkeypatch.setattr(dyson, "_spare_core", lambda workers: True)

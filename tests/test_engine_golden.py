@@ -43,7 +43,7 @@ def _npoint_funcs(pot, grid):
     return funcs
 
 
-def _run(name):
+def _run(name, workers=1):
     if name == "moment-residual":
         grid = TimeGrid(1e-3, 400)
         return simulate_dbm(
@@ -73,7 +73,7 @@ def _run(name):
         grid = TimeGrid(2e-3, 150)
         return simulate_dbm(
             HERMITE2, 4, grid, 1100, InitSpec("equispaced", shift=0.3), seed=15,
-            functionals=moment_functionals(HERMITE2, grid, (1, 2)), keep_paths=False,
+            functionals=moment_functionals(HERMITE2, grid, (1, 2)), keep_paths=False, workers=workers,
         )
     if name == "seven-particles":  # N = 7 and beta = 4: the pair force beyond the other cases' N <= 5
         grid = TimeGrid(5e-3, 200)
@@ -182,6 +182,17 @@ def test_engine_outputs_bitwise_golden(name):
     assert ensemble_digests(ens) == tuple(digests)
     if name == "substeps":
         assert substepped > 0  # the sub-step path is really exercised
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_blocks_golden_bits_on_every_worker_count(workers):
+    """"blocks" keeps its bits on two and three workers, where this process
+    steps the first block range and a forked process each other; one worker
+    is its case of test_engine_outputs_bitwise_golden."""
+    *digests, rejected, substepped = GOLDEN["blocks"]
+    ens = _run("blocks", workers)
+    assert (ens.rejected, ens.substepped) == (rejected, substepped)
+    assert ensemble_digests(ens) == tuple(digests)
 
 
 #: The noise feeds, as (helper forced on, ring budget in bytes or None for
