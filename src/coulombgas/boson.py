@@ -41,6 +41,7 @@ __all__ = [
     "static_boson",
     "dynamic_boson",
     "commutator",
+    "commutator_probed",
     "normal_ordered_quadratic",
     "accumulate_quadratic",
     "time_derivation",
@@ -267,11 +268,11 @@ class BosonOperator:
         for f in ("x", "d"):
             v = getattr(self, f)
             if v is not None:
-                vals.append(np.max(np.abs(v if mask is None else v[mask])) if v.size else 0.0)
+                vals.append(np.max(np.abs(v if mask is None else v[mask]), initial=0.0))
         for f in ("xd", "dd"):
             v = getattr(self, f)
             if v is not None:
-                vals.append(np.max(np.abs(v if mask is None else v[np.ix_(mask, mask)])))
+                vals.append(np.max(np.abs(v if mask is None else v[np.ix_(mask, mask)]), initial=0.0))
         return float(np.max(vals))
 
     def interior_mask(self, mode_max: int, j_lo: int, j_hi: int) -> np.ndarray:
@@ -282,16 +283,12 @@ class BosonOperator:
         return mask
 
 
-def commutator(a: BosonOperator, b: BosonOperator) -> BosonOperator:
-    """[a, b] = ab - ba, exactly, in canonical normal form."""
+def _commutator_affine(a: BosonOperator, b: BosonOperator) -> BosonOperator:
+    """The const, x and d fields of [a, b], in a new operator without x-d or d-d field."""
     a._compatible(b)
     out = BosonOperator(a.grid, a.k_max)
-
-    def get(op, f):
-        return getattr(op, f)
-
-    ax, ad, axd, add_ = get(a, "x"), get(a, "d"), get(a, "xd"), get(a, "dd")
-    bx, bd, bxd, bdd = get(b, "x"), get(b, "d"), get(b, "xd"), get(b, "dd")
+    ax, ad, axd, add_ = a.x, a.d, a.xd, a.dd
+    bx, bd, bxd, bdd = b.x, b.d, b.xd, b.dd
 
     if ad is not None and bx is not None:
         out.const += float(ad @ bx)
@@ -302,6 +299,8 @@ def commutator(a: BosonOperator, b: BosonOperator) -> BosonOperator:
         out.x = (out.x if out.x is not None else 0) + axd @ bx
     if bxd is not None and ax is not None:
         out.x = (out.x if out.x is not None else 0) - bxd @ ax
+    if out.x is not None:
+        out.x = np.asarray(out.x, dtype=float)
 
     dpart = None
     if bxd is not None and ad is not None:
@@ -314,6 +313,13 @@ def commutator(a: BosonOperator, b: BosonOperator) -> BosonOperator:
         dpart = (dpart if dpart is not None else 0) - 2.0 * (bdd @ ax)
     if dpart is not None:
         out.d = np.asarray(dpart, dtype=float)
+    return out
+
+
+def commutator(a: BosonOperator, b: BosonOperator) -> BosonOperator:
+    """[a, b] = ab - ba, exactly, in canonical normal form."""
+    out = _commutator_affine(a, b)
+    axd, add_, bxd, bdd = a.xd, a.dd, b.xd, b.dd
 
     if axd is not None and bxd is not None:
         out.xd = axd @ bxd - bxd @ axd
@@ -327,10 +333,34 @@ def commutator(a: BosonOperator, b: BosonOperator) -> BosonOperator:
         ddpart = (ddpart if ddpart is not None else 0) - (m + m.T)
     if ddpart is not None:
         out.dd = np.asarray(ddpart, dtype=float)
-
-    if out.x is not None:
-        out.x = np.asarray(out.x, dtype=float)
     return out
+
+
+def commutator_probed(a: BosonOperator, b: BosonOperator, vecs: np.ndarray):
+    """[a, b] with its x-d and d-d fields read only through probe vectors.
+
+    Returns (op, xd_v, dd_v): op holds the const, x and d fields of
+    :func:`commutator` (same formulas, same bits), and xd_v, dd_v are that
+    commutator's x-d and d-d fields times vecs, shape (nvar, n), or None
+    where it has no such field.  Each field is applied to vecs one factor at
+    a time, e.g. xd_v = A (B vecs) - B (A vecs) for the x-d fields A, B of
+    a, b, so no nvar x nvar product is formed.
+    """
+    out = _commutator_affine(a, b)
+    axd, add_, bxd, bdd = a.xd, a.dd, b.xd, b.dd
+
+    xd_v = None
+    if axd is not None and bxd is not None:
+        xd_v = axd @ (bxd @ vecs) - bxd @ (axd @ vecs)
+
+    # (m + m.T) vecs with m = add_ bxd, and m = bdd axd
+    dd_v = None
+    if add_ is not None and bxd is not None:
+        dd_v = add_ @ (bxd @ vecs) + bxd.T @ (add_.T @ vecs)
+    if bdd is not None and axd is not None:
+        part = bdd @ (axd @ vecs) + axd.T @ (bdd.T @ vecs)
+        dd_v = -part if dd_v is None else dd_v - part
+    return out, xd_v, dd_v
 
 
 def apply(op: BosonOperator, f: PolyFunctional) -> PolyFunctional:
@@ -452,9 +482,12 @@ def accumulate_quadratic(
 
     The multiplier-derivative rows are written as one block per mode pair
     over all slots: the multiplier at slot j owns its x-d row, so no sum
-    crosses slots there.  The scalar, d-linear and d-d pieces do sum across
-    slots and are added slot by slot, in slot order.  Every entry receives
-    the same additions in the same order as a slot-by-slot build.
+    crosses slots there.  Each derivative mode's Toeplitz view of the kernel
+    is taken once per call; live slots without a gap take their block as
+    one row slice, added in place.  The scalar, d-linear and d-d pieces do
+    sum across slots and are added slot by slot, in slot order.  Every
+    entry receives the same additions in the same order as a slot-by-slot
+    build.
     """
     if field not in ("static", "dynamic"):
         raise ValueError("field must be 'static' or 'dynamic'")
@@ -506,6 +539,10 @@ def accumulate_quadratic(
                 xd_pairs.append((-min(m, n), max(m, n)))
         powers.append((up, xd_pairs, slot_pairs))
 
+    # live slots lo..hi-1 without a gap: each dynamic block is one row slice
+    lo, hi = int(slots[0]), int(slots[-1]) + 1
+    contiguous = hi - lo == slots.size
+    toeps, buf = {}, None
     for up, xd_pairs, _ in powers:
         ups = up * scales
         for mult, der in xd_pairs:
@@ -514,10 +551,17 @@ def accumulate_quadratic(
             if field == "static":
                 op.add_xd_block(base + slots, (der - 1) * ns + slots, c * (1.0 / grid.dt))
                 continue
-            # toep[j, l-1, j'] = K_{der,l}(t_j - t_j') for j' <= j and 0 above: a
-            # lower-triangular Toeplitz view of each kernel column, taken per l
-            padded = np.concatenate((ktable[::-1, der, 1:].T, np.zeros((k_max, ns - 1))), axis=1)
-            toep = sliding_window_view(padded, ns, axis=1)[:, ::-1].transpose(1, 0, 2)
+            if der not in toeps:
+                # toep[j, l-1, j'] = K_{der,l}(t_j - t_j') for j' <= j and 0 above: a
+                # lower-triangular Toeplitz view of each kernel column, taken per l
+                padded = np.concatenate((ktable[::-1, der, 1:].T, np.zeros((k_max, ns - 1))), axis=1)
+                toeps[der] = sliding_window_view(padded, ns, axis=1)[:, ::-1].transpose(1, 0, 2)
+            toep = toeps[der]
+            if contiguous:
+                buf = np.empty((hi - lo, k_max, ns)) if buf is None else buf
+                np.multiply(toep[lo:hi], c[:, None, None], out=buf)
+                op._ensure("xd")[base + lo : base + hi] += buf.reshape(hi - lo, op.nvar)
+                continue
             block = toep[slots]
             block *= c[:, None, None]
             op.add_xd_block(base + slots, slice(None), block.reshape(slots.size, op.nvar))

@@ -227,7 +227,15 @@ def _fork_map(fn, jobs: list) -> list:
     it raised and ends with ``os._exit``; all are waited for.  Of the errors,
     the least by ``where`` is raised (untagged first, then in job order): the
     one a process running the jobs in turn would meet first.  A forked
-    process that sends no outcome makes this raise EOFError."""
+    process that sends no outcome makes this raise EOFError.
+
+    Jobs that are mostly BLAS calls do not belong here: forked after this
+    process has started its OpenBLAS threads, every process runs a full set
+    of BLAS threads and the cores are oversubscribed.  On a 2-core host a
+    split of sv-algebra's two potentials took 4.5 s in place of 0.75 s in 4
+    of 6 trial runs (about 6x), and in repeat runs it never beat the two
+    potentials run in turn (0.78 s serial, 0.92-1.21 s split), so sv-algebra
+    runs in one process."""
 
     def outcome(job):
         try:

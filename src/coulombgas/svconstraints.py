@@ -40,6 +40,7 @@ from .boson import (
     TimeGrid,
     accumulate_quadratic,
     commutator,
+    commutator_probed,
     kernel_table,
     time_derivation,
 )
@@ -333,6 +334,36 @@ def weak_probe_profiles(grid: TimeGrid, mode_int: int):
     return [(k, s) for k in range(1, mode_int + 1) for s in shapes]
 
 
+def _probe_vectors(grid: TimeGrid, k_max: int, probes) -> list:
+    """The probe functionals sum_j prof_j dt x[k, j] as vectors over vids."""
+    ns = grid.nslots
+    vecs = []
+    for k, prof in probes:
+        v = np.zeros(k_max * ns)
+        v[(k - 1) * ns : k * ns] = prof * grid.dt
+        vecs.append(v)
+    return vecs
+
+
+def _probe_score(op: BosonOperator, vecs, xd_w, dd_w) -> float:
+    """The weak score of :func:`weak_field_score` from op's const, x and d
+    fields and the products xd_w[i] = xd @ vecs[i], dd_w[i] = dd @ vecs[i]
+    (None for an absent field); op's own x-d and d-d fields are not read."""
+    dt = op.grid.dt
+    vals = [abs(op.const)]
+    for u in vecs:
+        if op.x is not None:
+            vals.append(abs(float(op.x @ u)) / dt)
+        if op.d is not None:
+            vals.append(abs(float(op.d @ u)))
+        for i in range(len(vecs)):
+            if xd_w is not None:
+                vals.append(abs(float(u @ xd_w[i])) / dt)
+            if dd_w is not None:
+                vals.append(abs(float(u @ dd_w[i])))
+    return float(np.max(vals))
+
+
 def weak_field_score(op: BosonOperator, probes) -> float:
     """Max matrix element of op between smooth degree <= 2 probe functionals.
 
@@ -350,35 +381,68 @@ def weak_field_score(op: BosonOperator, probes) -> float:
     The products xd @ w and dd @ w are formed once per probe w and reused
     for every left probe u.
     """
-    ns = op.grid.nslots
-    dt = op.grid.dt
-    vals = [abs(op.const)]
-    vecs = []
-    for k, prof in probes:
-        v = np.zeros(op.nvar)
-        v[(k - 1) * ns : k * ns] = prof * dt
-        vecs.append(v)
+    vecs = _probe_vectors(op.grid, op.k_max, probes)
     xd_w = [op.xd @ w for w in vecs] if op.xd is not None else None
     dd_w = [op.dd @ w for w in vecs] if op.dd is not None else None
-    for u in vecs:
-        if op.x is not None:
-            vals.append(abs(float(op.x @ u)) / dt)
-        if op.d is not None:
-            vals.append(abs(float(op.d @ u)))
-        for i in range(len(vecs)):
-            if xd_w is not None:
-                vals.append(abs(float(u @ xd_w[i])) / dt)
-            if dd_w is not None:
-                vals.append(abs(float(u @ dd_w[i])))
-    return float(np.max(vals))
+    return _probe_score(op, vecs, xd_w, dd_w)
 
 
-def _relation_report(name, lhs, rhs_displayed, probes):
-    rhs = BRACKET_ORIENTATION * rhs_displayed
-    diff = lhs - rhs
-    resid = weak_field_score(diff, probes)
-    scale = float(np.max([weak_field_score(lhs, probes), weak_field_score(rhs, probes), 1e-30]))
-    return {"relation": name, "residual": resid, "scale": scale, "relative": resid / scale}
+class _Probed:
+    """An operator as the weak score reads it: ``op`` holds its const, x and
+    d fields, and ``xd_v``, ``dd_v`` its x-d and d-d fields times the probe
+    matrix, shape (nvar, n probes), or None for an absent field.  Sums and
+    scalar multiples act field by field, as on :class:`BosonOperator`."""
+
+    __slots__ = ("op", "xd_v", "dd_v")
+
+    def __init__(self, op: BosonOperator, xd_v=None, dd_v=None):
+        self.op, self.xd_v, self.dd_v = op, xd_v, dd_v
+
+    @classmethod
+    def of(cls, op: BosonOperator, vmat: np.ndarray):
+        """A built operator read through the probe matrix vmat."""
+        aff = BosonOperator(op.grid, op.k_max)
+        aff.const, aff.x, aff.d = op.const, op.x, op.d
+        prod = lambda m: None if m is None else m @ vmat
+        return cls(aff, prod(op.xd), prod(op.dd))
+
+    def __add__(self, other):
+        add = lambda a, b: b if a is None else a if b is None else a + b
+        return _Probed(self.op + other.op, add(self.xd_v, other.xd_v), add(self.dd_v, other.dd_v))
+
+    def __sub__(self, other):
+        return self + (-1.0) * other
+
+    def __mul__(self, scalar):
+        mul_ = lambda a: None if a is None else a * scalar
+        return _Probed(scalar * self.op, mul_(self.xd_v), mul_(self.dd_v))
+
+    __rmul__ = __mul__
+
+    def score(self, vecs) -> float:
+        rows = lambda a: None if a is None else np.ascontiguousarray(a.T)
+        return _probe_score(self.op, vecs, rows(self.xd_v), rows(self.dd_v))
+
+
+class _Probes:
+    """The probe vectors of one (grid, mode_int), kept as a list, read one at
+    a time as :func:`weak_field_score` reads them, and as the columns of
+    ``vmat``, which each operator field multiplies once."""
+
+    def __init__(self, grid: TimeGrid, k_max: int, mode_int: int):
+        self.vecs = _probe_vectors(grid, k_max, weak_probe_profiles(grid, mode_int))
+        self.vmat = np.stack(self.vecs, axis=1)
+
+    def bracket(self, a: BosonOperator, b: BosonOperator) -> _Probed:
+        """[a, b] read through the probes (:func:`commutator_probed`)."""
+        return _Probed(*commutator_probed(a, b, self.vmat))
+
+    def report(self, name, lhs: _Probed, rhs_displayed: BosonOperator) -> dict:
+        """Residual and scale of lhs ~ BRACKET_ORIENTATION * rhs_displayed."""
+        rhs = BRACKET_ORIENTATION * _Probed.of(rhs_displayed, self.vmat)
+        resid = (lhs - rhs).score(self.vecs)
+        scale = float(np.max([lhs.score(self.vecs), rhs.score(self.vecs), 1e-30]))
+        return {"relation": name, "residual": resid, "scale": scale, "relative": resid / scale}
 
 
 def _family_member(family, kind, v_power, label, fn, pot, n_particles, grid, k_max, ktable):
@@ -407,6 +471,8 @@ def verify_sv_algebra_quadratic(f, g, pot, n_particles, grid, k_max, mode_int, k
         [A_1[f], A_z[g]]  ~ quadratic target with label f''g - f'g'/2
         [A_1[f], A_1[g]]  ~ 0,
     all with the realization's bracket orientation (BRACKET_ORIENTATION).
+    Each bracket is scored through its products with the probe vectors
+    (:func:`commutator_probed`), so no nvar x nvar bracket is formed.
     Returns a list of per-relation residual dicts.
 
     ``family`` holds the family members A_v[f], A_v[g], A_v^lin[f] and
@@ -420,7 +486,7 @@ def verify_sv_algebra_quadratic(f, g, pot, n_particles, grid, k_max, mode_int, k
     if ktable is None:
         ktable = kernel_table(pot, grid, k_max)
     family = {} if family is None else family
-    probes = weak_probe_profiles(grid, mode_int)
+    probes = _Probes(grid, k_max, mode_int)
     fns = {"f": f, "g": g}
     mk = lambda v, label: _family_member(family, "quadr", v, label, fns[label], pot, n_particles, grid, k_max, ktable)
     a1f, a1g = mk(0, "f"), mk(0, "g")
@@ -429,14 +495,16 @@ def verify_sv_algebra_quadratic(f, g, pot, n_particles, grid, k_max, mode_int, k
     out = []
     h = f.deriv(1) * g - f * g.deriv(1)
     target = 4.0 * quadr_family_op(1, 0.5 * h, pot, n_particles, grid, k_max, ktable)
-    out.append(_relation_report("quadr [0,0] -> 0-type", commutator(azf, azg), target, probes))
+    out.append(probes.report("quadr [0,0] -> 0-type", probes.bracket(azf, azg), target))
+    del target
 
     h2 = f.deriv(2) * g - 0.5 * (f.deriv(1) * g.deriv(1))
     target2 = 2.0 * quadr_core(0, h2.deriv(1), h2, pot, n_particles, grid, k_max, ktable)
-    out.append(_relation_report("quadr [-1,0] -> -1-type", commutator(a1f, azg), target2, probes))
+    out.append(probes.report("quadr [-1,0] -> -1-type", probes.bracket(a1f, azg), target2))
+    del target2
 
     zero = BosonOperator(grid, k_max)
-    out.append(_relation_report("quadr [-1,-1] -> 0", commutator(a1f, a1g), zero, probes))
+    out.append(probes.report("quadr [-1,-1] -> 0", probes.bracket(a1f, a1g), zero))
     return out
 
 
@@ -456,19 +524,20 @@ def verify_sv_algebra_linear(f, g, pot, n_particles, grid, k_max, mode_int, ktab
     if ktable is None:
         ktable = kernel_table(pot, grid, k_max)
     family = {} if family is None else family
-    probes = weak_probe_profiles(grid, mode_int)
+    probes = _Probes(grid, k_max, mode_int)
+    bracket = probes.bracket
     fns = {"f": f, "g": g}
     mkq = lambda v, label: _family_member(family, "quadr", v, label, fns[label], pot, n_particles, grid, k_max, ktable)
     mkl = lambda v, label: _family_member(family, "lin", v, label, fns[label], pot, n_particles, grid, k_max, ktable)
 
     out = []
     h = f.deriv(1) * g - f * g.deriv(1)
-    lhs = commutator(mkl(1, "f"), mkq(1, "g")) - commutator(mkl(1, "g"), mkq(1, "f"))
+    lhs = bracket(mkl(1, "f"), mkq(1, "g")) - bracket(mkl(1, "g"), mkq(1, "f"))
     target = lin_core(1, 2.0 * h.deriv(3), 2.0 * h.deriv(1), pot, n_particles, grid, k_max, ktable)
-    out.append(_relation_report("linear [0,0] -> 0-type", lhs, target, probes))
+    out.append(probes.report("linear [0,0] -> 0-type", lhs, target))
 
     h2 = f.deriv(2) * g - 0.5 * (f.deriv(1) * g.deriv(1))
-    lhs2 = commutator(mkl(0, "f"), mkq(1, "g")) - commutator(mkl(1, "f"), mkq(0, "g"))
+    lhs2 = bracket(mkl(0, "f"), mkq(1, "g")) - bracket(mkl(1, "f"), mkq(0, "g"))
     target2 = 2.0 * lin_core(0, h2.deriv(2), h2, pot, n_particles, grid, k_max, ktable)
     # The mixed-weight bracket retains a total-derivative-labelled mode
     # extraction that the u = v cases kill (there it pairs with the conserved
@@ -477,15 +546,15 @@ def verify_sv_algebra_linear(f, g, pot, n_particles, grid, k_max, mode_int, ktab
     # are reported; "corrected" is the one that trends to zero at O(dt).
     corr_label = f.deriv(3) * g.deriv(1) - f.deriv(1) * g.deriv(3)
     target2_corr = target2 - lin_core(0, corr_label, TimePoly([0.0]), pot, n_particles, grid, k_max, ktable)
-    rep_stated = _relation_report("linear [-1,0] -> -1-type (as stated)", lhs2, target2, probes)
-    rep_corr = _relation_report("linear [-1,0] -> -1-type", lhs2, target2_corr, probes)
+    rep_stated = probes.report("linear [-1,0] -> -1-type (as stated)", lhs2, target2)
+    rep_corr = probes.report("linear [-1,0] -> -1-type", lhs2, target2_corr)
     rep_corr["as_stated_residual"] = rep_stated["residual"]
     rep_corr["as_stated_relative"] = rep_stated["relative"]
     out.append(rep_corr)
 
-    lhs3 = commutator(mkl(0, "f"), mkq(0, "g")) - commutator(mkl(0, "g"), mkq(0, "f"))
+    lhs3 = bracket(mkl(0, "f"), mkq(0, "g")) - bracket(mkl(0, "g"), mkq(0, "f"))
     zero = BosonOperator(grid, k_max)
-    out.append(_relation_report("linear [-1,-1] -> 0", lhs3, zero, probes))
+    out.append(probes.report("linear [-1,-1] -> 0", lhs3, zero))
     return out
 
 

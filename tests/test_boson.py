@@ -10,6 +10,7 @@ from coulombgas.boson import (
     TimeGrid,
     apply,
     commutator,
+    commutator_probed,
     dynamic_boson,
     kernel_table,
     normal_ordered_quadratic,
@@ -151,6 +152,53 @@ def test_commutator_canonical_rules():
     lhs = apply(commutator(op1, op2), f)
     rhs = apply(op1, apply(op2, f)) + (-1.0) * apply(op2, apply(op1, f))
     assert lhs.max_abs_diff(rhs) < 1e-12
+
+
+CUBIC = TruncSeries.from_dict({0: 0.7, 1: -1.3, 2: 0.4, 3: 0.25})
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["a-b", "b-a"])
+def test_commutator_probed_matches_dense_products(swap):
+    """commutator_probed keeps commutator's const, x and d bits, and its x-d
+    and d-d fields equal the dense ones times the probe vectors up to
+    rounding.  Both operands carry all five fields, so every product term of
+    both fields is taken."""
+    pot = Potential(1.0, {1: 0.5, 2: 0.3})
+    tab = kernel_table(pot, GRID, 5)
+    a = normal_ordered_quadratic("dynamic", CUBIC, 4, pot, 3.0, GRID, 5, tab)
+    b = normal_ordered_quadratic("dynamic", 0.6 * CUBIC, 2, pot, 3.0, GRID, 5, tab) + 0.7 * time_derivation(bump(0.0, 0.6, 2), GRID, 5)
+    a, b = (b, a) if swap else (a, b)
+    for op in (a, b):
+        assert op.const != 0.0 and all(np.any(getattr(op, f)) for f in ("x", "d", "xd", "dd"))
+    vecs = np.random.default_rng(5).standard_normal((a.nvar, 4))
+    dense = commutator(a, b)
+    op, xd_v, dd_v = commutator_probed(a, b, vecs)
+    assert op.const == dense.const and op.xd is None and op.dd is None
+    assert np.array_equal(op.x, dense.x) and np.array_equal(op.d, dense.d)
+    for got, field in ((xd_v, dense.xd), (dd_v, dense.dd)):
+        want = field @ vecs
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_commutator_probed_absent_fields():
+    """Where commutator leaves x-d or d-d None, so do the probe products."""
+    a, b = static_boson(2, 3, 2.0, GRID, 4), static_boson(-2, 3, 2.0, GRID, 4)
+    op, xd_v, dd_v = commutator_probed(a, b, np.ones((a.nvar, 2)))
+    assert op.const == commutator(a, b).const != 0.0
+    assert xd_v is None and dd_v is None
+
+
+def test_field_max_abs_empty_mask_reads_const():
+    """A mask that selects no variable leaves |const|; a nan in a selected
+    entry still propagates."""
+    op = normal_ordered_quadratic("dynamic", CUBIC, 4, HERMITE2, 3.0, GRID, 4)
+    empty = op.interior_mask(0, 0, GRID.steps)
+    assert not empty.any() and op.const != 0.0
+    assert op.field_max_abs(empty) == abs(op.const)
+    op.d[op.vid(1, 2)] = np.nan
+    assert op.field_max_abs(empty) == abs(op.const)
+    assert math.isnan(op.field_max_abs())
+    assert math.isnan(op.field_max_abs(op.interior_mask(1, 0, GRID.steps)))
 
 
 # ------------------------------------------------------------- field modes

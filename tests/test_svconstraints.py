@@ -7,6 +7,7 @@ from coulombgas.boson import BosonOperator, TimeGrid, commutator, kernel_table, 
 from coulombgas.fseries import TruncSeries
 from coulombgas.kernel import Potential
 from coulombgas.svconstraints import (
+    BRACKET_ORIENTATION,
     ConstraintOp,
     build_dynamical_constraint,
     constraint_functional,
@@ -17,9 +18,13 @@ from coulombgas.svconstraints import (
     hermite_pieces_total_operator,
     integrated_psi_weight,
     lin_core,
+    lin_family_op,
     quadr_core,
+    quadr_family_op,
     verify_sv_algebra_linear,
     verify_sv_algebra_quadratic,
+    weak_field_score,
+    weak_probe_profiles,
 )
 from coulombgas.timefunc import TimePoly, bump, poly_t
 
@@ -261,12 +266,13 @@ def test_sv_algebra_shared_family_builds_each_member_once(monkeypatch):
 
 
 #: Every report of both checks at TimeGrid(0.05, 20), k_max 6, mode_int 4,
-#: N = 5, as the checks computed them when each built its own members.
+#: N = 5, as the checks compute them, each bracket read through its probe
+#: products.
 SV_ALGEBRA_PINNED = {
     "hermite": [
-        {"relation": "quadr [0,0] -> 0-type", "residual": 1.290009068145383, "scale": 8.875976482936872, "relative": 0.14533714353854918},
+        {"relation": "quadr [0,0] -> 0-type", "residual": 1.290009068145375, "scale": 8.875976482936872, "relative": 0.14533714353854826},
         {"relation": "quadr [-1,0] -> -1-type", "residual": 13.194489258367676, "scale": 56.0757904943931, "relative": 0.23529742767847323},
-        {"relation": "quadr [-1,-1] -> 0", "residual": 2.594591015279247, "scale": 2.594591015279247, "relative": 1.0},
+        {"relation": "quadr [-1,-1] -> 0", "residual": 2.594591015279244, "scale": 2.594591015279244, "relative": 1.0},
         {"relation": "linear [0,0] -> 0-type", "residual": 7.32532830298798, "scale": 11.334157572654618, "relative": 0.6463054934635328},
         {
             "relation": "linear [-1,0] -> -1-type",
@@ -279,9 +285,9 @@ SV_ALGEBRA_PINNED = {
         {"relation": "linear [-1,-1] -> 0", "residual": 201.93941013274082, "scale": 201.93941013274082, "relative": 1.0},
     ],
     "generic": [
-        {"relation": "quadr [0,0] -> 0-type", "residual": 1.8414563525714422, "scale": 9.789105363728094, "relative": 0.18811283402818946},
+        {"relation": "quadr [0,0] -> 0-type", "residual": 1.8414563525714391, "scale": 9.789105363728092, "relative": 0.18811283402818918},
         {"relation": "quadr [-1,0] -> -1-type", "residual": 13.248393230234234, "scale": 130.94107346027295, "relative": 0.10117828485844627},
-        {"relation": "quadr [-1,-1] -> 0", "residual": 3.0010587264525013, "scale": 3.0010587264525013, "relative": 1.0},
+        {"relation": "quadr [-1,-1] -> 0", "residual": 3.001058726452497, "scale": 3.001058726452497, "relative": 1.0},
         {"relation": "linear [0,0] -> 0-type", "residual": 8.550792172288883, "scale": 12.56227031815239, "relative": 0.6806725182416311},
         {
             "relation": "linear [-1,0] -> -1-type",
@@ -310,6 +316,81 @@ def test_sv_algebra_reports_pinned(name, shared):
     reps = verify_sv_algebra_quadratic(f, g, pot, 5.0, grid, 6, mode_int=4, ktable=tab, **shared_family)
     reps += verify_sv_algebra_linear(f, g, pot, 5.0, grid, 6, mode_int=4, ktable=tab, **shared_family)
     assert reps == SV_ALGEBRA_PINNED[name]
+
+
+def _dense_sv_reports(f, g, pot, n_particles, grid, k_max, mode_int):
+    """Test-only oracle: the reports of both checks from dense brackets, as
+    ``commutator``, ``lhs - rhs`` and ``weak_field_score`` on whole operators."""
+    tab = kernel_table(pot, grid, k_max)
+    probes = weak_probe_profiles(grid, mode_int)
+    mkq = lambda v, fn: quadr_family_op(v, fn, pot, n_particles, grid, k_max, tab)
+    mkl = lambda v, fn: lin_family_op(v, fn, pot, n_particles, grid, k_max, tab)
+
+    def report(name, lhs, rhs_displayed):
+        rhs = BRACKET_ORIENTATION * rhs_displayed
+        resid = weak_field_score(lhs - rhs, probes)
+        scale = max(weak_field_score(lhs, probes), weak_field_score(rhs, probes), 1e-30)
+        return {"relation": name, "residual": resid, "scale": scale}
+
+    h = f.deriv(1) * g - f * g.deriv(1)
+    h2 = f.deriv(2) * g - 0.5 * (f.deriv(1) * g.deriv(1))
+    zero = BosonOperator(grid, k_max)
+    lin_target2 = 2.0 * lin_core(0, h2.deriv(2), h2, pot, n_particles, grid, k_max, tab)
+    corr = lin_core(0, f.deriv(3) * g.deriv(1) - f.deriv(1) * g.deriv(3), TimePoly([0.0]), pot, n_particles, grid, k_max, tab)
+    lhs2 = commutator(mkl(0, f), mkq(1, g)) - commutator(mkl(1, f), mkq(0, g))
+    mixed = report("linear [-1,0] -> -1-type", lhs2, lin_target2 - corr)
+    mixed["as_stated_residual"] = report("", lhs2, lin_target2)["residual"]
+    return [
+        report("quadr [0,0] -> 0-type", commutator(mkq(1, f), mkq(1, g)), 4.0 * quadr_family_op(1, 0.5 * h, pot, n_particles, grid, k_max, tab)),
+        report("quadr [-1,0] -> -1-type", commutator(mkq(0, f), mkq(1, g)), 2.0 * quadr_core(0, h2.deriv(1), h2, pot, n_particles, grid, k_max, tab)),
+        report("quadr [-1,-1] -> 0", commutator(mkq(0, f), mkq(0, g)), zero),
+        report(
+            "linear [0,0] -> 0-type",
+            commutator(mkl(1, f), mkq(1, g)) - commutator(mkl(1, g), mkq(1, f)),
+            lin_core(1, 2.0 * h.deriv(3), 2.0 * h.deriv(1), pot, n_particles, grid, k_max, tab),
+        ),
+        mixed,
+        report("linear [-1,-1] -> 0", commutator(mkl(0, f), mkq(0, g)) - commutator(mkl(0, g), mkq(0, f)), zero),
+    ]
+
+
+@pytest.mark.parametrize("name", ["hermite", "generic"])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-family", "own-family"])
+def test_sv_algebra_probe_form_matches_dense_reference(name, shared):
+    """The checks read each bracket through its probe products; the dense
+    brackets give the same residuals and scales up to rounding."""
+    pot = {"hermite": HERMITE2, "generic": Potential(2.0, {1: 0.5, 2: 0.3})}[name]
+    grid = TimeGrid(0.04, 25)
+    f = bump(0.0, 1.0, 4)
+    g = bump(0.0, 1.0, 4) * poly_t(1)
+    shared_family = {"family": {}} if shared else {}
+    reps = verify_sv_algebra_quadratic(f, g, pot, 5.0, grid, 7, mode_int=5, **shared_family)
+    reps += verify_sv_algebra_linear(f, g, pot, 5.0, grid, 7, mode_int=5, **shared_family)
+    want = _dense_sv_reports(f, g, pot, 5.0, grid, 7, 5)
+    assert [r["relation"] for r in reps] == [w["relation"] for w in want]
+    for got, ref in zip(reps, want):
+        for key, value in ref.items():
+            if key != "relation":
+                assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), (ref["relation"], key)
+
+
+def test_sv_algebra_quadratic_peak_memory():
+    """The check holds its four family members and one target at a time,
+    with no lhs - rhs or scaled-target copy: at the fine default grid (808
+    variables) it peaks well below the ~52 MB of the dense lhs - rhs path."""
+    import tracemalloc
+
+    grid = TimeGrid(0.01, 100)
+    f = bump(0.0, 1.0, 4)
+    g = f * poly_t(1)
+    tab = kernel_table(HERMITE2, grid, 8)
+    tracemalloc.start()
+    try:
+        verify_sv_algebra_quadratic(f, g, HERMITE2, 5, grid, 8, mode_int=6, ktable=tab, family={})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 47e6, peak
 
 
 def test_sv_algebra_truncation_independence():
