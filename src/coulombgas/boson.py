@@ -483,11 +483,11 @@ def accumulate_quadratic(
     The multiplier-derivative rows are written as one block per mode pair
     over all slots: the multiplier at slot j owns its x-d row, so no sum
     crosses slots there.  Each derivative mode's Toeplitz view of the kernel
-    is taken once per call; live slots without a gap take their block as
-    one row slice, added in place.  The scalar, d-linear and d-d pieces do
-    sum across slots and are added slot by slot, in slot order.  Every
-    entry receives the same additions in the same order as a slot-by-slot
-    build.
+    is taken once per call, and each dynamic block is added in place into
+    the row slice of the slots from the first to the last live one.  The
+    scalar, d-linear and d-d pieces do sum across slots and are added slot
+    by slot, in slot order.  Every entry receives the same additions in the
+    same order as a slot-by-slot build.
     """
     if field not in ("static", "dynamic"):
         raise ValueError("field must be 'static' or 'dynamic'")
@@ -539,12 +539,16 @@ def accumulate_quadratic(
                 xd_pairs.append((-min(m, n), max(m, n)))
         powers.append((up, xd_pairs, slot_pairs))
 
-    # live slots lo..hi-1 without a gap: each dynamic block is one row slice
+    # the dynamic x-d rows of slots lo..hi-1 are written as one row slice; a
+    # slot between live ones takes scale 0 and so adds only zeros to its row
     lo, hi = int(slots[0]), int(slots[-1]) + 1
-    contiguous = hi - lo == slots.size
+    row_scales = scales
+    if field == "dynamic":
+        row_scales = np.zeros(hi - lo)
+        row_scales[slots - lo] = scales
     toeps, buf = {}, None
     for up, xd_pairs, _ in powers:
-        ups = up * scales
+        ups = up * row_scales
         for mult, der in xd_pairs:
             base = (mult - 1) * ns
             c = ups * mult
@@ -556,15 +560,9 @@ def accumulate_quadratic(
                 # lower-triangular Toeplitz view of each kernel column, taken per l
                 padded = np.concatenate((ktable[::-1, der, 1:].T, np.zeros((k_max, ns - 1))), axis=1)
                 toeps[der] = sliding_window_view(padded, ns, axis=1)[:, ::-1].transpose(1, 0, 2)
-            toep = toeps[der]
-            if contiguous:
-                buf = np.empty((hi - lo, k_max, ns)) if buf is None else buf
-                np.multiply(toep[lo:hi], c[:, None, None], out=buf)
-                op._ensure("xd")[base + lo : base + hi] += buf.reshape(hi - lo, op.nvar)
-                continue
-            block = toep[slots]
-            block *= c[:, None, None]
-            op.add_xd_block(base + slots, slice(None), block.reshape(slots.size, op.nvar))
+            buf = np.empty((hi - lo, k_max, ns)) if buf is None else buf
+            np.multiply(toeps[der][lo:hi], c[:, None, None], out=buf)
+            op._ensure("xd")[base + lo : base + hi] += buf.reshape(hi - lo, op.nvar)
 
     for j, scale in zip(slots.tolist(), scales):
         for up, _, slot_pairs in powers:
