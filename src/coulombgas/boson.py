@@ -37,6 +37,7 @@ __all__ = [
     "TimeGrid",
     "PolyFunctional",
     "BosonOperator",
+    "SlotField",
     "apply",
     "static_boson",
     "dynamic_boson",
@@ -46,6 +47,7 @@ __all__ = [
     "accumulate_quadratic",
     "time_derivation",
     "kernel_table",
+    "kernel_toeplitz",
 ]
 
 
@@ -127,18 +129,94 @@ class PolyFunctional:
         return float(np.max([abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) for k in keys], initial=0.0))
 
 
+def kernel_toeplitz(ktable: np.ndarray, k_max: int) -> np.ndarray:
+    """The read-only (k_max, ns, nvar) stack of the convolved derivative rows
+    T_d[j, (l-1) ns + j'] = K_{d,l}(t_j - t_j'), j' <= j (0 above): the basis
+    that the slot fields on one (potential, grid) share."""
+    ns = ktable.shape[0]
+    out = np.empty((k_max, ns, k_max * ns))
+    for d in range(1, k_max + 1):  # a lower-triangular Toeplitz view of each kernel column, per l
+        padded = np.concatenate((ktable[::-1, d, 1:].T, np.zeros((k_max, ns - 1))), axis=1)
+        out[d - 1] = sliding_window_view(padded, ns, axis=1)[:, ::-1].transpose(1, 0, 2).reshape(ns, -1)
+    out.flags.writeable = False
+    return out
+
+
+class SlotField:
+    """An x-d field sum E_m diag(coef[m-1, b, d-1]) B[b, d] (E_m: rows of mode
+    m) or d-d field (``sym``) sum B[b, m]^T diag(coef[m-1, b, n-1]) B[b, n]
+    over ns x nvar matrices: B[0, d] = T_d of ``basis`` (:func:`kernel_toeplitz`)
+    and B[b, d] selecting x[d, j + b - 2] (0 off the grid).  It acts on (nvar, q)
+    blocks through ``@`` and ``.T @`` as a dense field; + and * act on coef."""
+
+    __slots__ = ("basis", "sym", "coef", "adjoint")
+
+    def __init__(self, basis: np.ndarray, sym: bool, coef=None, adjoint=False):
+        k, ns = basis.shape[:2]
+        self.basis, self.sym, self.adjoint = basis, sym, adjoint
+        self.coef = np.zeros((k, 4, k, ns)) if coef is None else coef
+
+    def _rows(self, v):
+        """B[b, d] v for all b, d: shape (4, k_max, ns, q), one GEMM."""
+        vv = v.reshape(self.basis.shape[0], self.basis.shape[1], -1)
+        out = np.zeros((4,) + vv.shape)
+        out[0] = (self.basis.reshape(v.shape[0], -1) @ v).reshape(vv.shape)
+        out[1, :, 1:], out[2], out[3, :, :-1] = vv[:, :-1], vv, vv[:, 1:]
+        return out
+
+    def _cols(self, w):
+        """The sum of B[b, d]^T w[b, d] over b and d: shape (nvar, q), one GEMM."""
+        out = w[2].copy()
+        out[:, :-1] += w[1, :, 1:]
+        out[:, 1:] += w[3, :, :-1]
+        out = out.reshape(-1, w.shape[-1])
+        return out + self.basis.reshape(out.shape[0], -1).T @ w[0].reshape(out.shape)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """The field times v, shape (nvar, q)."""
+        if self.sym:
+            return self._cols(np.einsum("mbnj,bnjq->bmjq", self.coef, self._rows(v))).reshape(v.shape)
+        return np.einsum("mbdj,bdjq->mjq", self.coef, self._rows(v)).reshape(v.shape)
+
+    def apply_T(self, u: np.ndarray) -> np.ndarray:
+        """The transposed field times u, shape (nvar, q)."""
+        if self.sym:
+            return self.apply(u)
+        uu = u.reshape(self.basis.shape[0], self.basis.shape[1], -1)
+        return self._cols(np.einsum("mbdj,mjq->bdjq", self.coef, uu)).reshape(u.shape)
+
+    def __matmul__(self, v):
+        return self.apply_T(v) if self.adjoint else self.apply(v)
+
+    T = property(lambda self: SlotField(self.basis, self.sym, self.coef, not self.adjoint))
+
+    def copy(self):
+        return SlotField(self.basis, self.sym, self.coef.copy())
+
+    def __iadd__(self, other):
+        if other.basis is not self.basis or other.sym != self.sym:
+            raise ValueError("slot fields of different bases or kinds")
+        self.coef += other.coef
+        return self
+
+    def __mul__(self, scalar):
+        return SlotField(self.basis, self.sym, self.coef * scalar)
+
+
 class BosonOperator:
     """Canonical-form operator on :class:`PolyFunctional`.
 
     Fields are allocated lazily; nvar = k_max * (steps + 1).  Variable ids
-    follow vid(k, j) = (k-1) * nslots + j.
+    follow vid(k, j) = (k-1) * nslots + j.  The x-d and d-d fields are dense,
+    or :class:`SlotField` objects over ``basis`` (:func:`kernel_toeplitz`).
     """
 
-    __slots__ = ("grid", "k_max", "const", "x", "d", "xd", "dd")
+    __slots__ = ("grid", "k_max", "basis", "const", "x", "d", "xd", "dd")
 
-    def __init__(self, grid: TimeGrid, k_max: int):
+    def __init__(self, grid: TimeGrid, k_max: int, basis: np.ndarray | None = None):
         self.grid = grid
         self.k_max = k_max
+        self.basis = basis
         self.const = 0.0
         self.x = None
         self.d = None
@@ -173,7 +251,10 @@ class BosonOperator:
     def _ensure(self, name):
         if getattr(self, name) is None:
             n = self.nvar
-            setattr(self, name, np.zeros(n) if name in ("x", "d") else np.zeros((n, n)))
+            if name in ("x", "d") or self.basis is None:
+                setattr(self, name, np.zeros(n) if name in ("x", "d") else np.zeros((n, n)))
+            else:
+                setattr(self, name, SlotField(self.basis, name == "dd"))
         return getattr(self, name)
 
     # -- term builders ---------------------------------------------------
@@ -199,6 +280,17 @@ class BosonOperator:
     def add_xd_row(self, a, u_vids, vals):
         np.add.at(self._ensure("xd")[a], u_vids, vals)
 
+    def add_xd_rows(self, mult, b, der, lo, coef, basis=None):
+        """Add coef[i] times row lo + i of B[b, der] (:class:`SlotField`; T_der from ``basis``
+        for a dense field) to the x-d row of x[mult, lo + i]; slot lo + i + b - 2 is on the grid."""
+        xd, ns, rows = self._ensure("xd"), self.grid.nslots, np.arange(lo, lo + coef.size)
+        if self.basis is not None:
+            xd.coef[mult - 1, b, der - 1, rows] += coef
+        elif b == 0:
+            xd[(mult - 1) * ns + rows] += basis[der - 1, rows] * coef[:, None]
+        else:
+            xd[(mult - 1) * ns + rows, (der - 1) * ns + rows + b - 2] += coef
+
     def add_xd_block(self, rows, cols, vals):
         """xd[rows, cols] += vals for an index pair that names no entry twice."""
         self._ensure("xd")[rows, cols] += vals
@@ -216,7 +308,7 @@ class BosonOperator:
     # -- algebra ----------------------------------------------------------
 
     def copy(self):
-        out = BosonOperator(self.grid, self.k_max)
+        out = BosonOperator(self.grid, self.k_max, self.basis)
         out.const = self.const
         for f in ("x", "d", "xd", "dd"):
             v = getattr(self, f)
@@ -251,7 +343,7 @@ class BosonOperator:
         return self + (-1.0) * other
 
     def __mul__(self, scalar):
-        out = BosonOperator(self.grid, self.k_max)
+        out = BosonOperator(self.grid, self.k_max, self.basis)
         out.const = self.const * scalar
         for f in ("x", "d", "xd", "dd"):
             v = getattr(self, f)
@@ -482,12 +574,13 @@ def accumulate_quadratic(
 
     The multiplier-derivative rows are written as one block per mode pair
     over all slots: the multiplier at slot j owns its x-d row, so no sum
-    crosses slots there.  Each derivative mode's Toeplitz view of the kernel
-    is taken once per call, and each dynamic block is added in place into
-    the row slice of the slots from the first to the last live one.  The
-    scalar, d-linear and d-d pieces do sum across slots and are added slot
-    by slot, in slot order.  Every entry receives the same additions in the
-    same order as a slot-by-slot build.
+    crosses slots there.  Each block is one coefficient per slot, from the
+    first live slot to the last, of the rows of T_der (dynamic field) or of
+    the selection of mode der (static field, times 1/dt): a slot field (op
+    has a basis) keeps the coefficients, a dense field adds the scaled rows
+    in place.  The scalar, d-linear and d-d pieces do sum across slots and
+    are added slot by slot, in slot order.  Every dense entry receives the
+    same additions in the same order as a slot-by-slot build.
     """
     if field not in ("static", "dynamic"):
         raise ValueError("field must be 'static' or 'dynamic'")
@@ -502,7 +595,6 @@ def accumulate_quadratic(
     grid, k_max = op.grid, op.k_max
     if slots[0] < 0 or slots[-1] > grid.steps or np.any(np.diff(slots) <= 0):
         raise ValueError("slots must be increasing slots of the grid")
-    ns = grid.nslots
     beta = pot.beta
     sb = np.sqrt(beta)
     s0 = -sb * n_particles
@@ -539,30 +631,22 @@ def accumulate_quadratic(
                 xd_pairs.append((-min(m, n), max(m, n)))
         powers.append((up, xd_pairs, slot_pairs))
 
-    # the dynamic x-d rows of slots lo..hi-1 are written as one row slice; a
-    # slot between live ones takes scale 0 and so adds only zeros to its row
+    # the x-d rows of slots lo..hi-1 are added as one row slice per mode pair;
+    # a slot between live ones takes scale 0 and so adds only zeros to its row
     lo, hi = int(slots[0]), int(slots[-1]) + 1
-    row_scales = scales
-    if field == "dynamic":
-        row_scales = np.zeros(hi - lo)
-        row_scales[slots - lo] = scales
-    toeps, buf = {}, None
+    row_scales = np.zeros(hi - lo)
+    row_scales[slots - lo] = scales
+    basis = op.basis
+    if basis is None and field == "dynamic" and any(xd_pairs for _, xd_pairs, _ in powers):
+        basis = kernel_toeplitz(ktable, k_max)  # the rows a dense field adds
     for up, xd_pairs, _ in powers:
         ups = up * row_scales
         for mult, der in xd_pairs:
-            base = (mult - 1) * ns
             c = ups * mult
             if field == "static":
-                op.add_xd_block(base + slots, (der - 1) * ns + slots, c * (1.0 / grid.dt))
-                continue
-            if der not in toeps:
-                # toep[j, l-1, j'] = K_{der,l}(t_j - t_j') for j' <= j and 0 above: a
-                # lower-triangular Toeplitz view of each kernel column, taken per l
-                padded = np.concatenate((ktable[::-1, der, 1:].T, np.zeros((k_max, ns - 1))), axis=1)
-                toeps[der] = sliding_window_view(padded, ns, axis=1)[:, ::-1].transpose(1, 0, 2)
-            buf = np.empty((hi - lo, k_max, ns)) if buf is None else buf
-            np.multiply(toeps[der][lo:hi], c[:, None, None], out=buf)
-            op._ensure("xd")[base + lo : base + hi] += buf.reshape(hi - lo, op.nvar)
+                op.add_xd_rows(mult, 2, der, lo, c * (1.0 / grid.dt))
+            else:
+                op.add_xd_rows(mult, 0, der, lo, c, basis)
 
     for j, scale in zip(slots.tolist(), scales):
         for up, _, slot_pairs in powers:
@@ -577,10 +661,15 @@ def accumulate_quadratic(
                         op.add_d_vec(vids, up * s0 * sb * vals)
                     else:
                         op.add_x(op.vid(-other, j), up * s0 * abs(other) / sb)
-                else:
+                elif op.basis is None:
                     vu, au = deriv_vec(m, j)
                     vv, av = deriv_vec(n, j)
                     op.add_dd_block(vu, vv, up * beta * np.outer(au, av))
+                else:  # (up beta / 2)(u v^T + v u^T) with u, v rows j of B[b, m], B[b, n]
+                    b, w = (0, up * beta) if field == "dynamic" else (2, up * beta / grid.dt**2)
+                    coef = op._ensure("dd").coef
+                    coef[m - 1, b, n - 1, j] += w / 2.0
+                    coef[n - 1, b, m - 1, j] += w / 2.0
 
 
 def normal_ordered_quadratic(
@@ -602,28 +691,23 @@ def normal_ordered_quadratic(
     return op
 
 
-def time_derivation(f: TimePoly, grid: TimeGrid, k_max: int) -> BosonOperator:
+def time_derivation(f: TimePoly, grid: TimeGrid, k_max: int, basis: np.ndarray | None = None) -> BosonOperator:
     """Grid realization of the time derivation f(t) d/dt on functionals.
 
     Acts as sum_{k,j} f(t_j) (D x)[k, j] d/dx[k, j] with D the centered
     difference (one-sided at the ends).  Its commutator action reproduces
     both duality rules: on multiplier profiles it yields minus the discrete
     derivative of (f g), on derivative profiles minus f times the profile's
-    discrete derivative.
+    discrete derivative.  With a ``basis`` its x-d field is a slot field of
+    the selections B[s + 2, k], s = -1, 0, 1.
     """
-    op = BosonOperator(grid, k_max)
-    t = grid.times
-    fj = f(t)
+    op = BosonOperator(grid, k_max, basis)
     ns = grid.nslots
-    dmat = np.zeros((ns, ns))
-    for jj in range(1, ns - 1):
-        dmat[jj, jj + 1] = 0.5 / grid.dt
-        dmat[jj, jj - 1] = -0.5 / grid.dt
-    dmat[0, 1], dmat[0, 0] = 1.0 / grid.dt, -1.0 / grid.dt
-    dmat[ns - 1, ns - 1], dmat[ns - 1, ns - 2] = 1.0 / grid.dt, -1.0 / grid.dt
-    xd = op._ensure("xd")
-    block = (fj[None, :] * dmat.T)  # [j'', j] = f_j D[j, j'']
-    for k in range(1, k_max + 1):
-        sl = np.s_[(k - 1) * ns : k * ns]
-        xd[sl, sl] += block
+    dmat = (np.eye(ns, k=1) - np.eye(ns, k=-1)) * (0.5 / grid.dt)
+    dmat[0, :2] = -1.0 / grid.dt, 1.0 / grid.dt
+    dmat[-1, -2:] = -1.0 / grid.dt, 1.0 / grid.dt
+    fd = (f(grid.times)[:, None] * dmat).T  # [j'', j] = f_j D[j, j'']
+    for s in (-1, 0, 1):  # the x-d row of x[k, j''] reads x[k, j'' + s]
+        for k in range(1, k_max + 1):
+            op.add_xd_rows(k, s + 2, k, max(0, -s), np.diagonal(fd, s))
     return op

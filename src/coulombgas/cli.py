@@ -298,7 +298,7 @@ def run_sv_algebra(scn):
             reps += verify_sv_algebra_linear(
                 f, g, pot, scn["n_particles"], grid, scn["k_max"], mode_int=scn["interior_modes"], ktable=tab, family=family
             )
-            del family  # eight dense operators: free them before the next grid's are built
+            del family  # eight members and their shared kernel basis: free them before the next grid's are built
             for r in reps:
                 resid.setdefault(r["relation"], []).append(r["residual"])
                 rows.append((name, r["relation"], gspec["dt"], scn["k_max"], r["residual"], r["relative"]))

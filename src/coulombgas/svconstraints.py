@@ -42,6 +42,7 @@ from .boson import (
     commutator,
     commutator_probed,
     kernel_table,
+    kernel_toeplitz,
     time_derivation,
 )
 from .fseries import TruncSeries, differentiate, mul
@@ -181,20 +182,20 @@ def integrated_psi_weight(weight: TruncSeries, coeffs, pot, n_particles, grid, k
     return op
 
 
-def integrated_quadratic(field, weight, coeffs, pot, n_particles, grid, k_max, ktable, parts="full"):
+def integrated_quadratic(field, weight, coeffs, pot, n_particles, grid, k_max, ktable, parts="full", basis=None):
     """sum_j coeffs[j] dt * contour{ weight(z) :field(z, t_j)^2: dz }.
 
     One :func:`accumulate_quadratic` call assembles every slot with a
     nonzero coefficient (scale coeffs[j] dt); zero slots add nothing.
     """
-    op = BosonOperator(grid, k_max)
+    op = BosonOperator(grid, k_max, basis)
     coeffs = np.asarray(coeffs, dtype=float)
     slots = np.flatnonzero(coeffs != 0.0)
     accumulate_quadratic(op, field, weight, slots, coeffs[slots] * grid.dt, pot, n_particles, ktable, parts)
     return op
 
 
-def quadr_core(v_power, c_psi: TimePoly, c_mix: TimePoly, pot, n_particles, grid, k_max, ktable, parts="full"):
+def quadr_core(v_power, c_psi: TimePoly, c_mix: TimePoly, pot, n_particles, grid, k_max, ktable, parts="full", basis=None):
     """Non-differential quadratic family member with explicit coefficients:
 
         integral dt { -1/2 c_psi(t) [v :psi^2:] - 1/2 c_mix(t) [(vb)' :psi^2:
@@ -202,28 +203,29 @@ def quadr_core(v_power, c_psi: TimePoly, c_mix: TimePoly, pot, n_particles, grid
 
     The coefficients are polynomials, evaluated on the grid slots.  With
     parts="affine" only the scalar, x- and d-linear pieces of the quadratics
-    are built (see :func:`accumulate_quadratic`).
+    are built (see :func:`accumulate_quadratic`); ``basis`` as in :func:`quadr_family_op`.
     """
     t = grid.times
     cp = c_psi(t)
     cm = c_mix(t)
-    op = integrated_quadratic("dynamic", _v_series(v_power), -0.5 * cp, pot, n_particles, grid, k_max, ktable, parts)
-    op += integrated_quadratic(
-        "dynamic", weight_quadr_mix(pot, v_power), -0.5 * cm, pot, n_particles, grid, k_max, ktable, parts
-    )
-    op += integrated_quadratic("static", _v_series(v_power), -0.5 * cm, pot, n_particles, grid, k_max, ktable, parts)
+    args = (pot, n_particles, grid, k_max, ktable, parts, basis)
+    op = integrated_quadratic("dynamic", _v_series(v_power), -0.5 * cp, *args)
+    op += integrated_quadratic("dynamic", weight_quadr_mix(pot, v_power), -0.5 * cm, *args)
+    op += integrated_quadratic("static", _v_series(v_power), -0.5 * cm, *args)
     return op
 
 
-def quadr_family_op(v_power, f: TimePoly, pot, n_particles, grid, k_max, ktable):
+def quadr_family_op(v_power, f: TimePoly, pot, n_particles, grid, k_max, ktable, basis=None):
     """Complete quadratic family member A_v[f], differential part included.
 
     A_1[f] is the n = -1 quadratic integrand with label f'; A_z[f] is the
-    doubled-normalization n = 0 quadratic part, carrying -2 f d/dt.
+    doubled-normalization n = 0 quadratic part, carrying -2 f d/dt.  With a
+    ``basis`` (:func:`kernel_toeplitz` of ``ktable``) the x-d and d-d fields
+    are slot fields over it, the time derivation's included.
     """
-    op = quadr_core(v_power, f.deriv(2), f.deriv(1), pot, n_particles, grid, k_max, ktable)
+    op = quadr_core(v_power, f.deriv(2), f.deriv(1), pot, n_particles, grid, k_max, ktable, basis=basis)
     if v_power == 1:
-        op += (-2.0) * time_derivation(f, grid, k_max)
+        op += (-2.0) * time_derivation(f, grid, k_max, basis)
     return op
 
 
@@ -345,10 +347,11 @@ def _probe_vectors(grid: TimeGrid, k_max: int, probes) -> list:
     return vecs
 
 
-def _probe_score(op: BosonOperator, vecs, xd_w, dd_w) -> float:
+def _probe_score(op: BosonOperator, vecs, xd_p, dd_p) -> float:
     """The weak score of :func:`weak_field_score` from op's const, x and d
-    fields and the products xd_w[i] = xd @ vecs[i], dd_w[i] = dd @ vecs[i]
-    (None for an absent field); op's own x-d and d-d fields are not read."""
+    fields and the probe pairings xd_p[i, k] = vecs[i] . (xd vecs[k]), and
+    dd_p likewise (None for an absent field); op's own x-d and d-d fields
+    are not read."""
     dt = op.grid.dt
     vals = [abs(op.const)]
     for u in vecs:
@@ -356,11 +359,10 @@ def _probe_score(op: BosonOperator, vecs, xd_w, dd_w) -> float:
             vals.append(abs(float(op.x @ u)) / dt)
         if op.d is not None:
             vals.append(abs(float(op.d @ u)))
-        for i in range(len(vecs)):
-            if xd_w is not None:
-                vals.append(abs(float(u @ xd_w[i])) / dt)
-            if dd_w is not None:
-                vals.append(abs(float(u @ dd_w[i])))
+    if xd_p is not None:
+        vals.append(np.max(np.abs(xd_p)) / dt)
+    if dd_p is not None:
+        vals.append(np.max(np.abs(dd_p)))
     return float(np.max(vals))
 
 
@@ -378,70 +380,52 @@ def weak_field_score(op: BosonOperator, probes) -> float:
     so x and x-d pairings are read against the bare dual profile (one 1/dt
     relative to the probe vector).
 
-    The products xd @ w and dd @ w are formed once per probe w and reused
-    for every left probe u.
+    The products xd @ w and dd @ w are formed once per probe w and paired
+    with every left probe u one dot product at a time.
     """
     vecs = _probe_vectors(op.grid, op.k_max, probes)
-    xd_w = [op.xd @ w for w in vecs] if op.xd is not None else None
-    dd_w = [op.dd @ w for w in vecs] if op.dd is not None else None
-    return _probe_score(op, vecs, xd_w, dd_w)
-
-
-class _Probed:
-    """An operator as the weak score reads it: ``op`` holds its const, x and
-    d fields, and ``xd_v``, ``dd_v`` its x-d and d-d fields times the probe
-    matrix, shape (nvar, n probes), or None for an absent field.  Sums and
-    scalar multiples act field by field, as on :class:`BosonOperator`."""
-
-    __slots__ = ("op", "xd_v", "dd_v")
-
-    def __init__(self, op: BosonOperator, xd_v=None, dd_v=None):
-        self.op, self.xd_v, self.dd_v = op, xd_v, dd_v
-
-    @classmethod
-    def of(cls, op: BosonOperator, vmat: np.ndarray):
-        """A built operator read through the probe matrix vmat."""
-        aff = BosonOperator(op.grid, op.k_max)
-        aff.const, aff.x, aff.d = op.const, op.x, op.d
-        prod = lambda m: None if m is None else m @ vmat
-        return cls(aff, prod(op.xd), prod(op.dd))
-
-    def __add__(self, other):
-        add = lambda a, b: b if a is None else a if b is None else a + b
-        return _Probed(self.op + other.op, add(self.xd_v, other.xd_v), add(self.dd_v, other.dd_v))
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar):
-        mul_ = lambda a: None if a is None else a * scalar
-        return _Probed(scalar * self.op, mul_(self.xd_v), mul_(self.dd_v))
-
-    __rmul__ = __mul__
-
-    def score(self, vecs) -> float:
-        rows = lambda a: None if a is None else np.ascontiguousarray(a.T)
-        return _probe_score(self.op, vecs, rows(self.xd_v), rows(self.dd_v))
+    prods = {f: [getattr(op, f) @ w for w in vecs] for f in ("xd", "dd") if getattr(op, f) is not None}
+    pairs = {f: np.array([[u @ p for p in ps] for u in vecs]) for f, ps in prods.items()}
+    return _probe_score(op, vecs, pairs.get("xd"), pairs.get("dd"))
 
 
 class _Probes:
     """The probe vectors of one (grid, mode_int), kept as a list, read one at
     a time as :func:`weak_field_score` reads them, and as the columns of
-    ``vmat``, which each operator field multiplies once."""
+    ``vmat``, which each operator field multiplies once.
+
+    An operator read through the probes is a :class:`BosonOperator` whose
+    x-d and d-d fields hold that field times vmat, shape (nvar, n probes):
+    sums and scalar multiples then act field by field as on any operator."""
 
     def __init__(self, grid: TimeGrid, k_max: int, mode_int: int):
         self.vecs = _probe_vectors(grid, k_max, weak_probe_profiles(grid, mode_int))
         self.vmat = np.stack(self.vecs, axis=1)
 
-    def bracket(self, a: BosonOperator, b: BosonOperator) -> _Probed:
-        """[a, b] read through the probes (:func:`commutator_probed`)."""
-        return _Probed(*commutator_probed(a, b, self.vmat))
+    def of(self, op: BosonOperator) -> BosonOperator:
+        """A built operator read through the probes."""
+        out = BosonOperator(op.grid, op.k_max)
+        out.const, out.x, out.d = op.const, op.x, op.d
+        out.xd, out.dd = (None if m is None else m @ self.vmat for m in (op.xd, op.dd))
+        return out
 
-    def report(self, name, lhs: _Probed, rhs_displayed: BosonOperator) -> dict:
-        """Residual and scale of lhs ~ BRACKET_ORIENTATION * rhs_displayed."""
-        rhs = BRACKET_ORIENTATION * _Probed.of(rhs_displayed, self.vmat)
-        resid = (lhs - rhs).score(self.vecs)
-        scale = float(np.max([lhs.score(self.vecs), rhs.score(self.vecs), 1e-30]))
+    def bracket(self, a: BosonOperator, b: BosonOperator) -> BosonOperator:
+        """[a, b] read through the probes (:func:`commutator_probed`)."""
+        out, xd_v, dd_v = commutator_probed(a, b, self.vmat)
+        out.xd, out.dd = xd_v, dd_v
+        return out
+
+    def score(self, op: BosonOperator) -> float:
+        """The weak score of an operator read through the probes, each field's
+        probe pairings from one GEMM."""
+        pairings = lambda m: None if m is None else self.vmat.T @ m
+        return _probe_score(op, self.vecs, pairings(op.xd), pairings(op.dd))
+
+    def report(self, name, lhs: BosonOperator, rhs_displayed: BosonOperator) -> dict:
+        """Residual and scale of lhs (read through the probes) ~ BRACKET_ORIENTATION * rhs_displayed."""
+        rhs = BRACKET_ORIENTATION * self.of(rhs_displayed)
+        resid = self.score(lhs - rhs)
+        scale = float(np.max([self.score(lhs), self.score(rhs), 1e-30]))
         return {"relation": name, "residual": resid, "scale": scale, "relative": resid / scale}
 
 
@@ -449,16 +433,23 @@ def _family_member(family, kind, v_power, label, fn, pot, n_particles, grid, k_m
     """A_v[fn] (kind "quadr") or A_v^lin[fn] (kind "lin") for v = z^v_power,
     built on first use and kept in ``family`` under (kind, v_power, label).
 
-    The arrays of a kept operator are made read-only: the bracket checks only
-    read their operands, and a write would corrupt every later read."""
+    A quadratic member holds its x-d and d-d fields as slot fields over the
+    basis of the quadratic members already kept (a new :func:`kernel_toeplitz`
+    basis for the first); a linear member has no such field.  The arrays of
+    a kept operator, slot-field coefficients included, are made read-only:
+    the bracket checks only read their operands, and a write would corrupt
+    every later read."""
     key = (kind, v_power, label)
     if key not in family:
-        build = quadr_family_op if kind == "quadr" else lin_family_op
-        op = build(v_power, fn, pot, n_particles, grid, k_max, ktable)
+        if kind == "quadr":
+            basis = ([op.basis for op in family.values() if op.basis is not None] or [kernel_toeplitz(ktable, k_max)])[0]
+            op = quadr_family_op(v_power, fn, pot, n_particles, grid, k_max, ktable, basis)
+        else:
+            op = lin_family_op(v_power, fn, pot, n_particles, grid, k_max, ktable)
         for name in ("x", "d", "xd", "dd"):
             arr = getattr(op, name)
             if arr is not None:
-                arr.flags.writeable = False
+                getattr(arr, "coef", arr).flags.writeable = False
         family[key] = op
     return family[key]
 
@@ -471,9 +462,12 @@ def verify_sv_algebra_quadratic(f, g, pot, n_particles, grid, k_max, mode_int, k
         [A_1[f], A_z[g]]  ~ quadratic target with label f''g - f'g'/2
         [A_1[f], A_1[g]]  ~ 0,
     all with the realization's bracket orientation (BRACKET_ORIENTATION).
-    Each bracket is scored through its products with the probe vectors
-    (:func:`commutator_probed`), so no nvar x nvar bracket is formed.
-    Returns a list of per-relation residual dicts.
+    Every quadratic member and target holds its x-d and d-d fields as slot
+    fields over one :func:`kernel_toeplitz` basis, and each bracket is
+    scored through its products with the probe vectors
+    (:func:`commutator_probed`), so no nvar x nvar field other than that
+    basis, and no bracket, is formed.  Returns a list of per-relation
+    residual dicts.
 
     ``family`` holds the family members A_v[f], A_v[g], A_v^lin[f] and
     A_v^lin[g] (v = 1, z) of one (f, g, pot, n_particles, grid, k_max),
@@ -491,15 +485,16 @@ def verify_sv_algebra_quadratic(f, g, pot, n_particles, grid, k_max, mode_int, k
     mk = lambda v, label: _family_member(family, "quadr", v, label, fns[label], pot, n_particles, grid, k_max, ktable)
     a1f, a1g = mk(0, "f"), mk(0, "g")
     azf, azg = mk(1, "f"), mk(1, "g")
+    basis = a1f.basis
 
     out = []
     h = f.deriv(1) * g - f * g.deriv(1)
-    target = 4.0 * quadr_family_op(1, 0.5 * h, pot, n_particles, grid, k_max, ktable)
+    target = 4.0 * quadr_family_op(1, 0.5 * h, pot, n_particles, grid, k_max, ktable, basis)
     out.append(probes.report("quadr [0,0] -> 0-type", probes.bracket(azf, azg), target))
     del target
 
     h2 = f.deriv(2) * g - 0.5 * (f.deriv(1) * g.deriv(1))
-    target2 = 2.0 * quadr_core(0, h2.deriv(1), h2, pot, n_particles, grid, k_max, ktable)
+    target2 = 2.0 * quadr_core(0, h2.deriv(1), h2, pot, n_particles, grid, k_max, ktable, basis=basis)
     out.append(probes.report("quadr [-1,0] -> -1-type", probes.bracket(a1f, azg), target2))
     del target2
 
