@@ -97,8 +97,8 @@ class PolyFunctional:
         return (k - 1) * self.grid.nslots + j
 
     @classmethod
-    def constant(cls, grid, k_max, value=1.0):
-        return cls(grid, k_max, {(): value})
+    def constant(cls, grid, k_max):
+        return cls(grid, k_max, {(): 1.0})
 
     def copy(self):
         return PolyFunctional(self.grid, self.k_max, self.terms)

@@ -267,9 +267,10 @@ def run_boson_commutators(scn):
     tolerances={"ratio_low": 1.6, "ratio_high": 2.4, "runtime_s": 120.0, "mc_sigmas": 3.0},
 )
 def run_sv_algebra(scn):
-    from .boson import TimeGrid, kernel_table
+    from .boson import TimeGrid
     from .dyson import InitSpec, simulate_dbm
     from .svconstraints import (
+        BracketFamily,
         build_dynamical_constraint,
         constraint_functional,
         constraint_residual_mc,
@@ -290,14 +291,9 @@ def run_sv_algebra(scn):
             tmax = grid.dt * grid.steps
             f = bump(0.0, tmax, 4)
             g = f * poly_t(1)
-            tab = kernel_table(pot, grid, scn["k_max"])
-            family = {}  # the family members of this (potential, grid), built once for both checks
-            reps = verify_sv_algebra_quadratic(
-                f, g, pot, scn["n_particles"], grid, scn["k_max"], mode_int=scn["interior_modes"], ktable=tab, family=family
-            )
-            reps += verify_sv_algebra_linear(
-                f, g, pot, scn["n_particles"], grid, scn["k_max"], mode_int=scn["interior_modes"], ktable=tab, family=family
-            )
+            family = BracketFamily(f, g, pot, scn["n_particles"], grid, scn["k_max"], scn["interior_modes"])
+            reps = verify_sv_algebra_quadratic(family)
+            reps += verify_sv_algebra_linear(family)
             del family  # eight members and their shared kernel basis: free them before the next grid's are built
             for r in reps:
                 resid.setdefault(r["relation"], []).append(r["residual"])
@@ -829,10 +825,11 @@ NAMED_KEYS = {"potentials": None, "b": 1, "tau": 2}
 
 #: Lower bounds by key name, on its value or on each entry of its list.  The
 #: standard errors are the scatter across replicas or chains, so 2 are needed;
-#: np-brackets leaves out 10 grid points at each end and divides by eps; NP exponents start at -1.
+#: np-brackets leaves out 10 grid points at each end and divides by eps; NP exponents start at -1;
+#: the martingale densities S_k of moment_ks start at k = 1.
 BOUNDS = {"dt": (">", 0), "dts": (">", 0), "sigma": (">", 0), "t_max": (">", 0), "eps": (">", 0), "steps": (">=", 2), "replicas": (">=", 2)}
-BOUNDS |= {"chains": (">=", 2), "n_particles": (">=", 1), "threads": (">=", 1), "sweeps": (">=", 1), "grid_points": (">=", 20), "exponents": (">=", -1), "seed": (">=", 0)}
-BOUNDS |= dict.fromkeys(("beta", "times", "identity_times", "orders", "moment_ks", "modes", "pi1_times", "pi2_window"), (">=", 0))
+BOUNDS |= {"chains": (">=", 2), "n_particles": (">=", 1), "threads": (">=", 1), "sweeps": (">=", 1), "grid_points": (">=", 20), "exponents": (">=", -1), "seed": (">=", 0), "moment_ks": (">=", 1)}
+BOUNDS |= dict.fromkeys(("beta", "times", "identity_times", "orders", "modes", "pi1_times", "pi2_window"), (">=", 0))
 
 #: Upper bounds by key name, applied like BOUNDS.  The engine keys its noise
 #: with numpy.uint64(seed), and girsanov's second run uses seed + 1; the
@@ -903,9 +900,10 @@ VALUE_RULES = (
     (("kernel-identities",), lambda s: set(KERNEL_IDENTITY_POTENTIALS) <= set(s["potentials"]), f"potentials must name {', '.join(KERNEL_IDENTITY_POTENTIALS)}"),
     (("kernel-identities",), lambda s: len(s["times"]) >= 1, "times needs an entry: the kernel table is written at the last"),
     (("kernel-identities",), lambda s: len(s["identity_times"]) == 3 and s["identity_times"][0] > s["identity_times"][1] > s["identity_times"][2], "identity_times must be [t, t', t''] with t > t' > t''"),
-    (("kernel-identities", "boson-commutators", "sv-algebra"), lambda s: all(s["k_max"] >= _l_max(p) for p in s["potentials"].values()), "k_max must reach the force support L_max of every potential"),
+    (("kernel-identities", "boson-commutators"), lambda s: all(s["k_max"] >= _l_max(p) for p in s["potentials"].values()), "k_max must reach the force support L_max of every potential"),
     (("npoint",), lambda s: s["k_max"] >= _l_max(s), "k_max must reach the force support L_max of b"),
-    (("boson-commutators",), lambda s: s["grid"]["steps"] >= 3, "grid.steps must be >= 3: the checks pair slots steps - 1 and 2"),
+    (("boson-commutators",), lambda s: s["grid"]["steps"] >= 4, "grid.steps must be >= 4: the unequal-time checks pair slots steps - 1 and 2, which coincide at 3"),
+    (("sv-algebra",), lambda s: all(s["k_max"] >= max(2, 2 * _l_max(p)) for p in s["potentials"].values()), "k_max must be >= max(2, 2 L_max) for every potential: the linear family members' weights reach mode max(2, 2 L_max)"),
     (("sv-algebra",), lambda s: 1 <= s["interior_modes"] <= s["k_max"], "interior_modes must lie in 1..k_max"),
     (("sv-algebra",), lambda s: len(s["grids"]) >= 2, "grids needs two entries for the dt-halving ratio"),
     (("sv-algebra",), lambda s: math.isclose(2 * s["grids"][1]["dt"], s["grids"][0]["dt"]) and math.isclose(*(g["dt"] * g["steps"] for g in s["grids"][:2])), "grids[1] must halve the dt of grids[0] over the same span steps * dt: the bracket ratios read a dt-halving trend"),
@@ -987,6 +985,11 @@ def main(argv=None) -> int:
         return 2
     scn |= flags
     out_dir = Path(args.out or os.environ.get("COULOMBGAS_OUT", "reports"))
+    try:  # before the suite runs, so that an unusable path costs no computation
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: cannot create directory {out_dir}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
     from .dyson import RejectionRateError  # not at module level: keeps CLI start-up free of the engine import
 

@@ -66,8 +66,8 @@ class TruncSeries:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, lo=0, hi=0):
-        return cls(lo, hi, np.zeros(hi - lo + 1))
+    def zero(cls):
+        return cls(0, 0, np.zeros(1))
 
     @classmethod
     def monomial(cls, deg, coeff=1.0):
@@ -103,7 +103,7 @@ class TruncSeries:
             if v != 0.0:
                 yield self.lo + i, float(v)
 
-    def restrict(self, lo, hi, lo_exact=None, hi_exact=None) -> "TruncSeries":
+    def restrict(self, lo, hi) -> "TruncSeries":
         """Restrict (or zero-extend on exact sides) to [lo, hi]."""
         c = np.zeros(hi - lo + 1)
         a, b = max(lo, self.lo), min(hi, self.hi)
@@ -113,13 +113,7 @@ class TruncSeries:
             raise WindowOverflowError("extending below a truncated edge")
         if hi > self.hi and not self.hi_exact:
             raise WindowOverflowError("extending above a truncated edge")
-        return TruncSeries(
-            lo,
-            hi,
-            c,
-            self.lo_exact if lo_exact is None else lo_exact,
-            self.hi_exact if hi_exact is None else hi_exact,
-        )
+        return TruncSeries(lo, hi, c, self.lo_exact, self.hi_exact)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0

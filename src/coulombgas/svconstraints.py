@@ -54,6 +54,7 @@ __all__ = [
     "SECTION_FACTOR_L0",
     "equilibrium_virasoro_op",
     "build_dynamical_constraint",
+    "BracketFamily",
     "quadr_family_op",
     "lin_family_op",
     "verify_sv_algebra_quadratic",
@@ -429,32 +430,46 @@ class _Probes:
         return {"relation": name, "residual": resid, "scale": scale, "relative": resid / scale}
 
 
-def _family_member(family, kind, v_power, label, fn, pot, n_particles, grid, k_max, ktable):
-    """A_v[fn] (kind "quadr") or A_v^lin[fn] (kind "lin") for v = z^v_power,
-    built on first use and kept in ``family`` under (kind, v_power, label).
+class BracketFamily:
+    """The bracket family of one (f, g, potential, N, grid, k_max, interior
+    modes): its kernel table, its probes, and the eight members A_v[f],
+    A_v[g], A_v^lin[f] and A_v^lin[g] (v = 1, z) that
+    :func:`verify_sv_algebra_quadratic` and :func:`verify_sv_algebra_linear`
+    read, each built once, on first use.
 
-    A quadratic member holds its x-d and d-d fields as slot fields over the
-    basis of the quadratic members already kept (a new :func:`kernel_toeplitz`
-    basis for the first); a linear member has no such field.  The arrays of
-    a kept operator, slot-field coefficients included, are made read-only:
-    the bracket checks only read their operands, and a write would corrupt
-    every later read."""
-    key = (kind, v_power, label)
-    if key not in family:
-        if kind == "quadr":
-            basis = ([op.basis for op in family.values() if op.basis is not None] or [kernel_toeplitz(ktable, k_max)])[0]
-            op = quadr_family_op(v_power, fn, pot, n_particles, grid, k_max, ktable, basis)
-        else:
-            op = lin_family_op(v_power, fn, pot, n_particles, grid, k_max, ktable)
-        for name in ("x", "d", "xd", "dd"):
-            arr = getattr(op, name)
-            if arr is not None:
-                getattr(arr, "coef", arr).flags.writeable = False
-        family[key] = op
-    return family[key]
+    A quadratic member holds its x-d and d-d fields as slot fields over one
+    read-only :func:`kernel_toeplitz` basis, built with the first of them; a
+    linear member has no such field.  The arrays of a kept member, slot-field
+    coefficients included, are made read-only: the bracket checks only read
+    their operands, and a write would corrupt every later read."""
+
+    def __init__(self, f: TimePoly, g: TimePoly, pot: Potential, n_particles, grid: TimeGrid, k_max: int, mode_int: int):
+        self.f, self.g, self.grid, self.k_max = f, g, grid, k_max
+        self.ktable = kernel_table(pot, grid, k_max)
+        self.args = (pot, n_particles, grid, k_max, self.ktable)  # every family builder's arguments after its labels
+        self.probes = _Probes(grid, k_max, mode_int)
+        self.basis = None
+        self.members = {}
+
+    def member(self, kind: str, v_power: int, label: str) -> BosonOperator:
+        """A_v[label] (kind "quadr") or A_v^lin[label] (kind "lin") for
+        v = z^v_power and label "f" or "g"."""
+        key = (kind, v_power, label)
+        if key not in self.members:
+            fn = self.f if label == "f" else self.g
+            if kind == "quadr":
+                self.basis = kernel_toeplitz(self.ktable, self.k_max) if self.basis is None else self.basis
+                op = quadr_family_op(v_power, fn, *self.args, self.basis)
+            else:
+                op = lin_family_op(v_power, fn, *self.args)
+            for arr in (op.x, op.d, op.xd, op.dd):
+                if arr is not None:
+                    getattr(arr, "coef", arr).flags.writeable = False
+            self.members[key] = op
+        return self.members[key]
 
 
-def verify_sv_algebra_quadratic(f, g, pot, n_particles, grid, k_max, mode_int, ktable=None, family=None):
+def verify_sv_algebra_quadratic(family: BracketFamily):
     """Bracket relations among the quadratic family members.
 
     Checks, against smooth degree <= 2 probe functionals on interior modes:
@@ -463,47 +478,34 @@ def verify_sv_algebra_quadratic(f, g, pot, n_particles, grid, k_max, mode_int, k
         [A_1[f], A_1[g]]  ~ 0,
     all with the realization's bracket orientation (BRACKET_ORIENTATION).
     Every quadratic member and target holds its x-d and d-d fields as slot
-    fields over one :func:`kernel_toeplitz` basis, and each bracket is
-    scored through its products with the probe vectors
+    fields over the family's :func:`kernel_toeplitz` basis, and each bracket
+    is scored through its products with the probe vectors
     (:func:`commutator_probed`), so no nvar x nvar field other than that
     basis, and no bracket, is formed.  Returns a list of per-relation
     residual dicts.
-
-    ``family`` holds the family members A_v[f], A_v[g], A_v^lin[f] and
-    A_v^lin[g] (v = 1, z) of one (f, g, pot, n_particles, grid, k_max),
-    keyed by (kind, v_power, label) with kind "quadr" or "lin" and label "f"
-    or "g"; members it lacks are built into it.  This check and
-    :func:`verify_sv_algebra_linear` both read one family when given the
-    same dict, so each member is built once for the pair.  By default a
-    fresh dict is used.
     """
-    if ktable is None:
-        ktable = kernel_table(pot, grid, k_max)
-    family = {} if family is None else family
-    probes = _Probes(grid, k_max, mode_int)
-    fns = {"f": f, "g": g}
-    mk = lambda v, label: _family_member(family, "quadr", v, label, fns[label], pot, n_particles, grid, k_max, ktable)
+    f, g, probes = family.f, family.g, family.probes
+    mk = lambda v, label: family.member("quadr", v, label)
     a1f, a1g = mk(0, "f"), mk(0, "g")
     azf, azg = mk(1, "f"), mk(1, "g")
-    basis = a1f.basis
 
     out = []
     h = f.deriv(1) * g - f * g.deriv(1)
-    target = 4.0 * quadr_family_op(1, 0.5 * h, pot, n_particles, grid, k_max, ktable, basis)
+    target = 4.0 * quadr_family_op(1, 0.5 * h, *family.args, family.basis)
     out.append(probes.report("quadr [0,0] -> 0-type", probes.bracket(azf, azg), target))
     del target
 
     h2 = f.deriv(2) * g - 0.5 * (f.deriv(1) * g.deriv(1))
-    target2 = 2.0 * quadr_core(0, h2.deriv(1), h2, pot, n_particles, grid, k_max, ktable, basis=basis)
+    target2 = 2.0 * quadr_core(0, h2.deriv(1), h2, *family.args, basis=family.basis)
     out.append(probes.report("quadr [-1,0] -> -1-type", probes.bracket(a1f, azg), target2))
     del target2
 
-    zero = BosonOperator(grid, k_max)
+    zero = BosonOperator(family.grid, family.k_max)
     out.append(probes.report("quadr [-1,-1] -> 0", probes.bracket(a1f, a1g), zero))
     return out
 
 
-def verify_sv_algebra_linear(f, g, pot, n_particles, grid, k_max, mode_int, ktable=None, family=None):
+def verify_sv_algebra_linear(family: BracketFamily):
     """Cross-brackets of linear and quadratic family members.
 
     Checks (orientation as in the quadratic suite):
@@ -512,35 +514,30 @@ def verify_sv_algebra_linear(f, g, pot, n_particles, grid, k_max, mode_int, ktab
                                                       f''g - f'g'/2
         [A_1^lin[f], A_1[g]] - (f <-> g) ~ 0.
 
-    ``family`` is the family dict of :func:`verify_sv_algebra_quadratic`;
-    given the dict that check filled, this one reads its quadratic members
-    and builds only the linear ones.  By default a fresh dict is used.
+    Run after :func:`verify_sv_algebra_quadratic` on the same family, it
+    builds only the linear members.
     """
-    if ktable is None:
-        ktable = kernel_table(pot, grid, k_max)
-    family = {} if family is None else family
-    probes = _Probes(grid, k_max, mode_int)
+    f, g, probes, args = family.f, family.g, family.probes, family.args
     bracket = probes.bracket
-    fns = {"f": f, "g": g}
-    mkq = lambda v, label: _family_member(family, "quadr", v, label, fns[label], pot, n_particles, grid, k_max, ktable)
-    mkl = lambda v, label: _family_member(family, "lin", v, label, fns[label], pot, n_particles, grid, k_max, ktable)
+    mkq = lambda v, label: family.member("quadr", v, label)
+    mkl = lambda v, label: family.member("lin", v, label)
 
     out = []
     h = f.deriv(1) * g - f * g.deriv(1)
     lhs = bracket(mkl(1, "f"), mkq(1, "g")) - bracket(mkl(1, "g"), mkq(1, "f"))
-    target = lin_core(1, 2.0 * h.deriv(3), 2.0 * h.deriv(1), pot, n_particles, grid, k_max, ktable)
+    target = lin_core(1, 2.0 * h.deriv(3), 2.0 * h.deriv(1), *args)
     out.append(probes.report("linear [0,0] -> 0-type", lhs, target))
 
     h2 = f.deriv(2) * g - 0.5 * (f.deriv(1) * g.deriv(1))
     lhs2 = bracket(mkl(0, "f"), mkq(1, "g")) - bracket(mkl(1, "f"), mkq(0, "g"))
-    target2 = 2.0 * lin_core(0, h2.deriv(2), h2, pot, n_particles, grid, k_max, ktable)
+    target2 = 2.0 * lin_core(0, h2.deriv(2), h2, *args)
     # The mixed-weight bracket retains a total-derivative-labelled mode
     # extraction that the u = v cases kill (there it pairs with the conserved
     # zero mode and integrates away): the identity closes only after
     # subtracting  [(f'''g' - f'g''') against the z-mode of psi].  Both forms
     # are reported; "corrected" is the one that trends to zero at O(dt).
     corr_label = f.deriv(3) * g.deriv(1) - f.deriv(1) * g.deriv(3)
-    target2_corr = target2 - lin_core(0, corr_label, TimePoly([0.0]), pot, n_particles, grid, k_max, ktable)
+    target2_corr = target2 - lin_core(0, corr_label, TimePoly([0.0]), *args)
     rep_stated = probes.report("linear [-1,0] -> -1-type (as stated)", lhs2, target2)
     rep_corr = probes.report("linear [-1,0] -> -1-type", lhs2, target2_corr)
     rep_corr["as_stated_residual"] = rep_stated["residual"]
@@ -548,7 +545,7 @@ def verify_sv_algebra_linear(f, g, pot, n_particles, grid, k_max, mode_int, ktab
     out.append(rep_corr)
 
     lhs3 = bracket(mkl(0, "f"), mkq(0, "g")) - bracket(mkl(0, "g"), mkq(0, "f"))
-    zero = BosonOperator(grid, k_max)
+    zero = BosonOperator(family.grid, family.k_max)
     out.append(probes.report("linear [-1,-1] -> 0", lhs3, zero))
     return out
 
@@ -698,11 +695,13 @@ def hermite_lin_quadr_bracket(f, g, pot: Potential, n_particles, grid, k_max):
 def constraint_functional(cop: ConstraintOp) -> dict:
     """The order-tau^0 constraint residual as a :func:`simulate_dbm`
     functional: weights -dt d[l, j] on the action densities S_l(t_j), where
-    d is the derivative part of ``cop.total()``."""
+    d is the derivative part of ``cop.total()``.  A constraint without one
+    (a label whose derivatives vanish on every slot, as on a 2-step grid)
+    gives the zero functional."""
     op = cop.total()
     if op.dd is not None and np.any(op.dd):
         raise ValueError("the constraint has a second-derivative block, which the order-tau^0 functional does not carry")
-    w = op.d.reshape(op.k_max, op.grid.nslots)
+    w = () if op.d is None else op.d.reshape(op.k_max, op.grid.nslots)
     return {"s": {l: -op.grid.dt * wl for l, wl in enumerate(w, start=1) if np.any(wl)}}
 
 

@@ -108,9 +108,13 @@ OPERATOR_CONFIG_ERRORS = {
     "sv-algebra grid span changed": _mutated("sv-algebra", grids=[{"dt": 0.02, "steps": 50}, {"dt": 0.01, "steps": 50}]),
     "boson-commutators grid steps 1": _mutated("boson-commutators", grid__steps=1),
     "boson-commutators grid steps 2": _mutated("boson-commutators", grid__steps=2),
+    "boson-commutators grid steps 3": _mutated("boson-commutators", grid__steps=3),
     "boson-commutators k_max < force support": _mutated("boson-commutators", k_max=1),
     "kernel-identities k_max < force support": _mutated("kernel-identities", k_max=0),
     "sv-algebra constraint_mc k_max < force support": _mutated("sv-algebra", constraint_mc__k_max=0),
+    "sv-algebra hermite k_max 1": _mutated("sv-algebra", potentials={"hermite": {"beta": 2.0, "b": {"1": 1.0}}}, k_max=1, interior_modes=1, constraint_mc=None),
+    "sv-algebra generic k_max 2": _mutated("sv-algebra", k_max=2, interior_modes=2, constraint_mc=None),
+    "sv-algebra generic k_max 3": _mutated("sv-algebra", k_max=3, interior_modes=3, constraint_mc=None),
     "npoint k_max < force support": _mutated("npoint", k_max=0),
     "hermite-example one dt": _mutated("hermite-example", dts=[0.01]),
     "hermite-example dt leaves one step": _mutated("hermite-example", dts=[1.0, 0.5]),
@@ -165,6 +169,7 @@ LANGEVIN_CONFIG_ERRORS = {
     "girsanov n_particles 0": _mutated("girsanov", n_particles=0, init_values=[]),
     "girsanov replicas 1": _mutated("girsanov", replicas=1),
     "dbm-moments moment_ks 7": _mutated("dbm-moments", moment_ks=[1, 7]),
+    "dbm-moments moment_ks 0": _mutated("dbm-moments", moment_ks=[0, 1]),
     "dbm-moments init kind bogus": _mutated("dbm-moments", init={"kind": "bogus"}),
     "dbm-moments unknown init key": _mutated("dbm-moments", init={"kind": "equispaced", "offset": 0.5}),
     "dbm-moments replicas 1": _mutated("dbm-moments", replicas=1),
@@ -207,6 +212,7 @@ MALFORMED_MESSAGES = {
     "npoint modes repeated": "modes must not repeat an entry",
     "dbm-moments pi1_times repeated": "pi1_times must not repeat an entry",
     "dbm-moments moment_ks repeated": "moment_ks must not repeat an entry",
+    "dbm-moments moment_ks 0": "moment_ks[0] must be >= 1",
     "hermite-example dts repeated": "dts must not repeat an entry",
     "sv-algebra repeated grid": "grids[1] must halve the dt of grids[0]",
     "sv-algebra grid dt not halved": "grids[1] must halve the dt of grids[0]",
@@ -286,7 +292,7 @@ def _key_paths(node, prefix=()):
         yield from _key_paths(value, prefix + (key,))
 
 
-RETYPED = (None, True, "x", [], {}, 0, -1, 0.5, float("nan"), [1.0], {"1": 1.0}, {"beta": 2.0})
+RETYPED = (None, True, "x", [], {}, 0, 1, 2, 3, -1, 0.5, float("nan"), [1.0], {"1": 1.0}, {"beta": 2.0})
 
 
 def _mutated_by(data, scn):
@@ -346,6 +352,34 @@ def test_run_mutated_small_configs_exit_0_1_or_2(tmp_path_factory, data):
     tmp = tmp_path_factory.mktemp("fuzz")
     (tmp / "cfg.json").write_text(json.dumps(scn))
     assert main(["run", str(tmp / "cfg.json"), "--out", str(tmp / "out")]) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("potentials,k_max", [(("hermite",), 2), (("hermite", "generic"), 4)], ids=["hermite-2", "generic-4"])
+def test_sv_algebra_smallest_k_max_runs(potentials, k_max):
+    """The least k_max the sv-algebra rule admits, max(2, 2 L_max), builds
+    every family member: the suite runs to its report."""
+    scn = _mutated("sv-algebra", k_max=k_max, interior_modes=2, constraint_mc=None)
+    scn["potentials"] = {name: scn["potentials"][name] for name in potentials}
+    report, tables = run_suite(validate_scenario(scn))
+    assert {row[0] for row in tables["sv_bracket_residuals"][1]} == set(potentials)
+    assert all(math.isfinite(c["value"]) for c in report["checks"])
+
+
+@pytest.mark.parametrize("source", ["--out", "COULOMBGAS_OUT"])
+def test_unusable_out_dir_exit_2_before_the_suite_runs(tmp_path, monkeypatch, capsys, source):
+    """An output directory that cannot be made (here below a regular file) is
+    exit 2 with one line that names it, and the suite never runs."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "reports"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(default_scenario("np-brackets")))
+    monkeypatch.setattr(cli, "run_suite", lambda scn: pytest.fail("the suite ran"))
+    monkeypatch.setenv("COULOMBGAS_OUT", str(out))
+    argv = ["run", str(cfg)] + (["--out", str(out)] if source == "--out" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(out) in err[0], err
 
 
 def test_validation_imports_no_engine():

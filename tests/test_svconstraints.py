@@ -8,6 +8,7 @@ from coulombgas.fseries import TruncSeries
 from coulombgas.kernel import Potential
 from coulombgas.svconstraints import (
     BRACKET_ORIENTATION,
+    BracketFamily,
     ConstraintOp,
     build_dynamical_constraint,
     constraint_functional,
@@ -211,10 +212,8 @@ def test_sv_algebra_first_order_convergence(pot):
         tmax = dt * steps
         f = bump(0.0, tmax, 4)
         g = bump(0.0, tmax, 4) * poly_t(1)
-        tab = kernel_table(pot, grid, k_max)
-        family = {}
-        reps = verify_sv_algebra_quadratic(f, g, pot, n_part, grid, k_max, mode_int=6, ktable=tab, family=family)
-        reps += verify_sv_algebra_linear(f, g, pot, n_part, grid, k_max, mode_int=6, ktable=tab, family=family)
+        family = BracketFamily(f, g, pot, n_part, grid, k_max, mode_int=6)
+        reps = verify_sv_algebra_quadratic(family) + verify_sv_algebra_linear(family)
         for r in reps:
             resid.setdefault(r["relation"], []).append(r["residual"])
     for name, (r1, r2) in resid.items():
@@ -226,17 +225,17 @@ def test_sv_algebra_f_equals_g_is_exact_zero():
     grid = TimeGrid(0.05, 20)
     tmax = 1.0
     f = bump(0.0, tmax, 4)
-    tab = kernel_table(HERMITE2, grid, 6)
-    reps = verify_sv_algebra_quadratic(f, f, HERMITE2, 5.0, grid, 6, mode_int=4, ktable=tab)
+    family = BracketFamily(f, f, HERMITE2, 5.0, grid, 6, mode_int=4)
+    reps = verify_sv_algebra_quadratic(family)
     assert reps[2]["residual"] < 1e-12  # [A_1[f], A_1[f]] = 0 exactly
-    lin = verify_sv_algebra_linear(f, f, HERMITE2, 5.0, grid, 6, mode_int=4, ktable=tab)
+    lin = verify_sv_algebra_linear(family)
     assert lin[0]["residual"] < 1e-12
     assert lin[2]["residual"] < 1e-12
 
 
 def test_sv_algebra_shared_family_builds_each_member_once(monkeypatch):
-    """One (potential, grid) pass of both checks on one family dict builds
-    the four quadratic members and the quadratic target, and the four linear
+    """One (potential, grid) pass of both checks on one family builds the
+    four quadratic members and the quadratic target, and the four linear
     members, once each; the kept members are read-only, down to the
     coefficient arrays of their slot fields and the basis those share."""
     from coulombgas import svconstraints
@@ -255,19 +254,19 @@ def test_sv_algebra_shared_family_builds_each_member_once(monkeypatch):
     grid = TimeGrid(0.05, 20)
     f = bump(0.0, 1.0, 4)
     g = bump(0.0, 1.0, 4) * poly_t(1)
-    tab = kernel_table(HERMITE2, grid, 6)
-    family = {}
-    verify_sv_algebra_quadratic(f, g, HERMITE2, 5.0, grid, 6, mode_int=4, ktable=tab, family=family)
-    verify_sv_algebra_linear(f, g, HERMITE2, 5.0, grid, 6, mode_int=4, ktable=tab, family=family)
+    family = BracketFamily(f, g, HERMITE2, 5.0, grid, 6, mode_int=4)
+    verify_sv_algebra_quadratic(family)
+    verify_sv_algebra_linear(family)
     assert calls == {"quadr": 5, "lin": 4}
-    assert sorted(family) == [(kind, v, label) for kind in ("lin", "quadr") for v in (0, 1) for label in ("f", "g")]
-    for op in family.values():
+    members = family.members
+    assert sorted(members) == [(kind, v, label) for kind in ("lin", "quadr") for v in (0, 1) for label in ("f", "g")]
+    for op in members.values():
         for arr in (op.x, op.d, op.xd, op.dd):
             assert arr is None or not getattr(arr, "coef", arr).flags.writeable
-    quadr = [op for key, op in family.items() if key[0] == "quadr"]
-    assert all(isinstance(op.xd, SlotField) and op.xd.basis is quadr[0].basis for op in quadr)
-    assert all(family[("lin", v, label)].xd is None for v in (0, 1) for label in ("f", "g"))
-    assert not quadr[0].basis.flags.writeable
+    quadr = [op for key, op in members.items() if key[0] == "quadr"]
+    assert all(isinstance(op.xd, SlotField) and op.xd.basis is family.basis for op in quadr)
+    assert all(members[("lin", v, label)].xd is None for v in (0, 1) for label in ("f", "g"))
+    assert not family.basis.flags.writeable
 
 
 FAMILY_POTENTIALS = {
@@ -284,13 +283,11 @@ def test_family_member_slot_fields_match_dense(kind, v_power, name):
     """A kept family member has the dense build's const, x and d fields bit
     for bit, and its slot fields act through apply and apply_T (``@`` and
     ``.T @``) as the dense x-d and d-d fields do, within 1e-12 relative."""
-    from coulombgas.svconstraints import _family_member
-
     pot, grid, k_max = FAMILY_POTENTIALS[name], TimeGrid(0.05, 20), 6
     f = bump(0.0, 1.0, 4) * poly_t(1)
-    tab = kernel_table(pot, grid, k_max)
-    got = _family_member({}, kind, v_power, "f", f, pot, 5.0, grid, k_max, tab)
-    want = (quadr_family_op if kind == "quadr" else lin_family_op)(v_power, f, pot, 5.0, grid, k_max, tab)
+    family = BracketFamily(f, f, pot, 5.0, grid, k_max, mode_int=4)
+    got = family.member(kind, v_power, "f")
+    want = (quadr_family_op if kind == "quadr" else lin_family_op)(v_power, f, *family.args)
     assert got.const == want.const
     for field in ("x", "d"):
         a, b = getattr(got, field), getattr(want, field)
@@ -346,18 +343,14 @@ SV_ALGEBRA_PINNED = {
 
 
 @pytest.mark.parametrize("name", sorted(SV_ALGEBRA_PINNED))
-@pytest.mark.parametrize("shared", [True, False], ids=["shared-family", "own-family"])
-def test_sv_algebra_reports_pinned(name, shared):
-    """Exact residuals and scales of both checks, whether they read one
-    family dict or each build their own members."""
+def test_sv_algebra_reports_pinned(name):
+    """Exact residuals and scales of both checks on one family."""
     pot = {"hermite": HERMITE2, "generic": Potential(2.0, {1: 0.5, 2: 0.3})}[name]
     grid = TimeGrid(0.05, 20)
     f = bump(0.0, 1.0, 4)
     g = bump(0.0, 1.0, 4) * poly_t(1)
-    tab = kernel_table(pot, grid, 6)
-    shared_family = {"family": {}} if shared else {}
-    reps = verify_sv_algebra_quadratic(f, g, pot, 5.0, grid, 6, mode_int=4, ktable=tab, **shared_family)
-    reps += verify_sv_algebra_linear(f, g, pot, 5.0, grid, 6, mode_int=4, ktable=tab, **shared_family)
+    family = BracketFamily(f, g, pot, 5.0, grid, 6, mode_int=4)
+    reps = verify_sv_algebra_quadratic(family) + verify_sv_algebra_linear(family)
     assert reps == SV_ALGEBRA_PINNED[name]
 
 
@@ -398,17 +391,15 @@ def _dense_sv_reports(f, g, pot, n_particles, grid, k_max, mode_int):
 
 
 @pytest.mark.parametrize("name", ["hermite", "generic"])
-@pytest.mark.parametrize("shared", [True, False], ids=["shared-family", "own-family"])
-def test_sv_algebra_probe_form_matches_dense_reference(name, shared):
+def test_sv_algebra_probe_form_matches_dense_reference(name):
     """The checks read each bracket through its probe products; the dense
     brackets give the same residuals and scales up to rounding."""
     pot = {"hermite": HERMITE2, "generic": Potential(2.0, {1: 0.5, 2: 0.3})}[name]
     grid = TimeGrid(0.04, 25)
     f = bump(0.0, 1.0, 4)
     g = bump(0.0, 1.0, 4) * poly_t(1)
-    shared_family = {"family": {}} if shared else {}
-    reps = verify_sv_algebra_quadratic(f, g, pot, 5.0, grid, 7, mode_int=5, **shared_family)
-    reps += verify_sv_algebra_linear(f, g, pot, 5.0, grid, 7, mode_int=5, **shared_family)
+    family = BracketFamily(f, g, pot, 5.0, grid, 7, mode_int=5)
+    reps = verify_sv_algebra_quadratic(family) + verify_sv_algebra_linear(family)
     want = _dense_sv_reports(f, g, pot, 5.0, grid, 7, 5)
     assert [r["relation"] for r in reps] == [w["relation"] for w in want]
     for got, ref in zip(reps, want):
@@ -420,17 +411,17 @@ def test_sv_algebra_probe_form_matches_dense_reference(name, shared):
 def test_sv_algebra_quadratic_peak_memory():
     """The check holds its family members and targets as slot fields over one
     shared kernel basis, the only nvar x nvar array: at the fine default grid
-    (808 variables, 5.2 MB per such array) it peaks at about 7.4 MB, so the
+    (808 variables, 5.2 MB per such array) it peaks at about 7.2 MB, so the
     10 MB bound fails if a single dense nvar x nvar field comes back."""
     import tracemalloc
 
     grid = TimeGrid(0.01, 100)
     f = bump(0.0, 1.0, 4)
     g = f * poly_t(1)
-    tab = kernel_table(HERMITE2, grid, 8)
+    family = BracketFamily(f, g, HERMITE2, 5, grid, 8, mode_int=6)
     tracemalloc.start()
     try:
-        verify_sv_algebra_quadratic(f, g, HERMITE2, 5, grid, 8, mode_int=6, ktable=tab, family={})
+        verify_sv_algebra_quadratic(family)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -443,8 +434,8 @@ def test_sv_algebra_truncation_independence():
     grid = TimeGrid(0.02, 50)
     f = bump(0.0, 1.0, 4)
     g = bump(0.0, 1.0, 4) * poly_t(1)
-    r8 = verify_sv_algebra_quadratic(f, g, pot, 5.0, grid, 8, mode_int=5)
-    r10 = verify_sv_algebra_quadratic(f, g, pot, 5.0, grid, 10, mode_int=5)
+    r8 = verify_sv_algebra_quadratic(BracketFamily(f, g, pot, 5.0, grid, 8, mode_int=5))
+    r10 = verify_sv_algebra_quadratic(BracketFamily(f, g, pot, 5.0, grid, 10, mode_int=5))
     for a, b in zip(r8, r10):
         assert a["residual"] == pytest.approx(b["residual"], abs=1e-10)
 
@@ -628,6 +619,16 @@ def test_constraint_residual_mc_exact_moment_profile():
     scale = 2.0 * n_part**2
     assert vals[0] / scale < 0.05
     assert vals[1] <= vals[0]
+
+
+def test_constraint_functional_without_derivative_part_is_zero():
+    """On a 2-step grid the n = 0 label's derivatives vanish on every slot,
+    so the affine constraint has no derivative part: its functional is the
+    zero functional, and the residual is the constant alone."""
+    grid = TimeGrid(1e-3, 2)
+    cop = build_dynamical_constraint(0, bump(0.0, grid.dt * grid.steps, 4), HERMITE2, 5, grid, 4, parts="affine")
+    assert cop.total().d is None
+    assert constraint_functional(cop) == {"s": {}}
 
 
 def test_constraint_functional_rejects_second_derivative_block():
