@@ -912,6 +912,7 @@ VALUE_RULES = (
     (("hermite-example",), lambda s: len(s["dts"]) >= 2, "dts needs two entries for the dt-halving trends"),
     (("hermite-example",), lambda s: all(round(t / dt) >= 2 for dt in s["dts"] for t in (s["t_max"], s["linquadr_t_max"])), "every dt must leave 2 or more steps in t_max and linquadr_t_max"),
     (("hermite-example",), lambda s: s["k_max"] >= 3, "k_max must be >= 3: the cancellation pairs start at mode 3"),
+    (("hermite-example",), lambda s: 0 < (sq := s["sigma"] * s["sigma"]) < math.inf and 1 / sq < math.inf, "sigma^2 and 1/sigma^2 must be finite and nonzero: the kernels decay at rates k/sigma^2"),
     (("equilibrium-loop", "dbm-moments"), lambda s: [(l, v > 0) for l, v in _forces(s).items() if v] == [(1, True)], "b must be Gaussian, {1: b_1 > 0}: the closed forms for pi_1 and pi_2 need sigma"),
     (("equilibrium-loop",), lambda s: all(o <= 6 for o in s["orders"]), "orders must be <= 6: order n reads pi_(n+2), and the sampler tracks pi_k up to k = 8"),
     (("equilibrium-loop",), lambda s: len(s["cases"]) >= 1, "cases must hold one case or more"),

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .boson import (
     BosonOperator,
@@ -553,59 +554,63 @@ def verify_sv_algebra_linear(family: BracketFamily):
 # ----------------------------------------------------------------------
 # Gaussian-case explicit machinery (diagonal kernel)
 
-
-def _gauss_exp(k: float, grid: TimeGrid, sigma: float) -> np.ndarray:
-    """Lower-triangular matrix E[j, s] = exp(-k (t_j - t_s)/sigma^2), s <= j."""
-    t = grid.times
-    mat = np.exp(-k * (t[:, None] - t[None, :]) / sigma**2)
-    return np.tril(mat)
+_ROW_BLOCK_BYTES = 1 << 18  # per piece of one fold block: the block stays in cache
 
 
-def _hermite_F(f, sigma, t):
-    """Slot values of F = f'/sigma^2 + f''."""
-    return (1.0 / sigma**2) * f.deriv(1)(t) + f.deriv(2)(t)
+def _row_blocks(ns: int) -> list:
+    """The row slices j0:j1 of the fold over ns slots."""
+    step = max(1, _ROW_BLOCK_BYTES // (8 * ns))
+    return [slice(j0, min(j0 + step, ns)) for j0 in range(0, ns, step)]
 
 
-def _hermite_mode_pieces(f, g, k, sigma, grid, e1, e2):
-    """Mode-k pieces (C1, C12, C13, C4) of the (f, g) direction, as
-    coefficient arrays [j, s] of tau_k(t_j) d_{k-2}(t_s), given e1 and e2,
-    the :func:`_gauss_exp` matrices of exponents k - 1 and k - 2.  C1 is the
-    raw double integral; the other two raw pieces are C2 = -C13 and C3 = -C12."""
-    t, dt = grid.times, grid.dt
-    F, gd, gdd = _hermite_F(f, sigma, t), g.deriv(1)(t), g.deriv(2)(t)
-    w = float(k * (k - 1))
-    c1 = dt * dt * w * (((F[:, None] * gdd[None, :]) * e1) @ e2)
-    c13 = -dt * dt * w * (((F[:, None] * gd[None, :] / sigma**2) * e1) @ e2)
-    c12 = -dt * w * (F[:, None] * gd[None, :]) * e1
-    c4 = -dt * w * (F * gd)[:, None] * e2
-    return c1, c12, c13, c4
+def _hermite_setup(f, g, sigma, n_particles, grid: TimeGrid, k_max: int):
+    """Both labels' slot values, the kernels and both directions' (C5, C6)
+    on tau_2.  Label a gives (F = a'/sigma^2 + a'', a', P), P[:, j + 1] =
+    sum_{s <= j} e^{-(t_j - t_s)/sigma^2} (a'', -a'/sigma^2)_s by recurrence;
+    lags[c][j, s] = e^{-c (t_j - t_s)/sigma^2}, s <= j, is a Toeplitz view
+    with one exp per lag and one row more than the grid.  No exponent is > 0."""
+    t, ns, dt, decay, labels = grid.times, grid.nslots, grid.dt, np.exp(-grid.dt / sigma**2), []
+    for a in (f, g):
+        h, p = np.stack((a.deriv(2)(t), -a.deriv(1)(t) / sigma**2)), np.zeros((2, ns + 1))
+        for j in range(ns):
+            p[:, j + 1] = decay * p[:, j] + h[:, j]
+        labels.append(((1.0 / sigma**2) * a.deriv(1)(t) + a.deriv(2)(t), a.deriv(1)(t), p))
+    lag_t, zeros = dt * np.arange(ns, -1, -1), np.zeros(ns - 1)
+    lags = {c: sliding_window_view(np.concatenate((np.exp(-c * lag_t / sigma**2), zeros)), ns)[::-1] for c in range(1, k_max)}
+    (F, fd, _), (G, gd, _) = labels
+    below = np.empty((2, ns))  # strictly lower E_1 sums; the recurrence would move C5+C6 by 1e-11
+    for rows in _row_blocks(ns):
+        blk = lags[1][rows, : rows.stop].copy()
+        np.fill_diagonal(blk[:, rows.start :], 0.0)
+        below[:, rows] = blk @ G[: rows.stop], blk @ F[: rows.stop]
+    c5, c6 = -2.0 * n_particles * dt * dt, 2.0 * n_particles * dt
+    return *labels, lags, (c5 * F * below[0], c6 * F * gd), (c5 * G * below[1], c6 * G * fd)
 
 
-def _hermite_zero_mode_pieces(f, g, n_particles, sigma, grid, e):
-    """Zero-momentum pieces (C5, C6) of the (f, g) direction, as coefficient
-    arrays of tau_2(t_j), given e, the :func:`_gauss_exp` matrix of exponent 1."""
-    t, dt = grid.times, grid.dt
-    F, G = _hermite_F(f, sigma, t), _hermite_F(g, sigma, t)
-    strict = e - np.diag(np.diag(e))
-    return -2.0 * n_particles * dt * dt * F * (strict @ G), 2.0 * n_particles * dt * F * g.deriv(1)(t)
+def _hermite_mode_pieces(f, g, k, rows, lags, dt):
+    """Mode-k (C1, C12, C13, C4) of the (f, g) direction on rows j0:j1, as
+    arrays [j - j0, s < j1] of tau_k(t_j) d_{k-2}(t_s); C2 = -C13, C3 = -C12."""
+    (F, _, _), (_, gd, p) = f, g
+    cols, nxt = slice(0, rows.stop), slice(rows.start + 1, rows.stop + 1)
+    e1, e2, w = lags[k - 1][rows, cols], lags[k - 2][rows, cols], float(k * (k - 1))
+    # C1, C13: (E_{k-1} diag(h) E_{k-2})[j, s] = E_{k-2}[j, s] (P_h(j) - E_1[j, s-1] P_h(s-1)), no GEMM
+    inner = p[:, nxt, None] - lags[1][nxt, cols] * p[:, None, cols]
+    fe2 = (dt * dt * w * F[rows, None]) * e2
+    c12 = -dt * w * (F[rows, None] * gd[None, cols]) * e1
+    return fe2 * inner[0], c12, fe2 * inner[1], -dt * w * (F * gd)[rows, None] * e2
 
 
 def hermite_cancellation_pairs(f, g, sigma, n_particles, grid: TimeGrid, k_max: int):
     """Grid residuals of the four Gaussian-case cancellation pairs.
 
-    The bracket of two n = -1 quadratic parts decomposes into contributions
-    C_1..C_6 (by which elementary commutator produced them); after the
-    explicit integrations by parts the pairs C_11 + C_4, C_12 + C_3,
-    C_13 + C_2, C_5 + C_6 each vanish.  Every piece is a coefficient array of
-    the canonical form tau_k(t_j) d_{k-2}(t_s) (plus tau_2 terms), from the
-    builders that :func:`hermite_pieces_total_operator` also uses.  C_11 is
-    the raw double integral C_1 minus the displayed C_12, C_13 (so pair 1
-    measures the discrete integration by parts), and pairs 2, 3 cancel
-    identically by construction (reported for completeness).  Each
-    :func:`_gauss_exp` matrix is built once, for the zero mode or the lowest
-    mode that reads it, and kept for the next mode only.  One mode's pieces
-    are held at a time; each pair's max-abs residual and magnitude are
-    running maxima, floored at 1e-30.  All residuals are O(dt).
+    The bracket of two n = -1 quadratic parts splits into contributions
+    C_1..C_6 (by elementary commutator); after the integrations by parts the
+    pairs C_11 + C_4, C_12 + C_3, C_13 + C_2, C_5 + C_6 each vanish.  C_11
+    is C_1 minus the displayed C_12, C_13, so pair 1 measures the discrete
+    integration by parts; pairs 2, 3 cancel by construction.  The pieces,
+    from the builders of :func:`hermite_pieces_total_operator`, are folded
+    one row block and mode at a time into running max-abs residuals and
+    magnitudes, floored at 1e-30.  All residuals are O(dt).
     """
     # tau_k d_{k-2} needs mode k-2 >= 1; the formal k = 2 terms carry the
     # absent zero-mode derivative and annihilate identically
@@ -618,47 +623,37 @@ def hermite_cancellation_pairs(f, g, sigma, n_particles, grid: TimeGrid, k_max: 
         acc[name] = np.max([acc[name], *(np.max(np.abs(a)) for a in arrays)])
 
     # c* of the (f, g) direction, d* of (g, f); the a* are antisymmetrized
-    e2 = _gauss_exp(1, grid, sigma)
-    c5, c6 = _hermite_zero_mode_pieces(f, g, n_particles, sigma, grid, e2)
-    d5, d6 = _hermite_zero_mode_pieces(g, f, n_particles, sigma, grid, e2)
+    fs, gs, lags, (c5, c6), (d5, d6) = _hermite_setup(f, g, sigma, n_particles, grid, k_max)
     resid["C5+C6"] = float(np.max(np.abs((c5 - d5) + (c6 - d6))))
     fold(mag, "C5+C6", c5, c6, d5, d6)
-    for k in range(3, k_max + 1):
-        e1 = _gauss_exp(k - 1, grid, sigma)  # mode k + 1 reads it as its e2
-        c1, c12, c13, c4 = _hermite_mode_pieces(f, g, k, sigma, grid, e1, e2)
-        d1, d12, d13, d4 = _hermite_mode_pieces(g, f, k, sigma, grid, e1, e2)
-        a12, a13 = c12 - d12, c13 - d13
-        c11 = (c1 - d1) - a12 - a13
-        fold(resid, "C11+C4", c11 + (c4 - d4))
-        fold(resid, "C12+C3", a12 + ((-c12) - (-d12)))
-        fold(resid, "C13+C2", a13 + ((-c13) - (-d13)))
-        fold(mag, "C11+C4", c11, c4, d4)
-        fold(mag, "C12+C3", c12, d12)
-        fold(mag, "C13+C2", c13, d13)
-        e2 = e1
+    for rows in _row_blocks(grid.nslots):
+        for k in range(3, k_max + 1):
+            c1, c12, c13, c4 = _hermite_mode_pieces(fs, gs, k, rows, lags, grid.dt)
+            d1, d12, d13, d4 = _hermite_mode_pieces(gs, fs, k, rows, lags, grid.dt)
+            a12, a13 = c12 - d12, c13 - d13
+            c11 = (c1 - d1) - a12 - a13
+            fold(resid, "C11+C4", c11 + (c4 - d4))
+            fold(resid, "C12+C3", a12 + ((-c12) - (-d12)))
+            fold(resid, "C13+C2", a13 + ((-c13) - (-d13)))
+            fold(mag, "C11+C4", c11, c4, d4)
+            fold(mag, "C12+C3", c12, d12)
+            fold(mag, "C13+C2", c13, d13)
     return {name: {"residual": r, "magnitude": mag[name], "relative": r / mag[name]} for name, r in resid.items()}
 
 
 def hermite_pieces_total_operator(f, g, sigma, n_particles, grid, k_max):
-    """Sum C_1 + ... + C_6 of the Gaussian-case pieces, antisymmetrized in
-    (f, g), as a BosonOperator.
-
-    Built from the same per-mode builders as :func:`hermite_cancellation_pairs`,
-    so the machinery cross-check against the direct bracket tests the
-    formulas the report uses."""
+    """Sum C_1 + ... + C_6, antisymmetrized in (f, g), as a BosonOperator:
+    the builders of :func:`hermite_cancellation_pairs` on all rows, so the
+    cross-check against the direct bracket tests the report's formulas."""
     op = BosonOperator(grid, k_max)
-    slots = np.arange(grid.nslots)
-    e2 = _gauss_exp(1, grid, sigma)
-    c5, c6 = _hermite_zero_mode_pieces(f, g, n_particles, sigma, grid, e2)
-    d5, d6 = _hermite_zero_mode_pieces(g, f, n_particles, sigma, grid, e2)
+    slots, rows = np.arange(grid.nslots), slice(0, grid.nslots)
+    fs, gs, lags, (c5, c6), (d5, d6) = _hermite_setup(f, g, sigma, n_particles, grid, k_max)
     for k in range(3, k_max + 1):
         # C1 + C2 + C3 + C4 with C2 = -C13 and C3 = -C12
-        e1 = _gauss_exp(k - 1, grid, sigma)
-        c1, c12, c13, c4 = _hermite_mode_pieces(f, g, k, sigma, grid, e1, e2)
-        d1, d12, d13, d4 = _hermite_mode_pieces(g, f, k, sigma, grid, e1, e2)
+        c1, c12, c13, c4 = _hermite_mode_pieces(fs, gs, k, rows, lags, grid.dt)
+        d1, d12, d13, d4 = _hermite_mode_pieces(gs, fs, k, rows, lags, grid.dt)
         block = (c1 - c13 - c12 + c4) - (d1 - d13 - d12 + d4)
         op.add_xd_block(op.vid(k, 0) + slots[:, None], op.vid(k - 2, 0) + slots[None, :], block)
-        e2 = e1
     op.add_x_vec(op.vid(2, 0) + slots, (c5 + c6) - (d5 + d6))
     return op
 

@@ -131,6 +131,8 @@ OPERATOR_CONFIG_ERRORS = {
     "np-brackets t_max 0": _mutated("np-brackets", t_max=0.0),
     "np-brackets eps 0": _mutated("np-brackets", eps=0.0),
     "hermite-example sigma 0": _mutated("hermite-example", sigma=0.0),
+    "hermite-example sigma 1e-200": _mutated("hermite-example", sigma=1e-200),
+    "hermite-example sigma 1e200": _mutated("hermite-example", sigma=1e200),
     "malformed: boson-commutators potential without b": _mutated("boson-commutators", potentials__hermite={"beta": 2.0}),
     "malformed: npoint b as a list": _mutated("npoint", b=[1.0]),
     "kernel-identities potential renamed": _mutated(
@@ -214,6 +216,8 @@ MALFORMED_MESSAGES = {
     "dbm-moments moment_ks repeated": "moment_ks must not repeat an entry",
     "dbm-moments moment_ks 0": "moment_ks[0] must be >= 1",
     "hermite-example dts repeated": "dts must not repeat an entry",
+    "hermite-example sigma 1e-200": "sigma^2 and 1/sigma^2 must be finite and nonzero",
+    "hermite-example sigma 1e200": "sigma^2 and 1/sigma^2 must be finite and nonzero",
     "sv-algebra repeated grid": "grids[1] must halve the dt of grids[0]",
     "sv-algebra grid dt not halved": "grids[1] must halve the dt of grids[0]",
     "sv-algebra grid span changed": "grids[1] must halve the dt of grids[0]",

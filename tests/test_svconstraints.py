@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from coulombgas import svconstraints
 from coulombgas.boson import BosonOperator, SlotField, TimeGrid, commutator, kernel_table, time_derivation
 from coulombgas.fseries import TruncSeries
 from coulombgas.kernel import Potential
@@ -476,8 +477,8 @@ def test_hermite_cancellation_pairs_trend():
 
 
 def test_hermite_cancellation_pairs_pinned():
-    """Exact report values on a small grid, as the all-modes-held build
-    computed them: the per-mode fold keeps every operation's order."""
+    """Exact report values on a small grid, as the row-block build computes
+    them: a change of any piece's operation order shows here."""
     grid = TimeGrid(0.05, 20)
     f = bump(0.0, 1.0, 3)
     g = bump(0.0, 1.0, 3) * poly_t(1)
@@ -485,17 +486,19 @@ def test_hermite_cancellation_pairs_pinned():
     assert rep == {
         "C11+C4": {"residual": 2.0551995892582777, "magnitude": 46.56692936463744, "relative": 0.04413431629054288},
         "C12+C3": {"residual": 1e-30, "magnitude": 46.56692936463744, "relative": 2.1474467259148768e-32},
-        "C13+C2": {"residual": 1e-30, "magnitude": 4.939742208915038, "relative": 2.024397139986865e-31},
+        "C13+C2": {"residual": 1e-30, "magnitude": 4.939742208915035, "relative": 2.0243971399868657e-31},
         "C5+C6": {"residual": 0.4428051570526117, "magnitude": 23.28346468231872, "relative": 0.019018009694617075},
     }
 
 
-def test_hermite_cancellation_pairs_peak_memory():
-    """One mode's pieces are held at a time: at 601 slots and k_max 6 the
-    call peaks far below the ~157 MB of holding every mode's arrays."""
+@pytest.mark.parametrize("steps", [600, 1200])
+def test_hermite_cancellation_pairs_peak_memory(steps):
+    """One row block of one mode's pieces is held at a time, and no ns x ns
+    array is formed: at 601 and 1 201 slots (k_max 6) the call peaks at
+    about 5 MB, where a single dense 1 201 x 1 201 array takes 11.5 MB."""
     import tracemalloc
 
-    grid = TimeGrid(0.005, 600)
+    grid = TimeGrid(3.0 / steps, steps)
     f = bump(0.0, 3.0, 3)
     g = bump(0.0, 3.0, 3) * poly_t(1)
     tracemalloc.start()
@@ -504,7 +507,41 @@ def test_hermite_cancellation_pairs_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 80e6, peak
+    assert peak <= 20e6, peak
+
+
+def _dense_mode_pieces(f, g, k, sigma, grid):
+    """Dense oracle of the mode-k pieces (C1, C12, C13, C4) of the (f, g)
+    direction: the double integrals as GEMMs of exp-built triangular kernels,
+    dt^2 w ((F (x) h) o E_{k-1}) @ E_{k-2} with h = g'' and -g'/sigma^2."""
+    t, dt = grid.times, grid.dt
+    e1, e2 = (np.tril(np.exp(-c * (t[:, None] - t[None, :]) / sigma**2)) for c in (k - 1, k - 2))
+    F, gd, gdd = f.deriv(1)(t) / sigma**2 + f.deriv(2)(t), g.deriv(1)(t), g.deriv(2)(t)
+    w = float(k * (k - 1))
+    c1 = dt * dt * w * (((F[:, None] * gdd[None, :]) * e1) @ e2)
+    c13 = -dt * dt * w * (((F[:, None] * gd[None, :] / sigma**2) * e1) @ e2)
+    return c1, -dt * w * (F[:, None] * gd[None, :]) * e1, c13, -dt * w * (F * gd)[:, None] * e2
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.8, 1.0])
+def test_hermite_mode_pieces_match_dense_oracle(monkeypatch, sigma):
+    """The row-block pieces, stitched over blocks, equal the dense GEMM
+    oracle within 1e-12 of its max, for both directions and every mode, on a
+    grid of 4 row blocks whose last is short, so every block seam is read."""
+    monkeypatch.setattr(svconstraints, "_ROW_BLOCK_BYTES", 8 * 41 * 12)
+    grid, k_max = TimeGrid(0.025, 40), 6
+    blocks = svconstraints._row_blocks(grid.nslots)
+    assert [b.stop - b.start for b in blocks] == [12, 12, 12, 5]
+    f = bump(0.0, 1.0, 3)
+    g = f * poly_t(1)
+    fs, gs, lags, _, _ = svconstraints._hermite_setup(f, g, sigma, 5.0, grid, k_max)
+    for (a, b), (sa, sb) in (((f, g), (fs, gs)), ((g, f), (gs, fs))):
+        for k in range(3, k_max + 1):
+            stitched = np.zeros((4, grid.nslots, grid.nslots))
+            for rows in blocks:
+                stitched[:, rows, : rows.stop] = svconstraints._hermite_mode_pieces(sa, sb, k, rows, lags, grid.dt)
+            for got, want in zip(stitched, _dense_mode_pieces(a, b, k, sigma, grid)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (k, sigma)
 
 
 @pytest.mark.parametrize("steps", [100, 150])
