@@ -24,17 +24,14 @@ the left-closed convolution, which includes the equal-time term K(0) = id).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .fseries import TruncSeries
 from .kernel import Potential, propagator_table
-from .timefunc import TimePoly
+from .timefunc import TimeGrid, TimePoly
 
 __all__ = [
-    "TimeGrid",
     "PolyFunctional",
     "BosonOperator",
     "SlotField",
@@ -49,28 +46,6 @@ __all__ = [
     "kernel_table",
     "kernel_toeplitz",
 ]
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform grid t_j = j * dt, j = 0..steps."""
-
-    dt: float
-    steps: int
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
-        if self.steps < 2:
-            raise ValueError("need at least 2 steps")
-
-    @property
-    def nslots(self) -> int:
-        return self.steps + 1
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.nslots)
 
 
 def kernel_table(pot: Potential, grid: TimeGrid, k_max: int) -> np.ndarray:

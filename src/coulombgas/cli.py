@@ -93,6 +93,11 @@ def _pot(spec):
     return Potential(float(spec["beta"]), _forces(spec))
 
 
+def _pi2_stationary(pot, n_part) -> float:
+    """The stationary <pi_2> = sigma^2 (beta N(N-1)/2 + N) of n_part particles in pot."""
+    return pot.sigma**2 * (pot.beta * n_part * (n_part - 1) / 2.0 + n_part)
+
+
 @_suite(
     "kernel-identities",
     k_max=12,
@@ -203,8 +208,9 @@ def run_kernel_identities(scn):
     tolerances={"commutator": 1e-12},
 )
 def run_boson_commutators(scn):
-    from .boson import TimeGrid, commutator, dynamic_boson, kernel_table, static_boson
+    from .boson import commutator, dynamic_boson, kernel_table, static_boson
     from .kernel import retarded_propagator_modes
+    from .timefunc import TimeGrid
 
     checks, tables = [], {}
     tol = scn["tolerances"]["commutator"]
@@ -267,7 +273,6 @@ def run_boson_commutators(scn):
     tolerances={"ratio_low": 1.6, "ratio_high": 2.4, "runtime_s": 120.0, "mc_sigmas": 3.0},
 )
 def run_sv_algebra(scn):
-    from .boson import TimeGrid
     from .dyson import InitSpec, simulate_dbm
     from .svconstraints import (
         BracketFamily,
@@ -277,7 +282,7 @@ def run_sv_algebra(scn):
         verify_sv_algebra_linear,
         verify_sv_algebra_quadratic,
     )
-    from .timefunc import bump, poly_t
+    from .timefunc import TimeGrid, bump, poly_t
 
     checks, tables = [], {}
     tol = scn["tolerances"]
@@ -390,7 +395,7 @@ def _loop_cases(scn, indices):
                 rows.append((n_part, beta, order, res, se))
                 checks.append(check(f"loop-equation/N={n_part}/beta={beta}/n={order}", "integration-by-parts moment identity", res, sig * se, se=se))
             mean, mse = eq.pi_mean_se(2)
-            want = pot.sigma**2 * (beta * n_part * (n_part - 1) / 2.0 + n_part)
+            want = _pi2_stationary(pot, n_part)
             extra = {"mean": mean, "expected": want, "acceptance": eq.acceptance, "tau_int": eq.autocorr_pi1}
             checks.append(check(f"pi2-stationary/N={n_part}/beta={beta}", "<pi_2> = sigma^2 (beta N(N-1)/2 + N)", mean - want, sig * mse, **extra))
         except Exception as exc:
@@ -419,8 +424,8 @@ def _loop_cases(scn, indices):
     },
 )
 def run_dbm_moments(scn):
-    from .boson import TimeGrid
     from .dyson import InitSpec, mean_se, moment_functionals, simulate_dbm
+    from .timefunc import TimeGrid
 
     checks, tables = [], {}
     tol = scn["tolerances"]
@@ -449,7 +454,7 @@ def run_dbm_moments(scn):
     j0, j1 = (int(round(x / grid.dt)) for x in scn["pi2_window"])
     mean = float(np.mean(pi2[j0 : j1 + 1]))
     se_w = float(np.mean(se2[j0 : j1 + 1]))  # correlated in time: no 1/sqrt(T) gain claimed
-    want = pot.sigma**2 * (pot.beta * n_part * (n_part - 1) / 2.0 + n_part)
+    want = _pi2_stationary(pot, n_part)
     checks.append(
         check(
             "pi2-longtime",
@@ -507,8 +512,8 @@ def run_dbm_moments(scn):
     tolerances={"sigmas": 3.0},
 )
 def run_girsanov(scn):
-    from .boson import TimeGrid
     from .dyson import InitSpec, girsanov_functionals, mean_se, perturbed_potential, simulate_dbm
+    from .timefunc import TimeGrid
 
     checks, tables = [], {}
     sig = scn["tolerances"]["sigmas"]
@@ -560,9 +565,8 @@ def run_girsanov(scn):
     tolerances={"sigmas": 3.0},
 )
 def run_npoint(scn):
-    from .boson import TimeGrid
     from .dyson import InitSpec, npoint_functionals, npoint_vs_kernel, simulate_dbm
-    from .timefunc import bump
+    from .timefunc import TimeGrid, bump
 
     checks, tables = [], {}
     tol = scn["tolerances"]
@@ -696,10 +700,9 @@ def run_np_brackets(scn):
     tolerances={"pair_rel": 1e-3, "trend_low": 1.4, "trend_high": 2.6},
 )
 def run_hermite_example(scn):
-    from .boson import TimeGrid
     from .kernel import Potential
     from .svconstraints import hermite_cancellation_pairs, hermite_lin_quadr_bracket
-    from .timefunc import bump, poly_t
+    from .timefunc import TimeGrid, bump, poly_t
 
     checks, tables = [], {}
     tol = scn["tolerances"]

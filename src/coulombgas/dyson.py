@@ -43,9 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boson import TimeGrid
 from .kernel import Potential, generator_matrix, step_powers
-from .timefunc import TimePoly
+from .timefunc import TimeGrid, TimePoly
 
 __all__ = [
     "Ensemble",

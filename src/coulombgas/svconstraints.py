@@ -38,7 +38,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .boson import (
     BosonOperator,
-    TimeGrid,
     accumulate_quadratic,
     commutator,
     commutator_probed,
@@ -48,7 +47,7 @@ from .boson import (
 )
 from .fseries import TruncSeries, differentiate, mul
 from .kernel import Potential
-from .timefunc import TimePoly, bump, poly_t
+from .timefunc import TimeGrid, TimePoly, bump, poly_t
 
 __all__ = [
     "ConstraintOp",

@@ -1,4 +1,4 @@
-"""Polynomial time functions with exact derivatives.
+"""Polynomial time functions with exact derivatives, and the uniform time grid.
 
 Test functions multiplying the grid operators must vanish, together with a
 few derivatives, at both ends of the time window.  Keeping them polynomial
@@ -9,9 +9,33 @@ O(dt) errors in the identity suites come from genuinely discretized sums.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-__all__ = ["TimePoly", "bump", "poly_t"]
+__all__ = ["TimeGrid", "TimePoly", "bump", "poly_t"]
+
+
+@dataclass(frozen=True)
+class TimeGrid:
+    """Uniform grid t_j = j * dt, j = 0..steps."""
+
+    dt: float
+    steps: int
+
+    def __post_init__(self):
+        if self.dt <= 0:
+            raise ValueError("dt must be > 0")
+        if self.steps < 2:
+            raise ValueError("need at least 2 steps")
+
+    @property
+    def nslots(self) -> int:
+        return self.steps + 1
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.dt * np.arange(self.nslots)
 
 
 class TimePoly:

@@ -1,0 +1,114 @@
+"""The package's import layers.
+
+``LAYERS`` pins, for every module of ``src/coulombgas``, the package modules
+it imports at module level (read with ``ast``; imports inside a function run
+on call and are not counted).  The time functions and the time grid sit at
+the bottom, beside the series arithmetic; the Langevin engine (``dyson``)
+stands on the kernel and the time functions only, and the operator algebra
+(``boson``, ``svconstraints``) beside it.  ``cli`` imports nothing of the
+package at start-up, so validating a config loads no engine.
+
+The runtime test runs the Langevin and Metropolis suites end to end in a
+fresh process and checks that they leave the operator algebra unloaded.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from coulombgas import cli
+
+PACKAGE = Path(cli.__file__).parent
+
+LAYERS = {
+    "__init__": set(),
+    "fseries": set(),
+    "timefunc": set(),
+    "kernel": {"fseries"},
+    "nptransform": {"timefunc"},
+    "boson": {"fseries", "kernel", "timefunc"},
+    "svconstraints": {"boson", "fseries", "kernel", "timefunc"},
+    "dyson": {"kernel", "timefunc"},
+    "cli": set(),
+}
+
+
+def _package_imports(path: Path) -> set:
+    """The coulombgas modules that the module at path imports when it is loaded."""
+    found = set()
+    todo = list(ast.parse(path.read_text()).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        todo.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["coulombgas" if node.level else None, node.module]))
+            names = [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in names if name.startswith("coulombgas."))
+    return found
+
+
+def test_module_level_imports_follow_the_layers():
+    """Every module has a layer, and imports at load time exactly its layer's modules."""
+    got = {p.stem: _package_imports(p) for p in PACKAGE.glob("*.py")}
+    assert got == LAYERS
+
+
+def test_package_imports_reader(tmp_path):
+    """The reader sees relative and absolute imports, counts class bodies and
+    skips function bodies."""
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .kernel import Potential\n"
+        "from . import fseries\n"
+        "import coulombgas.timefunc\n"
+        "from coulombgas.boson import commutator\n"
+        "import numpy as np\n"
+        "class A:\n"
+        "    from .dyson import simulate_dbm\n"
+        "def f():\n"
+        "    from .svconstraints import EQ_GRID\n"
+    )
+    assert _package_imports(probe) == {"kernel", "fseries", "timefunc", "boson", "dyson"}
+
+
+def test_langevin_and_gibbs_suites_leave_the_operator_algebra_unloaded(tmp_path):
+    """dbm-moments, npoint, girsanov and equilibrium-loop, run through
+    ``cli.main`` in one fresh process, load the engine but neither ``boson``
+    nor ``svconstraints``."""
+    code = (
+        "import json, sys\n"
+        "from pathlib import Path\n"
+        "from coulombgas import cli\n"
+        "tiny = {'replicas': 20, 'grid': {'dt': 1e-3, 'steps': 40}}\n"
+        "sizes = {\n"
+        "    'dbm-moments': dict(tiny, pi1_times=[0.02, 0.04], pi2_window=[0.03, 0.04]),\n"
+        "    'npoint': tiny,\n"
+        "    'girsanov': tiny,\n"
+        "    'equilibrium-loop': {'sweeps': 2000},\n"
+        "}\n"
+        "out, codes, errors = Path(sys.argv[1]), {}, []\n"
+        "for suite, size in sizes.items():\n"
+        "    cfg = out / f'{suite}.json'\n"
+        "    cfg.write_text(json.dumps(cli.default_scenario(suite) | size))\n"
+        "    codes[suite] = cli.main(['run', str(cfg), '--out', str(out / suite)])\n"
+        "    report = json.loads((out / suite / f'{suite}.json').read_text())\n"
+        "    errors += [c['name'] for c in report['checks'] if c['name'].endswith('/engine')]\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('coulombgas.'))\n"
+        "print(json.dumps({'codes': codes, 'errors': errors, 'loaded': loaded}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert set(got["codes"].values()) <= {0, 1} and not got["errors"], got
+    assert "coulombgas.dyson" in got["loaded"], got
+    assert not {"coulombgas.boson", "coulombgas.svconstraints"} & set(got["loaded"]), got["loaded"]
