@@ -24,8 +24,10 @@ the left-closed convolution, which includes the equal-time term K(0) = id).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .fseries import TruncSeries
 from .kernel import Potential, propagator_table
@@ -258,13 +260,14 @@ class BosonOperator:
     def add_xd_rows(self, mult, b, der, lo, coef, basis=None):
         """Add coef[i] times row lo + i of B[b, der] (:class:`SlotField`; T_der from ``basis``
         for a dense field) to the x-d row of x[mult, lo + i]; slot lo + i + b - 2 is on the grid."""
-        xd, ns, rows = self._ensure("xd"), self.grid.nslots, np.arange(lo, lo + coef.size)
+        xd, ns, rows = self._ensure("xd"), self.grid.nslots, slice(lo, lo + coef.size)
         if self.basis is not None:
             xd.coef[mult - 1, b, der - 1, rows] += coef
         elif b == 0:
-            xd[(mult - 1) * ns + rows] += basis[der - 1, rows] * coef[:, None]
+            xd[(mult - 1) * ns :][rows] += basis[der - 1, rows] * coef[:, None]
         else:
-            xd[(mult - 1) * ns + rows, (der - 1) * ns + rows + b - 2] += coef
+            r = np.arange(lo, rows.stop)
+            xd[(mult - 1) * ns + r, (der - 1) * ns + r + b - 2] += coef
 
     def add_xd_block(self, rows, cols, vals):
         """xd[rows, cols] += vals for an index pair that names no entry twice."""
@@ -524,6 +527,43 @@ def dynamic_boson(
     return op
 
 
+# bytes per stack of one ordered reduce: it stays in cache (256 KiB stacks raised langevin-stored's peak RSS by 0.2 MB)
+_REDUCE_BLOCK_BYTES = 1 << 17
+
+
+def _add_convolved(d: np.ndarray, ktable: np.ndarray, modes, coefs: np.ndarray, first: int) -> None:
+    """d[l - 1, j'] += coefs[i, c] K_{modes[c], l}(t_j - t_j') for every slot
+    j = first + i >= j', each entry's terms in the order (i, c) after its value.
+
+    Per tile of slots and columns, one axis-0 ``np.add.reduce`` of a stack
+    (at most _REDUCE_BLOCK_BYTES) of the d block and the tile's terms: it adds
+    slice by slice while two or more entries are kept (numpy sums a lone one
+    pairwise), so a tile has two columns at least.  Zero coefficients and
+    columns past their slot add +-0, which leaves every value but -0 as it is.
+    """
+    k, ns = d.shape
+    n, nc = coefs.shape
+    # lags[j, c, l - 1, j'] = K_{modes[c], l}(t_j - t_j'), 0 for j' > j: a strided view
+    # of padded[c, l - 1, ns - 1 + m] = K_{modes[c], l}(-m dt), 0 for m > 0
+    padded = np.zeros((nc, k, 2 * ns - 1))
+    padded[:, :, :ns] = ktable[ns - 1 :: -1, modes, 1 : k + 1].transpose(1, 2, 0)
+    sc, sl, sj = padded.strides
+    lags = as_strided(padded[:, :, ns - 1 :], (ns, nc, k, ns), (-sj, sc, sl, sj), writeable=False)
+    width = max(2, math.isqrt(_REDUCE_BLOCK_BYTES // (8 * k * nc)))
+    lo = 0
+    while lo < min(ns, first + n):
+        hi = ns if ns - lo < width + 2 else lo + width  # no lone column is left over
+        per = max(1, (_REDUCE_BLOCK_BYTES // (8 * k * (hi - lo)) - 1) // nc)  # slots per tile
+        for i in range(max(0, lo - first), n, per):
+            e = min(i + per, n)
+            stack = np.empty((1 + (e - i) * nc, k, hi - lo))
+            stack[0] = d[:, lo:hi]
+            terms = lags[first + i : first + e, :, :, lo:hi]
+            np.multiply(coefs[i:e, :, None, None], terms, out=stack[1:].reshape(terms.shape))
+            d[:, lo:hi] = np.add.reduce(stack, axis=0)
+        lo = hi
+
+
 def accumulate_quadratic(
     op: BosonOperator,
     field: str,
@@ -547,15 +587,15 @@ def accumulate_quadratic(
     With parts="affine" only the scalar / x-linear / d-linear pieces are
     accumulated (enough for order-tau^0 residuals on long grids).
 
-    The multiplier-derivative rows are written as one block per mode pair
-    over all slots: the multiplier at slot j owns its x-d row, so no sum
-    crosses slots there.  Each block is one coefficient per slot, from the
-    first live slot to the last, of the rows of T_der (dynamic field) or of
-    the selection of mode der (static field, times 1/dt): a slot field (op
-    has a basis) keeps the coefficients, a dense field adds the scaled rows
-    in place.  The scalar, d-linear and d-d pieces do sum across slots and
-    are added slot by slot, in slot order.  Every dense entry receives the
-    same additions in the same order as a slot-by-slot build.
+    Every entry takes the additions of a build slot by slot, in slot order,
+    each slot's (power, pair) combos in order.  The x-d rows, zero-mode x
+    pieces and slot-field d-d coefficients, whose entries each take terms
+    from one slot, are added one combo at a time over all slots (an x-d row
+    block is one coefficient per slot, from the first live slot to the last,
+    of the rows of T_der, or of the selection of mode der times 1/dt for the
+    static field).  The zero-mode d pieces go through one ordered reduction
+    (:func:`_add_convolved`); the scalar and a dense d-d field are added slot
+    by slot.
     """
     if field not in ("static", "dynamic"):
         raise ValueError("field must be 'static' or 'dynamic'")
@@ -580,15 +620,16 @@ def accumulate_quadratic(
             return np.array([op.vid(m, j)]), np.array([1.0 / grid.dt])
         return op.convolved_derivative(ktable, m, j)
 
-    # per weight power: the x-d pairs (multiplier mode, derivative mode) and
-    # the pairs whose sums cross slots, both in the order m = -k_max..k_max
-    powers = []
+    # per weight power, the x-d pairs (multiplier mode, derivative mode); over
+    # all powers, the (power, pair) combos of each other piece: scalar, d-linear,
+    # x-linear and d-d; all in the order m = -k_max..k_max per power
+    powers, const_ups, d_combos, x_combos, dd_combos = [], [], [], [], []
     for p, up in weight.items():
         if p < 0:
             raise ValueError("quadratic weights must lie in the non-negative half")
         if p - 1 > 2 * k_max:
             raise ValueError("weight power shifts every mode pair outside the window")
-        xd_pairs, slot_pairs = [], []
+        xd_pairs = []
         for m in range(-k_max, k_max + 1):
             n = p - 1 - m
             if not -k_max <= n <= k_max:
@@ -596,15 +637,19 @@ def accumulate_quadratic(
             if m <= -1 and n <= -1:
                 raise AssertionError("multiplier-multiplier pair cannot occur for p >= 0")
             if m == 0 or n == 0:
-                if field == "dynamic":  # phi_0 = 0
-                    slot_pairs.append((m, n))
+                if field == "static":  # phi_0 = 0
+                    continue
+                if m + n == 0:
+                    const_ups.append(up)
+                else:  # the nonzero mode of the pair
+                    (d_combos if m + n >= 1 else x_combos).append((up, m + n))
             elif parts == "affine":
                 continue
             elif m >= 1 and n >= 1:
-                slot_pairs.append((m, n))
+                dd_combos.append((up, m, n))
             else:
                 xd_pairs.append((-min(m, n), max(m, n)))
-        powers.append((up, xd_pairs, slot_pairs))
+        powers.append((up, xd_pairs))
 
     # the x-d rows of slots lo..hi-1 are added as one row slice per mode pair;
     # a slot between live ones takes scale 0 and so adds only zeros to its row
@@ -612,9 +657,9 @@ def accumulate_quadratic(
     row_scales = np.zeros(hi - lo)
     row_scales[slots - lo] = scales
     basis = op.basis
-    if basis is None and field == "dynamic" and any(xd_pairs for _, xd_pairs, _ in powers):
+    if basis is None and field == "dynamic" and any(xd_pairs for _, xd_pairs in powers):
         basis = kernel_toeplitz(ktable, k_max)  # the rows a dense field adds
-    for up, xd_pairs, _ in powers:
+    for up, xd_pairs in powers:
         ups = up * row_scales
         for mult, der in xd_pairs:
             c = ups * mult
@@ -623,28 +668,27 @@ def accumulate_quadratic(
             else:
                 op.add_xd_rows(mult, 0, der, lo, c, basis)
 
-    for j, scale in zip(slots.tolist(), scales):
-        for up, _, slot_pairs in powers:
-            up = up * scale
-            for m, n in slot_pairs:
-                if m == 0 or n == 0:
-                    other = n if m == 0 else m
-                    if other == 0:
-                        op.add_const(up * s0 * s0)
-                    elif other >= 1:
-                        vids, vals = deriv_vec(other, j)
-                        op.add_d_vec(vids, up * s0 * sb * vals)
-                    else:
-                        op.add_x(op.vid(-other, j), up * s0 * abs(other) / sb)
-                elif op.basis is None:
-                    vu, au = deriv_vec(m, j)
-                    vv, av = deriv_vec(n, j)
-                    op.add_dd_block(vu, vv, up * beta * np.outer(au, av))
-                else:  # (up beta / 2)(u v^T + v u^T) with u, v rows j of B[b, m], B[b, n]
-                    b, w = (0, up * beta) if field == "dynamic" else (2, up * beta / grid.dt**2)
-                    coef = op._ensure("dd").coef
-                    coef[m - 1, b, n - 1, j] += w / 2.0
-                    coef[n - 1, b, m - 1, j] += w / 2.0
+    ns = grid.nslots
+    for scale in scales:
+        for up in const_ups:
+            op.add_const(up * scale * s0 * s0)
+    if d_combos:  # a slot between live ones takes scale 0 and adds +-0
+        coefs = np.stack([up * row_scales * s0 * sb for up, _ in d_combos], axis=1)
+        _add_convolved(op._ensure("d").reshape(k_max, ns), ktable, [o for _, o in d_combos], coefs, lo)
+    for up, other in x_combos:
+        op.add_x_vec((-other - 1) * ns + slots, up * scales * s0 * abs(other) / sb)
+    if op.basis is not None:  # (up beta / 2)(u v^T + v u^T) with u, v rows j of B[b, m], B[b, n]
+        for up, m, n in dd_combos:
+            b, w = (0, up * scales * beta) if field == "dynamic" else (2, up * scales * beta / grid.dt**2)
+            coef = op._ensure("dd").coef
+            coef[m - 1, b, n - 1, slots] += w / 2.0
+            coef[n - 1, b, m - 1, slots] += w / 2.0
+    elif dd_combos:
+        for j, scale in zip(slots.tolist(), scales):
+            for up, m, n in dd_combos:
+                vu, au = deriv_vec(m, j)
+                vv, av = deriv_vec(n, j)
+                op.add_dd_block(vu, vv, up * scale * beta * np.outer(au, av))
 
 
 def normal_ordered_quadratic(

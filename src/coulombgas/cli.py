@@ -273,7 +273,6 @@ def run_boson_commutators(scn):
     tolerances={"ratio_low": 1.6, "ratio_high": 2.4, "runtime_s": 120.0, "mc_sigmas": 3.0},
 )
 def run_sv_algebra(scn):
-    from .dyson import InitSpec, simulate_dbm
     from .svconstraints import (
         BracketFamily,
         build_dynamical_constraint,
@@ -320,6 +319,7 @@ def run_sv_algebra(scn):
 
     mc = scn.get("constraint_mc")
     if mc:
+        from .dyson import InitSpec, simulate_dbm
         pot = _pot(mc)
         grid = TimeGrid(mc["grid"]["dt"], mc["grid"]["steps"])
         tmax = grid.dt * grid.steps
@@ -995,11 +995,10 @@ def main(argv=None) -> int:
         print(f"output error: cannot create directory {out_dir}: {exc.strerror or exc}", file=sys.stderr)
         return 2
 
-    from .dyson import RejectionRateError  # not at module level: keeps CLI start-up free of the engine import
-
     try:
         report, tables = run_suite(scn)
-    except (RejectionRateError, FloatingPointError) as exc:
+    # read on an error only: a RejectionRateError comes from a loaded engine alone
+    except (FloatingPointError, getattr(sys.modules.get(f"{__package__}.dyson"), "RejectionRateError", FloatingPointError)) as exc:
         error = f"{type(exc).__name__}: {exc}"
         row = check(f"{scn['suite']}/engine", "the suite's computation ran to completion", 1.0, 0.0, error=error)
         report, tables = suite_report(scn, [row]), {}

@@ -220,10 +220,10 @@ def characteristics_flow(b: dict, w_order: int, t: float) -> TruncSeries:
         out = np.zeros(w_order + 1)
         if not b:
             return out
-        power = np.zeros(w_order + 1)
-        power[0] = 1.0  # w(t)^0
+        power = c  # w(t)^1: convolving c with the unit series would return it unchanged
         for l in range(1, max(b) + 1):
-            power = np.convolve(power, c)[: w_order + 1]
+            if l > 1:
+                power = np.convolve(power, c)[: w_order + 1]
             if l in b:
                 out += b[l] * power
         return out

@@ -38,6 +38,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .boson import (
     BosonOperator,
+    _add_convolved,
     accumulate_quadratic,
     commutator,
     commutator_probed,
@@ -154,10 +155,11 @@ def integrated_psi_weight(weight: TruncSeries, coeffs, pot, n_particles, grid, k
     scalar -sqrt(beta) N, modes p >= 1 the kernel-convolved derivatives.
 
     Mode p adds sqrt(beta) c_j K_{p,l}((j - j') dt) to d[l, j'] for every
-    slot j >= j' with c_j = coeffs[j] up dt; the terms are added one lag
-    L = j - j' at a time, so every entry takes them in ascending j.  A slot
-    with c_j = 0 adds +-0, which leaves d as it is (d starts at +0 and
-    never reaches -0).
+    slot j >= j' with c_j = coeffs[j] up dt, from the first slot with
+    c_j != 0 to the last, by one ordered reduction per power
+    (:func:`boson._add_convolved`): every entry takes its terms in
+    ascending j, after those of the powers before.  A slot with c_j = 0
+    adds +-0, which leaves d as it is (d starts at +0 and never reaches -0).
     """
     op = BosonOperator(grid, k_max)
     coeffs = np.asarray(coeffs, dtype=float)
@@ -173,13 +175,9 @@ def integrated_psi_weight(weight: TruncSeries, coeffs, pot, n_particles, grid, k
             raise ValueError(f"weight power {p} outside the mode window")
         c = coeffs * up * dt
         live = np.flatnonzero(c)
-        if not live.size:
-            continue
-        top = live[-1]
-        scale = sb * c[: top + 1]
-        d = op._ensure("d").reshape(k_max, grid.nslots)  # d[l - 1, j'] = d/dx[l, j']
-        for lag in range(top + 1):
-            d[:, : top + 1 - lag] += ktable[lag, p, 1:, None] * scale[lag:]
+        if live.size:
+            d = op._ensure("d").reshape(k_max, grid.nslots)  # d[l - 1, j'] = d/dx[l, j']
+            _add_convolved(d, ktable, [p], (sb * c[live[0] : live[-1] + 1])[:, None], live[0])
     return op
 
 

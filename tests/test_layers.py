@@ -8,8 +8,9 @@ stands on the kernel and the time functions only, and the operator algebra
 (``boson``, ``svconstraints``) beside it.  ``cli`` imports nothing of the
 package at start-up, so validating a config loads no engine.
 
-The runtime test runs the Langevin and Metropolis suites end to end in a
-fresh process and checks that they leave the operator algebra unloaded.
+The runtime tests run suites end to end in a fresh process: the Langevin
+and Metropolis suites leave the operator algebra unloaded, and the
+operator-algebra suites leave the engine unloaded.
 """
 
 import ast
@@ -80,22 +81,15 @@ def test_package_imports_reader(tmp_path):
     assert _package_imports(probe) == {"kernel", "fseries", "timefunc", "boson", "dyson"}
 
 
-def test_langevin_and_gibbs_suites_leave_the_operator_algebra_unloaded(tmp_path):
-    """dbm-moments, npoint, girsanov and equilibrium-loop, run through
-    ``cli.main`` in one fresh process, load the engine but neither ``boson``
-    nor ``svconstraints``."""
+def _run_fresh(tmp_path, sizes: dict) -> dict:
+    """Run each suite with its default scenario updated by sizes[suite]
+    through ``cli.main``, all in one fresh process; return the exit codes,
+    the names of engine-error rows and the coulombgas modules loaded."""
     code = (
         "import json, sys\n"
         "from pathlib import Path\n"
         "from coulombgas import cli\n"
-        "tiny = {'replicas': 20, 'grid': {'dt': 1e-3, 'steps': 40}}\n"
-        "sizes = {\n"
-        "    'dbm-moments': dict(tiny, pi1_times=[0.02, 0.04], pi2_window=[0.03, 0.04]),\n"
-        "    'npoint': tiny,\n"
-        "    'girsanov': tiny,\n"
-        "    'equilibrium-loop': {'sweeps': 2000},\n"
-        "}\n"
-        "out, codes, errors = Path(sys.argv[1]), {}, []\n"
+        "out, sizes, codes, errors = Path(sys.argv[1]), json.loads(sys.argv[2]), {}, []\n"
         "for suite, size in sizes.items():\n"
         "    cfg = out / f'{suite}.json'\n"
         "    cfg.write_text(json.dumps(cli.default_scenario(suite) | size))\n"
@@ -106,9 +100,40 @@ def test_langevin_and_gibbs_suites_leave_the_operator_algebra_unloaded(tmp_path)
         "print(json.dumps({'codes': codes, 'errors': errors, 'loaded': loaded}))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path), json.dumps(sizes)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.strip().splitlines()[-1])
     assert set(got["codes"].values()) <= {0, 1} and not got["errors"], got
+    return got
+
+
+def test_langevin_and_gibbs_suites_leave_the_operator_algebra_unloaded(tmp_path):
+    """dbm-moments, npoint, girsanov and equilibrium-loop, run through
+    ``cli.main`` in one fresh process, load the engine but neither ``boson``
+    nor ``svconstraints``."""
+    tiny = {"replicas": 20, "grid": {"dt": 1e-3, "steps": 40}}
+    sizes = {
+        "dbm-moments": dict(tiny, pi1_times=[0.02, 0.04], pi2_window=[0.03, 0.04]),
+        "npoint": tiny,
+        "girsanov": tiny,
+        "equilibrium-loop": {"sweeps": 2000},
+    }
+    got = _run_fresh(tmp_path, sizes)
     assert "coulombgas.dyson" in got["loaded"], got
     assert not {"coulombgas.boson", "coulombgas.svconstraints"} & set(got["loaded"]), got["loaded"]
+
+
+def test_operator_algebra_suites_leave_the_engine_unloaded(tmp_path):
+    """The five suites of the operator algebra, sv-algebra without its
+    constraint Monte Carlo, run through ``cli.main`` in one fresh process,
+    load the operator algebra but not the engine (``dyson``)."""
+    sizes = {
+        "kernel-identities": {},
+        "boson-commutators": {},
+        "sv-algebra": {"constraint_mc": None},
+        "np-brackets": {},
+        "hermite-example": {},
+    }
+    got = _run_fresh(tmp_path, sizes)
+    assert {"coulombgas.boson", "coulombgas.svconstraints", "coulombgas.nptransform"} <= set(got["loaded"]), got
+    assert "coulombgas.dyson" not in got["loaded"], got["loaded"]

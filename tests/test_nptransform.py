@@ -375,3 +375,63 @@ def test_tailed_generator_numeric_bracket_consistency():
     sl = np.s_[10:-10]
     scale = max(1e-12, float(np.max(np.abs(c12[sl]))))
     assert np.max(np.abs(c12[sl] - c_fine[sl])) / scale < 1e-5
+
+
+# ------------------------------------------------- stencil against its oracle
+
+
+def _stencil_oracle(g1, g2, path, eps):
+    """The mixed difference by four compositions of two apply_np_transform
+    calls each, 16 generator variations: the reference for the shared-variation
+    stencil."""
+
+    def compose(ea, eb):
+        p1 = apply_np_transform(g2, apply_np_transform(g1, path, ea), eb)
+        p2 = apply_np_transform(g1, apply_np_transform(g2, path, eb), ea)
+        return p1.values - p2.values
+
+    return (compose(eps, eps) - compose(eps, -eps) - compose(-eps, eps) + compose(-eps, -eps)) / (4.0 * eps * eps)
+
+
+def _stencil_cases():
+    """np-brackets' default exponent pairs, the Jacobi GeneratorSum brackets
+    against a basis generator, and a tailed generator, each with its eps."""
+    a1, a2 = poly_t(2), TimePoly([0.0, 1.0, 0.5])
+    exps = (-1, 0, 1, 2)
+    cases = [(NPGenerator(n1, a1.deriv(1)), NPGenerator(n2, a2.deriv(1)), 1e-2) for n1 in exps for n2 in exps]
+    ns, labels = [-1, 0, 1], [poly_t(2), TimePoly([0.0, 1.0, 0.4]), poly_t(3)]
+    gens = [NPGenerator(n, label.deriv(1)) for n, label in zip(ns, labels)]
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        cases.append((elementary_bracket(ns[i], labels[i], ns[j], labels[j]), gens[k], 2e-2))
+    tailed = NPGenerator(1, poly_t(2).deriv(1), IIWord(((1, ONE),)))
+    cases += [(tailed, gens[1], 1e-2), (gens[2], tailed, 5e-3)]
+    return cases
+
+
+def test_stencils_equal_the_composition_oracle_byte_for_byte():
+    """numeric_commutator and numeric_commutator_richardson evaluate each
+    variation once and keep every value's bits."""
+    path = SampledPath.from_function(lambda t: 2.0 + np.sin(t), 0.0, 1.0, 2001)
+    for g1, g2, eps in _stencil_cases():
+        want = _stencil_oracle(g1, g2, path, eps)
+        assert numeric_commutator(g1, g2, path, eps).tobytes() == want.tobytes()
+        want_r = (4.0 * _stencil_oracle(g1, g2, path, eps / 2.0) - want) / 3.0
+        assert numeric_commutator_richardson(g1, g2, path, eps).tobytes() == want_r.tobytes()
+
+
+def test_richardson_evaluates_ten_variations(monkeypatch):
+    path = smooth_path(401)
+    calls = []
+    variation = NPGenerator.variation
+
+    def counted(gen, p):
+        calls.append(gen)
+        return variation(gen, p)
+
+    monkeypatch.setattr(NPGenerator, "variation", counted)
+    g1, g2 = NPGenerator(1, poly_t(2).deriv(1)), NPGenerator(0, poly_t(3).deriv(1))
+    numeric_commutator_richardson(g1, g2, path, 1e-2)
+    assert len(calls) == 10 and calls.count(g1) == calls.count(g2) == 5
+    calls.clear()
+    numeric_commutator(g1, g2, path, 1e-2)
+    assert len(calls) == 6

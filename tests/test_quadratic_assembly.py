@@ -9,7 +9,17 @@ bit for bit: every canonical field compares with ``np.array_equal``.
 import numpy as np
 import pytest
 
-from coulombgas.boson import BosonOperator, TimeGrid, commutator, kernel_table, normal_ordered_quadratic, time_derivation
+from coulombgas import boson
+from coulombgas.boson import (
+    BosonOperator,
+    TimeGrid,
+    accumulate_quadratic,
+    commutator,
+    kernel_table,
+    kernel_toeplitz,
+    normal_ordered_quadratic,
+    time_derivation,
+)
 from coulombgas.fseries import TruncSeries
 from coulombgas.kernel import Potential
 from coulombgas.svconstraints import integrated_quadratic, weak_field_score, weak_probe_profiles, weight_quadr_mix
@@ -81,6 +91,85 @@ def _reference_integrated(field, weight, coeffs, pot, n_particles, grid, k_max, 
             continue
         _reference_accumulate(op, field, weight, j, coeffs[j] * grid.dt, pot, n_particles, ktable, parts)
     return op
+
+
+def _slot_loop_accumulate(op, field, weight, slots, scales, pot, n_particles, ktable, parts):
+    """accumulate_quadratic with its x-d rows added one row slice per mode pair
+    and every other piece added slot by slot, each slot's (power, pair) combos
+    in order: the reference for the combo-wise and reduced assembly."""
+    grid, k_max = op.grid, op.k_max
+    beta = pot.beta
+    sb = np.sqrt(beta)
+    s0 = -sb * n_particles
+    slots, scales = np.asarray(slots), np.asarray(scales, dtype=float)
+
+    def deriv_vec(m, j):
+        if field == "static":
+            return np.array([op.vid(m, j)]), np.array([1.0 / grid.dt])
+        return op.convolved_derivative(ktable, m, j)
+
+    powers = []
+    for p, up in weight.items():
+        xd_pairs, slot_pairs = [], []
+        for m in range(-k_max, k_max + 1):
+            n = p - 1 - m
+            if not -k_max <= n <= k_max:
+                continue
+            if m == 0 or n == 0:
+                if field == "dynamic":
+                    slot_pairs.append((m, n))
+            elif parts == "affine":
+                continue
+            elif m >= 1 and n >= 1:
+                slot_pairs.append((m, n))
+            else:
+                xd_pairs.append((-min(m, n), max(m, n)))
+        powers.append((up, xd_pairs, slot_pairs))
+
+    lo, hi = int(slots[0]), int(slots[-1]) + 1
+    row_scales = np.zeros(hi - lo)
+    row_scales[slots - lo] = scales
+    basis = op.basis if op.basis is not None else kernel_toeplitz(ktable, k_max)
+    for up, xd_pairs, _ in powers:
+        ups = up * row_scales
+        for mult, der in xd_pairs:
+            c = ups * mult
+            if field == "static":
+                op.add_xd_rows(mult, 2, der, lo, c * (1.0 / grid.dt))
+            else:
+                op.add_xd_rows(mult, 0, der, lo, c, basis)
+
+    for j, scale in zip(slots.tolist(), scales):
+        for up, _, slot_pairs in powers:
+            up = up * scale
+            for m, n in slot_pairs:
+                if m == 0 or n == 0:
+                    other = n if m == 0 else m
+                    if other == 0:
+                        op.add_const(up * s0 * s0)
+                    elif other >= 1:
+                        vids, vals = deriv_vec(other, j)
+                        op.add_d_vec(vids, up * s0 * sb * vals)
+                    else:
+                        op.add_x(op.vid(-other, j), up * s0 * abs(other) / sb)
+                elif op.basis is None:
+                    vu, au = deriv_vec(m, j)
+                    vv, av = deriv_vec(n, j)
+                    op.add_dd_block(vu, vv, up * beta * np.outer(au, av))
+                else:
+                    b, w = (0, up * beta) if field == "dynamic" else (2, up * beta / grid.dt**2)
+                    coef = op._ensure("dd").coef
+                    coef[m - 1, b, n - 1, j] += w / 2.0
+                    coef[n - 1, b, m - 1, j] += w / 2.0
+
+
+def _field_bytes(op) -> dict:
+    """Every canonical field of op as bytes, a slot field by its coefficients."""
+    out = {"const": np.float64(op.const).tobytes()}
+    for f in ("x", "d", "xd", "dd"):
+        v = getattr(op, f)
+        out[f] = None if v is None else getattr(v, "coef", v).tobytes()
+    return out
 
 
 def _reference_weak_score(op, probes):
@@ -191,3 +280,32 @@ def test_weak_field_score_matches_pair_loop_reference():
     ops = [a, b, c, deriv, a - b, commutator(a, deriv), commutator(b, c), BosonOperator(GRID, K_MAX)]
     for op in ops:
         assert weak_field_score(op, probes) == _reference_weak_score(op, probes)
+
+
+@pytest.mark.parametrize("block_bytes", [None, 8 * K_MAX * 3 * 10], ids=["one-tile", "small-tiles"])
+@pytest.mark.parametrize("parts", ["full", "affine"])
+@pytest.mark.parametrize("field", ["static", "dynamic"])
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "slot-field"])
+def test_accumulate_quadratic_equals_the_slot_loop_byte_for_byte(monkeypatch, dense, field, parts, block_bytes):
+    """Every field of accumulate_quadratic equals the slot loop's byte for
+    byte: weights with every kind of piece, contiguous and gapped slots, a
+    lone first or last slot, and two calls onto one operator, so that the
+    second adds onto the first's values; with the default block budget (one
+    tile per reduction here) and a small one (many tiles, a short last one)."""
+    if block_bytes is not None:
+        monkeypatch.setattr(boson, "_REDUCE_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(11)
+    grid = TimeGrid(0.05, 20)
+    for pot in POTENTIALS.values():
+        tab = kernel_table(pot, grid, K_MAX)
+        basis = None if dense else kernel_toeplitz(tab, K_MAX)
+        weights = list(_weights(pot).values()) + [TruncSeries.from_dict({0: -0.3, 2: 1.1, 4: 0.6, 7: -0.2})]
+        slot_sets = [np.arange(grid.nslots), np.array([0, 2, 3, 7, 12, 13, 20]), np.array([0]), np.array([grid.steps]), np.arange(4, 17, 3)]
+        for weight in weights:
+            for slots in slot_sets:
+                got, want = BosonOperator(grid, K_MAX, basis), BosonOperator(grid, K_MAX, basis)
+                for _ in range(2):
+                    scales = rng.uniform(-1.5, 2.0, slots.size)
+                    accumulate_quadratic(got, field, weight, slots, scales, pot, N_PART, tab, parts)
+                    _slot_loop_accumulate(want, field, weight, slots, scales, pot, N_PART, tab, parts)
+                assert _field_bytes(got) == _field_bytes(want), (weight, slots)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coulombgas import svconstraints
+from coulombgas import boson, svconstraints
 from coulombgas.boson import BosonOperator, SlotField, TimeGrid, commutator, kernel_table, time_derivation
 from coulombgas.fseries import TruncSeries
 from coulombgas.kernel import Potential
@@ -151,7 +151,7 @@ def test_constraint_support_guard():
 
 def _psi_weight_slot_loop(weight, coeffs, pot, n_particles, grid, k_max, ktable):
     """integrated_psi_weight one slot at a time, each slot's kernel-convolved
-    derivative added by np.add.at: the reference for the by-lag assembly."""
+    derivative added by np.add.at: the reference for the ordered-reduction assembly."""
     op = BosonOperator(grid, k_max)
     coeffs = np.asarray(coeffs, dtype=float)
     sb = np.sqrt(pot.beta)
@@ -167,13 +167,25 @@ def _psi_weight_slot_loop(weight, coeffs, pot, n_particles, grid, k_max, ktable)
     return op
 
 
-@pytest.mark.parametrize("steps, k_max", [(7, 3), (50, 4), (1000, 8)])
-def test_psi_weight_by_lag_equals_the_slot_loop(steps, k_max):
-    """integrated_psi_weight adds its terms one lag at a time and keeps each
-    entry's order of terms, so d and the constant equal the slot-by-slot
+@pytest.mark.parametrize(
+    "steps, k_max, block_bytes",
+    [
+        pytest.param(7, 3, None, id="7-3"),
+        pytest.param(50, 4, None, id="50-4"),
+        pytest.param(1000, 8, None, id="1000-8"),
+        # tiles of 7 columns and 6 slots: many tiles, the last column block 2 wide
+        pytest.param(50, 4, 1600, id="50-4-small-blocks"),
+    ],
+)
+def test_psi_weight_by_lag_equals_the_slot_loop(monkeypatch, steps, k_max, block_bytes):
+    """integrated_psi_weight adds its terms by ordered reductions and keeps
+    each entry's order of terms, so d and the constant equal the slot-by-slot
     loop byte for byte: three potentials, weights with several powers (the
     constant mode, zero coefficients between powers), coefficient profiles
-    with zero slots, and all-zero coefficients, which leave d None."""
+    with zero slots, and all-zero coefficients, which leave d None; with a
+    small block budget, across many tiles and a short last one."""
+    if block_bytes is not None:
+        monkeypatch.setattr(boson, "_REDUCE_BLOCK_BYTES", block_bytes)
     grid = TimeGrid(1.0 / steps, steps)
     t = grid.times
     weights = [
@@ -197,6 +209,25 @@ def test_psi_weight_by_lag_equals_the_slot_loop(steps, k_max):
                 assert (got.x, got.xd, got.dd) == (None, None, None)
         zero = integrated_psi_weight(weights[1], profiles[3], pot, 5, grid, k_max, ktable)
         assert zero.d is None and zero.const == 0.0
+
+
+def test_psi_weight_peak_memory():
+    """A (1000 steps, k_max 8) psi-weight call stays within 1 MB of traced
+    allocations: its reduction stacks are blocked (one unblocked stack of
+    all slots over d would take 64 MB)."""
+    import tracemalloc
+
+    grid, k_max, pot = TimeGrid(1e-3, 1000), 8, Potential(2.0, {1: 0.5, 2: 0.3})
+    ktable = kernel_table(pot, grid, k_max)
+    coeffs = bump(0.0, 1.0, 4)(grid.times)
+    tracemalloc.start()
+    try:
+        op = integrated_psi_weight(TruncSeries.from_dict({1: 1.0, 3: -0.5}), coeffs, pot, 5, grid, k_max, ktable)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.d is not None and np.any(op.d)
+    assert peak < 1 << 20, peak
 
 
 # ----------------------------------------------------------- bracket suites
@@ -239,7 +270,7 @@ def test_sv_algebra_shared_family_builds_each_member_once(monkeypatch):
     four quadratic members and the quadratic target, and the four linear
     members, once each; the kept members are read-only, down to the
     coefficient arrays of their slot fields and the basis those share."""
-    from coulombgas import svconstraints
+    from coulombgas import boson, svconstraints
 
     calls = {"quadr": 0, "lin": 0}
 
