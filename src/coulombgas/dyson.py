@@ -71,7 +71,7 @@ __all__ = [
 GAP_MIN = 1e-8
 
 
-class RejectionRateError(RuntimeError):
+class RejectionRateError(FloatingPointError):
     """Step-rejection rate exceeded the weak-order-preserving budget."""
 
 

@@ -308,10 +308,11 @@ def force_change(n: int, a: TimePoly, pot, state, hist_matrix=None):
     adot = a.deriv(1)(t_eval)
     addot = a.deriv(2)(t_eval)
 
-    simul = lam ** (n + 1) * addot
-    brace = np.zeros_like(lam)
+    force = np.zeros_like(lam)  # sum_l b_l (n+l+1) lam^(n+l), shared by simul and n1
     for l, bl in pot.b.items():
-        brace += bl * (n + l + 1) * lam ** (n + l)
+        force += bl * (n + l + 1) * lam ** (n + l)
+    simul = lam ** (n + 1) * addot
+    brace = force.copy()
     for q in range(0, n):  # empty for n <= 0
         pi_q = np.sum(lam ** (n - 1 - q))
         brace += pot.beta * (q + 1) * lam**q * pi_q
@@ -340,12 +341,9 @@ def force_change(n: int, a: TimePoly, pot, state, hist_matrix=None):
                 delay[i] -= pot.beta * dw[jx] * (shift[jx] - shift[i]) / gap**2
 
     n1 = lam ** (n + 1) * addot
-    n1_brace = np.zeros_like(lam)
-    for l, bl in pot.b.items():
-        n1_brace += bl * (n + 1 + l) * lam ** (n + l)
     if n >= 1:
-        n1_brace += (n + 1) * n * lam ** (n - 1)
-    n1 = n1 + n1_brace * adot
+        force += (n + 1) * n * lam ** (n - 1)
+    n1 = n1 + force * adot
     return {"simul": simul, "delay": delay, "n1": n1}
 
 

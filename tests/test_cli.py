@@ -472,6 +472,32 @@ def test_equilibrium_reports_sampler_diagnostics():
         assert c["tau_int"] >= 1.0 and isinstance(c["tau_int"], float)
 
 
+#: The Monte Carlo row kinds of each suite that writes them, with the
+#: tolerances key that holds each kind's sigmas.
+MC_ROW_SIGMAS = {
+    "equilibrium-loop": {"loop-equation": "sigmas", "pi2-stationary": "sigmas"},
+    "dbm-moments": {"pi1-decay": "sigmas", "pi2-longtime": "sigmas", "noise-variance": "noise_sigmas", "moment-hierarchy": "sigmas", "action-density-mean": "sigmas"},
+    "girsanov": {"full-weight-mean": "sigmas", "reweighted-vs-direct": "sigmas"},
+    "npoint": {"npoint": "sigmas"},
+    "sv-algebra": {"constraint-order0": "mc_sigmas"},
+}
+
+
+@pytest.mark.parametrize("suite", sorted(MC_ROW_SIGMAS))
+def test_monte_carlo_rows_carry_their_se(suite):
+    """Every Monte Carlo row carries the finite se >= 0 that its tolerance is
+    built from: the tolerance covers sigmas * se, sigmas read from the scenario."""
+    scn = _small_scenario(suite)
+    rep, _ = run_suite(scn)
+    sigmas = MC_ROW_SIGMAS[suite]
+    rows = [c for c in rep["checks"] if c["name"].split("/")[0] in sigmas]
+    assert {c["name"].split("/")[0] for c in rows} == set(sigmas)
+    for c in rows:
+        kind, se = c["name"].split("/")[0], c["se"]
+        assert isinstance(se, float) and math.isfinite(se) and se >= 0.0, c["name"]
+        assert c["tolerance"] >= scn["tolerances"][sigmas[kind]] * se, c["name"]
+
+
 def test_engine_failure_writes_failed_report(tmp_path, capsys):
     """An engine error (here the rejection-rate budget) ends in a failed
     report and exit 1, with one line on stderr and no traceback."""
