@@ -899,29 +899,29 @@ class EqSamples:
         return mean_se(self.chain_means[k])
 
 
+def _row_sum(rows):
+    """rows summed over axis 0 as np.sum sums a contiguous axis: in sequence below 8 terms, else pairwise."""
+    if len(rows) < 8:
+        return np.add.reduce(rows)
+    return np.moveaxis(rows, 0, -1).copy().sum(axis=-1)
+
+
 def _log_gibbs_delta(pot, tau, pair, others):
     """Log target ratio of the single-site moves pair[1] -> pair[0], each
-    (chains,), with others (chains, n - 1) the other particles."""
+    (chains,), with others (n - 1, chains) the other particles."""
     v = pot.v(pair)
     dv = v[0] - v[1]
     for k, tk in (tau or {}).items():
         pk = pair**k
         dv += tk * (pk[0] - pk[1])
     out = -dv
-    if pot.beta != 0.0 and others.shape[1] > 0:
-        logs = np.log(np.abs(pair[:, :, None] - others) + 1e-300)
-        out += pot.beta * (logs[0] - logs[1]).sum(axis=1)
+    if pot.beta != 0.0 and len(others):
+        logs = np.log(np.abs(pair[:, None] - others) + 1e-300)
+        out += pot.beta * _row_sum(logs[0] - logs[1])
     return out
 
 
-def sample_equilibrium(
-    pot: Potential,
-    n: int,
-    sweeps: int,
-    seed: int = 0,
-    chains: int = 100,
-    tau: dict | None = None,
-) -> EqSamples:
+def sample_equilibrium(pot: Potential, n: int, sweeps: int, seed: int = 0, chains: int = 100, tau: dict | None = None) -> EqSamples:
     """Metropolis sampler for the Gibbs measure with single-site Gaussian
     proposals, adapted to ~30% acceptance during the 20% burn-in.
 
@@ -929,7 +929,9 @@ def sample_equilibrium(
     hard budget.  ``samples`` is sweep-major: row s * chains + c is chain c,
     sorted, after kept sweep s.  The per-chain means of pi_k (k <= 8) and of
     pi_a pi_b (a <= b <= 6) use powers built by repeated products, which for
-    k >= 3 differ from libm ``pow`` (``x**k``) by rounding.
+    k >= 3 differ from libm ``pow`` (``x**k``) by rounding.  The chain state
+    is particle-major, (n, chains), and the sums over partners and particles
+    keep numpy's replica-major order, pairwise from 8 terms (:func:`_row_sum`).
     """
     if not pot.is_confining() and not (tau and max(tau) % 2 == 0 and tau[max(tau)] > 0):
         raise ValueError("potential is not confining; the Gibbs measure does not exist")
@@ -938,7 +940,7 @@ def sample_equilibrium(
     burn = max(1, per_chain // 5)
     kept = per_chain - burn
     sig = pot.sigma if pot.is_hermite else 1.0
-    lam = np.sort(rng.normal(0.0, sig * max(1.0, math.sqrt(n)), size=(chains, n)), axis=1)
+    lam = np.sort(rng.normal(0.0, sig * max(1.0, math.sqrt(n)), size=(chains, n)), axis=1).T.copy()
     step = np.full(chains, 0.5 * sig)
     partners = [np.delete(np.arange(n), i) for i in range(n)]
     k_track = 8
@@ -946,8 +948,7 @@ def sample_equilibrium(
     pair_a, pair_b = np.array(pair_keys, dtype=int).reshape(-1, 2).T
     samples, pi1 = np.empty((kept, chains, n)), np.empty((kept, chains))
     chain_acc, pair_acc = np.zeros((k_track + 1, chains)), np.zeros((len(pair_keys), chains))
-    pows = np.empty((k_track + 1, chains, n))  # lam^k of the current sweep, k = 0..k_track
-    pows[0] = 1.0
+    pows = np.ones((k_track + 1, n, chains))  # lam^k of the current sweep, k = 0..k_track
     pair = np.empty((2, chains))  # proposal and current value of one site
     acc_count = 0
 
@@ -955,33 +956,32 @@ def sample_equilibrium(
         # random-scan site order: a fixed order breaks the reflection
         # equivariance of the finite-time kernel and leaves a transient
         # asymmetry in the odd moments
-        for i in rng.permutation(n):
-            pair[1] = lam[:, i]
-            pair[0] = pair[1] + step * rng.standard_normal(chains)
-            logr = _log_gibbs_delta(pot, tau, pair, lam[:, partners[i]])
+        for i in rng.permutation(n).tolist():
+            pair[1] = lam[i]
+            np.add(pair[1], step * rng.standard_normal(chains), out=pair[0])
+            logr = _log_gibbs_delta(pot, tau, pair, lam[partners[i]])
             accept = np.log(rng.random(chains)) < logr
-            np.copyto(lam[:, i], pair[0], where=accept)
+            np.copyto(lam[i], pair[0], where=accept)
             if sweep >= burn:
                 acc_count += int(np.count_nonzero(accept))
             else:
                 # stochastic-approximation tuning toward the target rate
                 step *= np.exp(0.2 * (accept.astype(float) - 0.3))
-        lam.sort(axis=1)
+        lam.sort(axis=0)
         s = sweep - burn
         if s >= 0:
-            samples[s] = lam
+            samples[s] = lam.T
             for k in range(1, k_track + 1):
                 np.multiply(pows[k - 1], lam, out=pows[k])
-            pis = pows.sum(axis=2)  # (k_track+1, chains): pi_k per chain, summed as np.sum(lam**k, axis=1)
+            pis = _row_sum(pows.swapaxes(0, 1))  # (k_track+1, chains): pi_k per chain, summed as np.sum(lam.T**k, axis=1)
             chain_acc += pis
             pair_acc += pis[pair_a] * pis[pair_b]
             pi1[s] = pis[1]
 
     acceptance = acc_count / max(kept * n * chains, 1)
     autocorr = _integrated_autocorr(pi1 - pi1.mean(axis=0, keepdims=True))
-    chain_means = dict(enumerate(chain_acc / kept))
-    pair_chain_means = dict(zip(pair_keys, pair_acc / kept))
-    return EqSamples(samples.reshape(kept * chains, n), acceptance, autocorr, chain_means, pair_chain_means, dict(tau or {}))
+    means, pair_means = dict(enumerate(chain_acc / kept)), dict(zip(pair_keys, pair_acc / kept))
+    return EqSamples(samples.reshape(kept * chains, n), acceptance, autocorr, means, pair_means, dict(tau or {}))
 
 
 def _integrated_autocorr(x: np.ndarray) -> float:
