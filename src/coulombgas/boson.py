@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .fseries import TruncSeries
 from .kernel import Potential, propagator_table
@@ -106,15 +106,22 @@ class PolyFunctional:
         return float(np.max([abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) for k in keys], initial=0.0))
 
 
+def _lags(ktable: np.ndarray, modes, k: int, ns: int) -> np.ndarray:
+    """lags[j, c, l - 1, j'] = K_{modes[c], l}(t_j - t_j') for slots j, j' < ns and
+    l = 1..k, 0 for j' > j: a read-only strided view of
+    padded[c, l - 1, ns - 1 + m] = K_{modes[c], l}(-m dt), 0 for m > 0."""
+    padded = np.zeros((len(modes), k, 2 * ns - 1))
+    padded[:, :, :ns] = ktable[ns - 1 :: -1, modes, 1 : k + 1].transpose(1, 2, 0)
+    sc, sl, sj = padded.strides
+    return as_strided(padded[:, :, ns - 1 :], (ns, len(modes), k, ns), (-sj, sc, sl, sj), writeable=False)
+
+
 def kernel_toeplitz(ktable: np.ndarray, k_max: int) -> np.ndarray:
     """The read-only (k_max, ns, nvar) stack of the convolved derivative rows
     T_d[j, (l-1) ns + j'] = K_{d,l}(t_j - t_j'), j' <= j (0 above): the basis
     that the slot fields on one (potential, grid) share."""
     ns = ktable.shape[0]
-    out = np.empty((k_max, ns, k_max * ns))
-    for d in range(1, k_max + 1):  # a lower-triangular Toeplitz view of each kernel column, per l
-        padded = np.concatenate((ktable[::-1, d, 1:].T, np.zeros((k_max, ns - 1))), axis=1)
-        out[d - 1] = sliding_window_view(padded, ns, axis=1)[:, ::-1].transpose(1, 0, 2).reshape(ns, -1)
+    out = _lags(ktable, list(range(1, k_max + 1)), k_max, ns).transpose(1, 0, 2, 3).reshape(k_max, ns, -1)
     out.flags.writeable = False
     return out
 
@@ -211,20 +218,6 @@ class BosonOperator:
             raise ValueError(f"variable x[{k},{j}] outside mode/grid window")
         return (k - 1) * self.grid.nslots + j
 
-    def vid_block(self, j_lo: int, j_hi: int) -> np.ndarray:
-        """vids of x[k, j] for k = 1..k_max, j = j_lo..j_hi; shape (k_max, nj)."""
-        ns = self.grid.nslots
-        ks = np.arange(self.k_max)[:, None] * ns
-        return ks + np.arange(j_lo, j_hi + 1)[None, :]
-
-    def convolved_derivative(self, ktable, m: int, j: int):
-        """(vids, values) of the kernel-convolved derivative of mode m at slot j,
-        sum_{j' <= j} sum_l K_{ml}(t_j - t_j') d/dx[l, j'], without sqrt(beta)."""
-        vids = self.vid_block(0, j).ravel()
-        # ktable[j - j', m, l] for j' = 0..j -> (j+1, k_max) -> (k_max, j+1)
-        vals = ktable[j::-1, m, 1:].T.ravel()
-        return vids, vals
-
     def _ensure(self, name):
         if getattr(self, name) is None:
             n = self.nvar
@@ -245,17 +238,11 @@ class BosonOperator:
     def add_d(self, vid, c):
         self._ensure("d")[vid] += c
 
-    def add_d_vec(self, vids, vals):
-        np.add.at(self._ensure("d"), vids, vals)
-
     def add_x_vec(self, vids, vals):
         np.add.at(self._ensure("x"), vids, vals)
 
     def add_xd(self, a, u, c):
         self._ensure("xd")[a, u] += c
-
-    def add_xd_row(self, a, u_vids, vals):
-        np.add.at(self._ensure("xd")[a], u_vids, vals)
 
     def add_xd_rows(self, mult, b, der, lo, coef, basis=None):
         """Add coef[i] times row lo + i of B[b, der] (:class:`SlotField`; T_der from ``basis``
@@ -277,11 +264,6 @@ class BosonOperator:
         dd = self._ensure("dd")
         dd[u, v] += c / 2.0
         dd[v, u] += c / 2.0
-
-    def add_dd_block(self, u_vids, v_vids, block):
-        dd = self._ensure("dd")
-        dd[np.ix_(u_vids, v_vids)] += block / 2.0
-        dd[np.ix_(v_vids, u_vids)] += block.T / 2.0
 
     # -- algebra ----------------------------------------------------------
 
@@ -522,8 +504,7 @@ def dynamic_boson(
         return static_boson(k, j, pot.beta, grid, k_max)
     if ktable is None:
         ktable = kernel_table(pot, grid, k_max)
-    vids, vals = op.convolved_derivative(ktable, k, j)
-    op.add_d_vec(vids, np.sqrt(pot.beta) * vals)
+    _add_convolved(op._ensure("d").reshape(k_max, grid.nslots), ktable, [k], np.full((1, 1), np.sqrt(pot.beta)), j)
     return op
 
 
@@ -543,12 +524,7 @@ def _add_convolved(d: np.ndarray, ktable: np.ndarray, modes, coefs: np.ndarray, 
     """
     k, ns = d.shape
     n, nc = coefs.shape
-    # lags[j, c, l - 1, j'] = K_{modes[c], l}(t_j - t_j'), 0 for j' > j: a strided view
-    # of padded[c, l - 1, ns - 1 + m] = K_{modes[c], l}(-m dt), 0 for m > 0
-    padded = np.zeros((nc, k, 2 * ns - 1))
-    padded[:, :, :ns] = ktable[ns - 1 :: -1, modes, 1 : k + 1].transpose(1, 2, 0)
-    sc, sl, sj = padded.strides
-    lags = as_strided(padded[:, :, ns - 1 :], (ns, nc, k, ns), (-sj, sc, sl, sj), writeable=False)
+    lags = _lags(ktable, modes, k, ns)
     width = max(2, math.isqrt(_REDUCE_BLOCK_BYTES // (8 * k * nc)))
     lo = 0
     while lo < min(ns, first + n):
@@ -594,8 +570,8 @@ def accumulate_quadratic(
     block is one coefficient per slot, from the first live slot to the last,
     of the rows of T_der, or of the selection of mode der times 1/dt for the
     static field).  The zero-mode d pieces go through one ordered reduction
-    (:func:`_add_convolved`); the scalar and a dense d-d field are added slot
-    by slot.
+    (:func:`_add_convolved`); the scalar and a dense d-d field, which reads
+    the x-d blocks' rows, are added slot by slot.
     """
     if field not in ("static", "dynamic"):
         raise ValueError("field must be 'static' or 'dynamic'")
@@ -613,12 +589,6 @@ def accumulate_quadratic(
     beta = pot.beta
     sb = np.sqrt(beta)
     s0 = -sb * n_particles
-
-    def deriv_vec(m, j):
-        """(vids, values) of the derivative part of mode m >= 1 at slot j, without sqrt(beta)."""
-        if field == "static":
-            return np.array([op.vid(m, j)]), np.array([1.0 / grid.dt])
-        return op.convolved_derivative(ktable, m, j)
 
     # per weight power, the x-d pairs (multiplier mode, derivative mode); over
     # all powers, the (power, pair) combos of each other piece: scalar, d-linear,
@@ -657,7 +627,7 @@ def accumulate_quadratic(
     row_scales = np.zeros(hi - lo)
     row_scales[slots - lo] = scales
     basis = op.basis
-    if basis is None and field == "dynamic" and any(xd_pairs for _, xd_pairs in powers):
+    if basis is None and field == "dynamic" and (dd_combos or any(xd_pairs for _, xd_pairs in powers)):
         basis = kernel_toeplitz(ktable, k_max)  # the rows a dense field adds
     for up, xd_pairs in powers:
         ups = up * row_scales
@@ -683,12 +653,17 @@ def accumulate_quadratic(
             coef = op._ensure("dd").coef
             coef[m - 1, b, n - 1, slots] += w / 2.0
             coef[n - 1, b, m - 1, slots] += w / 2.0
-    elif dd_combos:
+    elif dd_combos:  # the same sum, dense: rows j of T_m and T_n, or of the selections times 1/dt
+        dd = op._ensure("dd")
         for j, scale in zip(slots.tolist(), scales):
             for up, m, n in dd_combos:
-                vu, au = deriv_vec(m, j)
-                vv, av = deriv_vec(n, j)
-                op.add_dd_block(vu, vv, up * scale * beta * np.outer(au, av))
+                w = up * scale * beta
+                if field == "static":
+                    op.add_dd(op.vid(m, j), op.vid(n, j), w * (1.0 / grid.dt * (1.0 / grid.dt)))
+                else:
+                    half = w * np.outer(basis[m - 1, j], basis[n - 1, j]) / 2.0
+                    dd += half
+                    dd += half.T
 
 
 def normal_ordered_quadratic(

@@ -25,8 +25,7 @@ Conventions.  For the label functions we use the normalization in which
 
 (the quadratic a-terms enter with the minus sign forced by the derivation
 and by the Gaussian-case displays; a doubled normalization L_0[2a] with
-differential part -2a d/dt appears in intermediate computations and is
-exposed as SECTION_FACTOR_L0 = 2).
+differential part -2a d/dt appears in intermediate computations).
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from .timefunc import TimeGrid, TimePoly, bump, poly_t
 
 __all__ = [
     "ConstraintOp",
-    "SECTION_FACTOR_L0",
     "equilibrium_virasoro_op",
     "build_dynamical_constraint",
     "BracketFamily",
@@ -66,10 +64,6 @@ __all__ = [
     "constraint_residual_mc",
     "EQ_GRID",
 ]
-
-#: doubled normalization of the n = 0 family used in intermediate
-#: computations: L_0[2a] = 2 L_0[a] + (total time derivative) N-term.
-SECTION_FACTOR_L0 = 2.0
 
 #: single-slot grid carrier for equilibrium (one-time) operators; only slot
 #: j = 0 is used and dt = 1 makes delta/delta tau = d/dx exactly.

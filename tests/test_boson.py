@@ -13,6 +13,7 @@ from coulombgas.boson import (
     commutator_probed,
     dynamic_boson,
     kernel_table,
+    kernel_toeplitz,
     normal_ordered_quadratic,
     static_boson,
     time_derivation,
@@ -235,6 +236,23 @@ def test_dynamic_boson_hermite_diagonal_convolution():
         want = math.sqrt(2.0) * math.exp(-2 * (GRID.dt * (5 - jp)))
         assert op.d[op.vid(2, jp)] == pytest.approx(want, rel=1e-12)
     assert op.d[op.vid(1, 3)] == 0.0
+
+
+def test_dynamic_boson_row_is_the_kernel_basis_row():
+    """psi_k(t_j)'s d field is sqrt(beta) times row j of T_k, byte for byte,
+    for both potentials of the default boson-commutators scenario."""
+    from coulombgas.cli import default_scenario
+
+    scn = default_scenario("boson-commutators")
+    grid, k_max = TimeGrid(**scn["grid"]), scn["k_max"]
+    for spec in scn["potentials"].values():
+        pot = Potential(spec["beta"], {int(l): v for l, v in spec["b"].items()})
+        tab = kernel_table(pot, grid, k_max)
+        basis = kernel_toeplitz(tab, k_max)
+        for k in range(1, k_max + 1):
+            for j in range(grid.nslots):
+                got = dynamic_boson(k, j, pot, 5.0, grid, k_max, tab).d
+                assert got.tobytes() == (np.sqrt(pot.beta) * basis[k - 1, j]).tobytes(), (k, j)
 
 
 def test_dynamic_pair_commutator_is_retarded_kernel():

@@ -254,6 +254,31 @@ def test_lemma_beta_correction_needed_for_uz():
     assert res["corrected_rel"] < 1e-7
 
 
+def test_lemma_rows_of_the_default_suite_hold_at_rounding():
+    """Every technical-lemma residual that the default kernel-identities rows
+    report is at the rounding level: the derivative is exact and the mode
+    margin leaves no window-edge truncation.  Off the transport line the
+    as-stated u = z residual stays of order one."""
+    from coulombgas.cli import default_scenario, run_suite
+
+    rows = [c for c in run_suite(default_scenario("kernel-identities"))[0]["checks"] if c["name"].startswith("technical-lemma/")]
+    assert len(rows) == 6
+    for c in rows:
+        assert c["value"] <= 1e-13, c
+        assert c.get("corrected_rel", 0.0) <= 1e-13, c
+        if c["name"] in ("technical-lemma/u=z/generic-beta1", "technical-lemma/u=z/generic-beta4"):
+            assert c["as_stated_rel"] > 1.0, c
+        else:
+            assert c.get("as_stated_rel", 0.0) <= 1e-13, c
+
+
+def test_empty_force_is_zero_shaped_like_x():
+    x = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+    for f in (Potential(2.0).v, Potential(2.0).vprime):
+        got = f(x)
+        assert isinstance(got, np.ndarray) and got.shape == x.shape and not np.any(got)
+
+
 def test_semigroup_property_random_times():
     pot = Potential(4.0, {1: 0.5, 2: 0.3})
     a, b = 0.17, 0.23

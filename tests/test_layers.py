@@ -10,7 +10,9 @@ package at start-up, so validating a config loads no engine.
 
 The runtime tests run suites end to end in a fresh process: the Langevin
 and Metropolis suites leave the operator algebra unloaded, and the
-operator-algebra suites leave the engine unloaded.
+operator-algebra suites leave the engine unloaded.  The last tests read
+every module-level name of the package and require that something reads
+it, so no dead function, class or constant stays behind.
 """
 
 import ast
@@ -137,3 +139,76 @@ def test_operator_algebra_suites_leave_the_engine_unloaded(tmp_path):
     got = _run_fresh(tmp_path, sizes)
     assert {"coulombgas.boson", "coulombgas.svconstraints", "coulombgas.nptransform"} <= set(got["loaded"]), got
     assert "coulombgas.dyson" not in got["loaded"], got["loaded"]
+
+
+def _module_level_names(tree) -> dict:
+    """The functions, classes and constants that a module defines at its
+    top level, each with the index of its statement; runners that
+    ``@_suite`` registers and dunder names are left out."""
+    names = {}
+    for index, node in enumerate(tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            registered = any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_suite" for d in node.decorator_list)
+            if not registered:
+                names[node.name] = index
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    names[target.id] = index
+    return {name: index for name, index in names.items() if not name.startswith("__")}
+
+
+def _names_read(node) -> set:
+    """Every name that node loads, as a bare name or as an attribute."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+    return found
+
+
+def _unread_names(modules, readers) -> list:
+    """``module.name`` for each module-level name of the files ``modules``
+    that no top-level statement of the files ``readers`` reads, besides the
+    statement that defines it."""
+    trees = {p: ast.parse(p.read_text()) for p in {*modules, *readers}}
+    reads = {(p, index): _names_read(node) for p in readers for index, node in enumerate(trees[p].body)}
+    unread = []
+    for path in modules:
+        for name, index in _module_level_names(trees[path]).items():
+            if not any(name in names for key, names in reads.items() if key != (path, index)):
+                unread.append(f"{path.stem}.{name}")
+    return unread
+
+
+def test_every_module_level_name_is_read():
+    """Every module-level function, class and constant of the package is read
+    somewhere in the source, the tests or the benchmark, besides its own
+    definition (and ``__all__``, which names it only as a string)."""
+    root = PACKAGE.parent.parent
+    readers = [p for d in ("src", "tests", "perfbench") for p in sorted((root / d).rglob("*.py"))]
+    assert not _unread_names(sorted(PACKAGE.glob("*.py")), readers)
+
+
+def test_unread_names_reader(tmp_path):
+    """The reader flags a constant named only in ``__all__`` and a function
+    that only calls itself; it counts reads in another statement or file, as
+    attributes, and runners that ``@_suite`` registers."""
+    mod, user = tmp_path / "mod.py", tmp_path / "user.py"
+    mod.write_text(
+        '__all__ = ["A", "B"]\n'
+        "A = 1\n"
+        "B = 2\n"
+        "C = B + 1\n"
+        "def f():\n"
+        "    return f()\n"
+        "class K:\n"
+        "    pass\n"
+        '@_suite("x")\n'
+        "def run():\n"
+        "    pass\n"
+    )
+    user.write_text("import mod\nprint(mod.C, mod.K)\n")
+    assert _unread_names([mod], [mod, user]) == ["mod.A", "mod.f"]

@@ -38,6 +38,20 @@ FIELDS = ("const", "x", "d", "xd", "dd")
 # ------------------------------------------------------ slot-by-slot oracle
 
 
+def _convolved_row(ktable, k_max, m, j):
+    """(vids, values) of the kernel-convolved derivative of mode m at slot j,
+    K_{m,l}(t_j - t_j') on x[l, j'] for l = 1..k_max, j' <= j, without sqrt(beta)."""
+    vids = np.arange(k_max)[:, None] * ktable.shape[0] + np.arange(j + 1)
+    return vids.ravel(), ktable[j::-1, m, 1:].T.ravel()
+
+
+def _add_dd_block(op, u_vids, v_vids, block):
+    """The symmetric d-d add of block on the vid pairs (u, v): half on each side."""
+    dd = op._ensure("dd")
+    dd[np.ix_(u_vids, v_vids)] += block / 2.0
+    dd[np.ix_(v_vids, u_vids)] += block.T / 2.0
+
+
 def _reference_accumulate(op, field, weight, j, scale, pot, n_particles, ktable, parts):
     """Add scale * contour{ weight(z) :field(z, t_j)**2: dz } onto op, one slot."""
     grid, k_max = op.grid, op.k_max
@@ -47,9 +61,7 @@ def _reference_accumulate(op, field, weight, j, scale, pot, n_particles, ktable,
     def deriv_vec(m):
         if field == "static":
             return np.array([op.vid(m, j)]), np.array([1.0 / grid.dt])
-        vids = op.vid_block(0, j).ravel()
-        vals = ktable[j::-1, m, 1:].T.ravel()
-        return vids, vals
+        return _convolved_row(ktable, k_max, m, j)
 
     for p, up in weight.items():
         up = up * scale
@@ -66,7 +78,7 @@ def _reference_accumulate(op, field, weight, j, scale, pot, n_particles, ktable,
                     op.add_const(up * s0 * s0)
                 elif other >= 1:
                     vids, vals = deriv_vec(other)
-                    op.add_d_vec(vids, up * s0 * sb * vals)
+                    np.add.at(op._ensure("d"), vids, up * s0 * sb * vals)
                 else:
                     op.add_x(op.vid(-other, j), up * s0 * abs(other) / sb)
             elif m >= 1 and n >= 1:
@@ -74,13 +86,13 @@ def _reference_accumulate(op, field, weight, j, scale, pot, n_particles, ktable,
                     continue
                 vu, au = deriv_vec(m)
                 vv, av = deriv_vec(n)
-                op.add_dd_block(vu, vv, up * beta * np.outer(au, av))
+                _add_dd_block(op, vu, vv, up * beta * np.outer(au, av))
             else:
                 if parts == "affine":
                     continue
                 mult, der = (m, n) if m <= -1 else (n, m)
                 vids, vals = deriv_vec(der)
-                op.add_xd_row(op.vid(-mult, j), vids, up * abs(mult) * vals)
+                np.add.at(op._ensure("xd")[op.vid(-mult, j)], vids, up * abs(mult) * vals)
 
 
 def _reference_integrated(field, weight, coeffs, pot, n_particles, grid, k_max, ktable, parts):
@@ -106,7 +118,7 @@ def _slot_loop_accumulate(op, field, weight, slots, scales, pot, n_particles, kt
     def deriv_vec(m, j):
         if field == "static":
             return np.array([op.vid(m, j)]), np.array([1.0 / grid.dt])
-        return op.convolved_derivative(ktable, m, j)
+        return _convolved_row(ktable, k_max, m, j)
 
     powers = []
     for p, up in weight.items():
@@ -149,13 +161,13 @@ def _slot_loop_accumulate(op, field, weight, slots, scales, pot, n_particles, kt
                         op.add_const(up * s0 * s0)
                     elif other >= 1:
                         vids, vals = deriv_vec(other, j)
-                        op.add_d_vec(vids, up * s0 * sb * vals)
+                        np.add.at(op._ensure("d"), vids, up * s0 * sb * vals)
                     else:
                         op.add_x(op.vid(-other, j), up * s0 * abs(other) / sb)
                 elif op.basis is None:
                     vu, au = deriv_vec(m, j)
                     vv, av = deriv_vec(n, j)
-                    op.add_dd_block(vu, vv, up * beta * np.outer(au, av))
+                    _add_dd_block(op, vu, vv, up * beta * np.outer(au, av))
                 else:
                     b, w = (0, up * beta) if field == "dynamic" else (2, up * beta / grid.dt**2)
                     coef = op._ensure("dd").coef

@@ -151,10 +151,12 @@ def test_constraint_support_guard():
 
 def _psi_weight_slot_loop(weight, coeffs, pot, n_particles, grid, k_max, ktable):
     """integrated_psi_weight one slot at a time, each slot's kernel-convolved
-    derivative added by np.add.at: the reference for the ordered-reduction assembly."""
+    derivative K_{p,l}(t_j - t_j') on x[l, j'], j' <= j, added by np.add.at:
+    the reference for the ordered-reduction assembly."""
     op = BosonOperator(grid, k_max)
     coeffs = np.asarray(coeffs, dtype=float)
     sb = np.sqrt(pot.beta)
+    ns = grid.nslots
     for p, up in weight.items():
         if p == 0:
             op.add_const(-sb * n_particles * up * float(np.sum(coeffs)) * grid.dt)
@@ -162,8 +164,8 @@ def _psi_weight_slot_loop(weight, coeffs, pot, n_particles, grid, k_max, ktable)
         for j in range(grid.nslots):
             c = coeffs[j] * up * grid.dt
             if c != 0.0:
-                vids, vals = op.convolved_derivative(ktable, p, j)
-                op.add_d_vec(vids, sb * c * vals)
+                vids = (np.arange(k_max)[:, None] * ns + np.arange(j + 1)).ravel()
+                np.add.at(op._ensure("d"), vids, sb * c * ktable[j::-1, p, 1:].T.ravel())
     return op
 
 
