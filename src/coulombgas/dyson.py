@@ -113,7 +113,7 @@ class InitSpec:
             return np.tile(base + self.shift, (m, 1))
         if self.kind == "equilibrium":
             chains = max(64, m // 8)
-            eq = sample_equilibrium(pot, n, self.sweeps * chains, self.seed, chains=chains)
+            eq = sample_equilibrium(pot, n, self.sweeps * chains, self.seed, chains=chains, keep_samples=True)
             rng = np.random.default_rng(self.seed + 1)
             idx = rng.integers(0, eq.samples.shape[0], size=m)
             return np.sort(eq.samples[idx], axis=1)
@@ -208,6 +208,12 @@ _WINDOW_BYTES = 1 << 17
 # step).  The worker reads every slot, so the ring adds its size to the peak
 # memory; at 2 500 replicas of 5 particles it still holds 2 steps of slack.
 _RING_BYTES = 1 << 18
+# A worker steps its blocks in groups of at most this many bytes of state,
+# (n, rows) floats, split evenly into whole blocks (at least one per group),
+# and holds the statistics of one group at a time: 8 blocks, 4 000 replicas,
+# at N = 5.  perfbench gives each worker at most 2 500 replicas of 5
+# particles, so every benchmark run steps its blocks as one group.
+_GROUP_BYTES = 8 * _BLOCK * 5 * 8
 
 
 def _cores() -> int:
@@ -263,8 +269,14 @@ def _fork_map(fn, jobs: list) -> list:
             os.waitpid(pid, 0)
     failed = [value for ok, value in outcomes if not ok]
     if failed:
-        raise min(failed, key=lambda exc: getattr(exc, "where", ()))
+        raise _first_error(failed)
     return [value for _, value in outcomes]
+
+
+def _first_error(errors: list) -> Exception:
+    """The least of errors by ``where`` (see :func:`_at_step`), untagged
+    first and ties in list order: the one a single pass would meet first."""
+    return min(errors, key=lambda exc: getattr(exc, "where", ()))
 
 
 def _stream(seed: int, block: int, counter) -> np.random.Generator:
@@ -392,7 +404,9 @@ def _block_moments(x: np.ndarray, width: int, mean: np.ndarray, m2: np.ndarray):
 
 def _chan_merge(counts, means, m2s) -> tuple:
     """Merge per-block (count, mean, M2), in block order (Chan, Golub and
-    LeVeque 1983): returns the (mean, M2) of all the blocks."""
+    LeVeque 1983): returns the (mean, M2) of all the blocks.  The merge is a
+    left fold, so a first entry that is itself the merge of the leading
+    blocks, with their summed count, gives the bits of one merge of all."""
     n_a, mean, m2 = counts[0], means[0], m2s[0]
     for n_b, mean_b, m2_b in zip(counts[1:], means[1:], m2s[1:]):
         n_ab = n_a + n_b
@@ -640,12 +654,12 @@ def _substep(pot: Potential, lam: np.ndarray, dt: float, j: int, draw) -> tuple:
 
 
 def _run_blocks(pot: Potential, n: int, grid: TimeGrid, seed: int, block0: int, lam0: np.ndarray, store: tuple, keep_paths: bool, ahead: bool) -> dict:
-    """Step the replica blocks block0, block0 + 1, ... from the sorted initial
-    positions lam0 (rows, n) as one particle-major array, with the main noise
-    drawn ahead by a helper process if ``ahead`` (see :class:`_NoiseFeed`).
-    Returns their partials: per block the two-pass (mean, M2) of pi_1, pi_2
-    per slot and of the noise, and over the rows the functional samples, the
-    stored paths and the counters."""
+    """Step one group of replica blocks, block0, block0 + 1, ..., from the
+    sorted initial positions lam0 (rows, n) as one particle-major array, with
+    the main noise drawn ahead by a helper process of the group's own if
+    ``ahead`` (see :class:`_NoiseFeed`).  Returns their partials: per block
+    the two-pass (mean, M2) of pi_1, pi_2 per slot and of the noise, and over
+    the rows the functional samples, the stored paths and the counters."""
     dt, steps = grid.dt, grid.steps
     rows = lam0.shape[0]
     sizes = [min(_BLOCK, rows - lo) for lo in range(0, rows, _BLOCK)]
@@ -732,12 +746,74 @@ def _run_blocks(pot: Potential, n: int, grid: TimeGrid, seed: int, block0: int, 
         "sizes": sizes,
         "pi": pi_stats.reshape(2, steps + 1, 2, len(sizes)).transpose(3, 0, 1, 2),  # (blocks, 2, slots, 2)
         "noise": np.stack([noise_mean, noise_m2], axis=1),  # (blocks, 2)
-        "funcs": features.finish(steps),
+        "functional_samples": features.finish(steps),
         "paths": paths,
         "incs": incs,
         "rejected": rejected,
         "substepped": substepped,
     }
+
+
+def _joined(arrays: list) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _stats(parts: list) -> dict:
+    """The block statistics of consecutive partials, joined in block order:
+    replicas per entry, pi (entries, 2, slots, 2) and noise (entries, 2)."""
+    return {"sizes": [size for part in parts for size in part["sizes"]], **{key: _joined([part[key] for part in parts]) for key in ("pi", "noise")}}
+
+
+def _fold(parts: list, steps: int, n: int) -> dict:
+    """The block statistics of consecutive partials merged by
+    :func:`_chan_merge`, in block order, into one entry of the same form."""
+    stats = _stats(parts)
+    sizes, pi, noise = stats["sizes"], stats["pi"], stats["noise"]
+    pi_mean, pi_m2 = _chan_merge(sizes, pi[:, 0], pi[:, 1])
+    noise_mean, noise_m2 = _chan_merge([size * steps * n for size in sizes], noise[:, 0], noise[:, 1])
+    return {"sizes": [sum(sizes)], "pi": np.stack([pi_mean, pi_m2])[None], "noise": np.array([[noise_mean, noise_m2]])}
+
+
+def _join(parts: list) -> dict:
+    """The per-replica outputs of consecutive partials, joined in block
+    order, and their counters, summed: the Ensemble fields they fill."""
+    first = parts[0]
+    return {
+        "functional_samples": {name: _joined([part["functional_samples"][name] for part in parts]) for name in first["functional_samples"]},
+        **{key: None if first[key] is None else _joined([part[key] for part in parts]) for key in ("paths", "incs")},
+        **{key: sum(part[key] for part in parts) for key in ("rejected", "substepped")},
+    }
+
+
+def _run_range(pot: Potential, n: int, grid: TimeGrid, seed: int, block0: int, lam0: np.ndarray, store: tuple, keep_paths: bool, ahead: bool, fold: bool) -> dict:
+    """Step one worker's blocks, block0, block0 + 1, ..., in groups of at
+    most ``_GROUP_BYTES`` of state, split evenly into whole blocks, one
+    :func:`_run_blocks` call each, in block order.  Returns the partials of
+    :func:`_run_blocks` for the whole range: with ``fold`` the block
+    statistics are folded into one entry as each group ends (:func:`_fold`),
+    so the range holds those of one group; without it they stay per block.
+    A step error (FloatingPointError, tagged by :func:`_at_step`) lets the
+    later groups run, and the error raised is the least by ``where``
+    (:func:`_first_error`): the one a single pass over every block meets
+    first.  Any other error ends the range at once."""
+    per_group = max(1, _GROUP_BYTES // (_BLOCK * n * 8))
+    blocks = -(-lam0.shape[0] // _BLOCK)
+    groups = -(-blocks // per_group)
+    edges = [blocks * g // groups * _BLOCK for g in range(groups + 1)]
+    stats, parts, errors = [], [], []
+    for lo, hi in zip(edges, edges[1:]):
+        try:
+            part = _run_blocks(pot, n, grid, seed, block0 + lo // _BLOCK, lam0[lo:hi], store, keep_paths, ahead)
+        except FloatingPointError as exc:  # tagged by _at_step: a later group may fail at an earlier step
+            errors.append(exc)
+            continue
+        stats.append({key: part.pop(key) for key in ("sizes", "pi", "noise")})
+        if fold:
+            stats = [_fold(stats, grid.steps, n)]
+        parts.append(part)
+    if errors:
+        raise _first_error(errors)
+    return {**_stats(stats), **_join(parts)}
 
 
 def simulate_dbm(
@@ -822,19 +898,24 @@ def simulate_dbm(
     forked helper make its main draws, times sqrt(2 dt), ahead of its steps
     (see :class:`_NoiseFeed`): a run then uses 2 * workers processes.  With
     fewer cores a worker makes the same draws itself, so the bits do not
-    depend on the cores.  A worker steps its blocks as one array and
-    returns per-block partials (see :func:`_run_blocks`), reducing the block
-    statistics once per window of steps (``_WINDOW_BYTES`` of noise, at
-    least one step) with the values of a reduction per (block, step).  The
-    means and M2s are merged by Chan's formula and the rest is joined, both
-    in block order, so every output depends on (seed, m) and not on
-    ``workers``; pi_0 is n with M2 0, as that merge would give.
-    ``pi_mean``/``pi_se`` and the noise statistics read the merged values.
+    depend on the cores.  A worker steps its blocks in groups of at most
+    ``_GROUP_BYTES`` of state (8 blocks at N = 5), one group after another
+    in block order, each as one array with a noise helper of its own (see
+    :func:`_run_range`), reducing the block statistics once per window of
+    steps (``_WINDOW_BYTES`` of noise, at least one step) with the values
+    of a reduction per (block, step).  The means and M2s are merged by
+    Chan's formula, a left fold in block order: this process folds each of
+    its groups in as the group ends, so with one worker a run holds the
+    statistics of one group, and a forked worker returns per-block partials
+    that the fold here carries on.  The rest is joined in block order.  So
+    every output depends on (seed, m) and not on ``workers`` or the groups;
+    pi_0 is n with M2 0, as that merge would give.  ``pi_mean``/``pi_se``
+    and the noise statistics read the merged values.
 
     The state is particle-major, (n, m): a sum over particles is n - 1
     contiguous row adds, and the stack feeds the pi statistics (pi_1, pi_2)
     and the features.  The step reuses its buffers, allocated once per
-    worker: the drift with its packed pair terms (see :func:`_drift`),
+    group: the drift with its packed pair terms (see :func:`_drift`),
     drift * dt, the finiteness mask and the proposal, which is swapped with
     the state after each step and still formed as (lam + dB) + drift * dt.
     Noise is drawn and retried as (m, n) rows;
@@ -854,27 +935,16 @@ def simulate_dbm(
     workers = min(int(workers), blocks)
     edges = [blocks * w // workers * _BLOCK for w in range(workers + 1)]
     ahead = _spare_core(workers)
-    jobs = [(pot, n, grid, seed, lo // _BLOCK, lam0[lo:hi], store, keep_paths, ahead) for lo, hi in zip(edges, edges[1:])]
-    parts = _fork_map(_run_blocks, jobs)
+    jobs = [(pot, n, grid, seed, lo // _BLOCK, lam0[lo:hi], store, keep_paths, ahead, not w) for w, (lo, hi) in enumerate(zip(edges, edges[1:]))]
+    parts = _fork_map(_run_range, jobs)  # part 0, from this process, carries its statistics folded
 
-    def joined(arrays):
-        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-    ens = Ensemble(pot, n, grid, m, seed, init)
-    sizes = [size for part in parts for size in part["sizes"]]
-    pi = joined([part["pi"] for part in parts])
+    ens = Ensemble(pot, n, grid, m, seed, init, **_join(parts))
+    stats = _fold(parts, grid.steps, n)
     ens.pi_avg, ens.pi_m2 = np.empty((2, grid.nslots, 3))
     ens.pi_avg[:, 0], ens.pi_m2[:, 0] = n, 0.0  # pi_0 is n in every replica: what merging n's and zeros gives
-    ens.pi_avg[:, 1:], ens.pi_m2[:, 1:] = _chan_merge(sizes, pi[:, 0], pi[:, 1])
-    noise = joined([part["noise"] for part in parts])
+    ens.pi_avg[:, 1:], ens.pi_m2[:, 1:] = stats["pi"][0]
     ens.noise_count = m * grid.steps * n
-    mean, m2 = _chan_merge([size * grid.steps * n for size in sizes], noise[:, 0], noise[:, 1])
-    ens.noise_mean, ens.noise_m2 = float(mean), float(m2)
-    ens.functional_samples = {name: joined([part["funcs"][name] for part in parts]) for name in store[0]}
-    if keep_paths:
-        ens.paths, ens.incs = joined([part["paths"] for part in parts]), joined([part["incs"] for part in parts])
-    ens.rejected = sum(part["rejected"] for part in parts)
-    ens.substepped = sum(part["substepped"] for part in parts)
+    ens.noise_mean, ens.noise_m2 = map(float, stats["noise"][0])
     if ens.rejection_rate >= 0.01:
         raise RejectionRateError(f"rejection rate {ens.rejection_rate:.3%} >= 1%")
     return ens
@@ -888,7 +958,7 @@ def simulate_dbm(
 class EqSamples:
     """Gibbs-measure samples with sampler diagnostics."""
 
-    samples: np.ndarray          # (n_kept, n)
+    samples: np.ndarray          # (n_kept, n) with keep_samples, else (n_kept, 0)
     acceptance: float
     autocorr_pi1: float
     chain_means: dict            # k -> (n_chains,) per-chain means of pi_k
@@ -921,17 +991,21 @@ def _log_gibbs_delta(pot, tau, pair, others):
     return out
 
 
-def sample_equilibrium(pot: Potential, n: int, sweeps: int, seed: int = 0, chains: int = 100, tau: dict | None = None) -> EqSamples:
+def sample_equilibrium(pot: Potential, n: int, sweeps: int, seed: int = 0, chains: int = 100, tau: dict | None = None, keep_samples: bool = False) -> EqSamples:
     """Metropolis sampler for the Gibbs measure with single-site Gaussian
     proposals, adapted to ~30% acceptance during the 20% burn-in.
 
     Each chain runs max(10, sweeps // chains) sweeps, so ``sweeps`` is not a
-    hard budget.  ``samples`` is sweep-major: row s * chains + c is chain c,
-    sorted, after kept sweep s.  The per-chain means of pi_k (k <= 8) and of
-    pi_a pi_b (a <= b <= 6) use powers built by repeated products, which for
-    k >= 3 differ from libm ``pow`` (``x**k``) by rounding.  The chain state
-    is particle-major, (n, chains), and the sums over partners and particles
-    keep numpy's replica-major order, pairwise from 8 terms (:func:`_row_sum`).
+    hard budget.  With ``keep_samples`` every kept chain state is stored in
+    ``samples``, sweep-major: row s * chains + c is chain c, sorted, after
+    kept sweep s.  Without it ``samples`` is the empty (kept * chains, 0)
+    array, kept * chains * n floats fewer, and the chains, ``acceptance``,
+    ``autocorr_pi1`` and the means keep their bits.  The per-chain means of
+    pi_k (k <= 8) and of pi_a pi_b (a <= b <= 6) use powers built by
+    repeated products, which for k >= 3 differ from libm ``pow``
+    (``x**k``) by rounding.  The chain state is particle-major, (n,
+    chains), and the sums over partners and particles keep numpy's
+    replica-major order, pairwise from 8 terms (:func:`_row_sum`).
     """
     if not pot.is_confining() and not (tau and max(tau) % 2 == 0 and tau[max(tau)] > 0):
         raise ValueError("potential is not confining; the Gibbs measure does not exist")
@@ -946,7 +1020,7 @@ def sample_equilibrium(pot: Potential, n: int, sweeps: int, seed: int = 0, chain
     k_track = 8
     pair_keys = [(a, b) for a in range(k_track - 1) for b in range(a, k_track - 1)]
     pair_a, pair_b = np.array(pair_keys, dtype=int).reshape(-1, 2).T
-    samples, pi1 = np.empty((kept, chains, n)), np.empty((kept, chains))
+    samples, pi1 = np.empty((kept, chains, n if keep_samples else 0)), np.empty((kept, chains))
     chain_acc, pair_acc = np.zeros((k_track + 1, chains)), np.zeros((len(pair_keys), chains))
     pows = np.ones((k_track + 1, n, chains))  # lam^k of the current sweep, k = 0..k_track
     pair = np.empty((2, chains))  # proposal and current value of one site
@@ -970,7 +1044,8 @@ def sample_equilibrium(pot: Potential, n: int, sweeps: int, seed: int = 0, chain
         lam.sort(axis=0)
         s = sweep - burn
         if s >= 0:
-            samples[s] = lam.T
+            if keep_samples:
+                samples[s] = lam.T
             for k in range(1, k_track + 1):
                 np.multiply(pows[k - 1], lam, out=pows[k])
             pis = _row_sum(pows.swapaxes(0, 1))  # (k_track+1, chains): pi_k per chain, summed as np.sum(lam.T**k, axis=1)
@@ -981,7 +1056,7 @@ def sample_equilibrium(pot: Potential, n: int, sweeps: int, seed: int = 0, chain
     acceptance = acc_count / max(kept * n * chains, 1)
     autocorr = _integrated_autocorr(pi1 - pi1.mean(axis=0, keepdims=True))
     means, pair_means = dict(enumerate(chain_acc / kept)), dict(zip(pair_keys, pair_acc / kept))
-    return EqSamples(samples.reshape(kept * chains, n), acceptance, autocorr, means, pair_means, dict(tau or {}))
+    return EqSamples(samples.reshape(kept * chains, samples.shape[2]), acceptance, autocorr, means, pair_means, dict(tau or {}))
 
 
 def _integrated_autocorr(x: np.ndarray) -> float:

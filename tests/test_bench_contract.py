@@ -124,6 +124,7 @@ def test_tracer_counts_the_equilibrium_cases_of_this_process(monkeypatch):
     assert values["dyson.sample_equilibrium.calls"] == 2
     assert values["dyson.sample_equilibrium.site_updates"] == 20 * max(10, 2000 // 20) * (2 + 5)
     assert values["dyson.loop_equation_residual.calls"] == 2 * len(scn["orders"])
+    assert values["dyson.sample_equilibrium.eff_samples_per_s"] > 0
 
 
 @pytest.mark.parametrize("workload", ["langevin-online", "langevin-stored", "operator-algebra", "gibbs-loop"])

@@ -322,14 +322,18 @@ def test_fork_map_keeps_job_order_and_raises_the_first_error(jobs, error):
     _assert_no_child()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_noise_helpers_leave_no_process(monkeypatch, workers):
+@pytest.mark.parametrize("workers, group_bytes", [(1, None), (2, None), (1, 1)], ids=["1", "2", "1-group-per-block"])
+def test_noise_helpers_leave_no_process(monkeypatch, workers, group_bytes):
     """With the noise helper forced on, for one worker or for two (this
     process and a forked one), no child process is left after a run, nor
-    after a run that raises at step 50 of 200 while its helper draws ahead."""
+    after a run that raises at step 50 of 200 while its helper draws ahead;
+    also when one worker steps its two blocks as two groups, each group with
+    a helper of its own."""
     from coulombgas import dyson
 
     monkeypatch.setattr(dyson, "_spare_core", lambda workers: True)
+    if group_bytes is not None:
+        monkeypatch.setattr(dyson, "_GROUP_BYTES", group_bytes)
     grid, init = TimeGrid(1e-3, 200), InitSpec("equispaced", shift=0.3)
     _assert_no_child()
     with _deadline(60):
@@ -387,6 +391,44 @@ def test_non_finite_positions_name_the_first_step(workers):
     assert np.all(np.isfinite(ens.paths))
 
 
+def test_a_later_group_failing_first_raises_its_error(monkeypatch):
+    """Run as two groups of one block on one worker, the run of
+    test_non_finite_positions_name_the_first_step raises the error of its
+    second group, which fails at an earlier step than the first: the error
+    of one pass over both blocks."""
+    from coulombgas import dyson
+
+    pot, init = Potential(0.0, {2: -1.0}), InitSpec("explicit", values=(1.0,))
+    messages = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for group_bytes in (dyson._GROUP_BYTES, 1):
+            monkeypatch.setattr(dyson, "_GROUP_BYTES", group_bytes)
+            with pytest.raises(FloatingPointError) as err:
+                simulate_dbm(pot, 1, TimeGrid(0.01, 400), 1000, init, seed=0)
+            messages[group_bytes] = (str(err.value), err.value.where)
+        with pytest.raises(FloatingPointError) as block0:
+            simulate_dbm(pot, 1, TimeGrid(0.01, 400), 500, init, seed=0)
+    assert messages[1] == messages[dyson._GROUP_BYTES]
+    assert block0.value.where > messages[1][1]
+
+
+@pytest.mark.parametrize("lead", range(1, 6))
+def test_chan_merge_of_a_prefolded_first_entry_keeps_every_bit(lead):
+    """Merging the first ``lead`` entries, then that result as the first
+    entry with their summed count before the rest, gives the bits of one
+    merge of all six: what the grouped workers rely on."""
+    from coulombgas.dyson import _chan_merge
+
+    rng = np.random.default_rng(lead)
+    counts = [500, 500, 500, 137, 500, 41]
+    means = rng.normal(size=(6, 7, 2)) * 10.0
+    m2s = rng.random(size=(6, 7, 2)) * 100.0
+    want = _chan_merge(counts, means, m2s)
+    mean, m2 = _chan_merge(counts[:lead], means[:lead], m2s[:lead])
+    got = _chan_merge([sum(counts[:lead]), *counts[lead:]], [mean, *means[lead:]], [m2, *m2s[lead:]])
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 def test_exchange_symmetry_of_linear_statistics():
     grid = TimeGrid(1e-3, 60)
     ens = simulate_dbm(HERMITE2, 4, grid, 30, seed=9, keep_paths=True)
@@ -412,7 +454,7 @@ def test_equilibrium_single_particle_ks():
     """N = 1 samples match the quadrature CDF of exp(-V) at the 1% level."""
     pot = Potential(2.0, {1: 1.0, 3: 0.4})
     chains = 200
-    eq = sample_equilibrium(pot, 1, 60000, seed=4, chains=chains)
+    eq = sample_equilibrium(pot, 1, 60000, seed=4, chains=chains, keep_samples=True)
     xs = np.linspace(-4, 4, 4001)
     dens = np.exp(-pot.v(xs))
     cdf = np.cumsum(dens)

@@ -86,7 +86,7 @@ def _run(name, workers=1):
         return simulate_dbm(
             HERMITE2, 5, grid, 200, InitSpec("equispaced", halfwidth=1.0), seed=3,
             functionals={**moment_functionals(HERMITE2, grid, (1, 2)), **_npoint_funcs(HERMITE2, grid)},
-            keep_paths=True,
+            keep_paths=True, workers=workers,
         )
     raise KeyError(name)
 
@@ -215,6 +215,29 @@ def test_every_noise_feed_keeps_the_golden_bits(name, feed, monkeypatch):
         monkeypatch.setattr(dyson, "_RING_BYTES", ring_bytes)
     *digests, rejected, substepped = GOLDEN[name]
     ens = _run(name)
+    assert (ens.rejected, ens.substepped) == (rejected, substepped)
+    assert ensemble_digests(ens) == tuple(digests)
+
+
+@pytest.mark.parametrize("feed", sorted(FEEDS))
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("group_blocks", [1, 2])
+@pytest.mark.parametrize("name", ["blocks", "substeps"])
+def test_every_block_group_keeps_the_golden_bits(name, group_blocks, workers, feed, monkeypatch):
+    """A worker that steps its blocks in groups of one or of two blocks, each
+    group with its own feed, keeps every bit on one and on two workers:
+    "blocks" (three blocks, N = 4) runs as groups of 1 + 1 + 1 or 1 + 2
+    blocks on one worker, "substeps" (one block) as one group."""
+    from coulombgas import dyson
+
+    ahead, ring_bytes = FEEDS[feed]
+    monkeypatch.setattr(dyson, "_spare_core", lambda workers: ahead)
+    if ring_bytes is not None:
+        monkeypatch.setattr(dyson, "_RING_BYTES", ring_bytes)
+    n = {"blocks": 4, "substeps": 5}[name]
+    monkeypatch.setattr(dyson, "_GROUP_BYTES", group_blocks * dyson._BLOCK * n * 8)
+    *digests, rejected, substepped = GOLDEN[name]
+    ens = _run(name, workers)
     assert (ens.rejected, ens.substepped) == (rejected, substepped)
     assert ensemble_digests(ens) == tuple(digests)
 

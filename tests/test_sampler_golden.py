@@ -22,6 +22,7 @@ values in the form of ``GOLDEN``.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,9 +62,9 @@ GOLDEN = {
 EQUILIBRIUM_INIT = "2d749c08270e9508969fe498f42bcc01b9508f4ed437c39857b400486017d9f4"
 
 
-def _run(name):
+def _run(name, keep_samples=True):
     pot, n, sweeps, seed, chains, tau = CONFIGS[name]
-    return sample_equilibrium(pot, n, sweeps, seed=seed, chains=chains, tau=tau), chains
+    return sample_equilibrium(pot, n, sweeps, seed=seed, chains=chains, tau=tau, keep_samples=keep_samples), chains
 
 
 def _means_digest(eq):
@@ -84,6 +85,31 @@ def test_sampler_golden_bits(name):
     eq, _ = _run(name)
     assert type(eq.acceptance) is float
     assert _golden(eq) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_sampler_without_samples_keeps_the_golden_chain(name):
+    """By default no chain state is stored: ``samples`` has one empty row
+    per kept chain state, and the acceptance, the autocorrelation time and
+    the means keep their golden bits."""
+    eq, chains = _run(name, keep_samples=False)
+    pot, n, sweeps, seed, _, tau = CONFIGS[name]
+    per_chain = max(10, sweeps // chains)
+    assert eq.samples.shape == ((per_chain - max(1, per_chain // 5)) * chains, 0)
+    assert (eq.acceptance, eq.autocorr_pi1, _means_digest(eq)) == GOLDEN[name][1:]
+
+
+def test_sampler_without_samples_bounds_its_traced_peak():
+    """The N = 5 case of equilibrium-loop (200 000 sweeps over 200 chains,
+    800 kept sweeps) peaks below 6 MB when no chain state is kept; storing
+    every kept state takes 800 x 200 x 5 floats, 6.4 MB, on top."""
+    tracemalloc.start()
+    try:
+        sample_equilibrium(HERMITE2, 5, 200_000, chains=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 def test_equilibrium_init_golden_bits():
